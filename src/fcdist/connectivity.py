@@ -11,13 +11,12 @@ exact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateEnvelope, TooShort
 from .spectral import AnalyticRecord, Band, CoherencyMatrix, band_slice
-
-METRICS = ("COH", "iCOH", "PLV", "PLI", "AEC")
 
 
 @dataclass(frozen=True)
@@ -96,18 +95,14 @@ def coherence_matrix(c: CoherencyMatrix, band: Band) -> ConnectivityMatrix:
     return ConnectivityMatrix(metric="COH", band=band, weights=w)
 
 
-def icoh_matrix(
-    c: CoherencyMatrix, band: Band, magnitude_per_bin: bool = False
-) -> ConnectivityMatrix:
+def icoh_matrix(c: CoherencyMatrix, band: Band) -> ConnectivityMatrix:
     """Imaginary coherency averaged over band bins, folded to magnitude.
 
-    By default the signed imaginary parts are averaged first and the
-    magnitude taken once; ``magnitude_per_bin`` instead averages |Im C(f)|
-    per bin (the alternative band-collapse reading).
+    The signed imaginary parts are averaged first and the magnitude taken
+    once.
     """
     idx = band_slice(c.freqs, band)
-    imag = c.mats[idx].imag
-    signed = np.abs(imag).mean(axis=0) if magnitude_per_bin else imag.mean(axis=0)
+    signed = c.mats[idx].imag.mean(axis=0)
     w = _mirror(np.clip(np.abs(signed), 0.0, 1.0), diagonal=0.0)
     return ConnectivityMatrix(metric="iCOH", band=band, weights=w, signed_raw=signed)
 
@@ -191,3 +186,17 @@ def aec_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> Connectiv
     weights = _mirror(np.clip(np.abs(signed), 0.0, 1.0), diagonal=1.0)
     signed = _mirror(signed, diagonal=1.0)
     return ConnectivityMatrix(metric="AEC", band=a.band, weights=weights, signed_raw=signed)
+
+
+# The metric table, in reporting order: name -> (input, call). The input is
+# "coherency" (the record's CoherencyMatrix) or "analytic" (the band's
+# AnalyticRecord); the call takes that input, the band and the experiment's
+# sliding-window protocol. PLV keeps only the window length and never
+# overlaps its windows; PLI and AEC use the protocol as given.
+METRICS: dict[str, tuple[str, Callable[..., ConnectivityMatrix]]] = {
+    "COH": ("coherency", lambda c, band, w: coherence_matrix(c, band)),
+    "iCOH": ("coherency", lambda c, band, w: icoh_matrix(c, band)),
+    "PLV": ("analytic", lambda a, band, w: plv_matrix(a, WindowConfig(w.window_seconds, 0.0))),
+    "PLI": ("analytic", lambda a, band, w: pli_matrix(a, w)),
+    "AEC": ("analytic", lambda a, band, w: aec_matrix(a, w)),
+}

@@ -61,8 +61,9 @@ def read_source_library(path: Path | str) -> SourceLibrary:
     data, meta = read_matrix(path)
     if meta.get("kind") not in (None, "sources"):
         raise ValueError(f"{path}: expected kind 'sources', got {meta.get('kind')!r}")
-    fs = float(meta.get("fs", 1.0))
-    return SourceLibrary(data=data, fs=fs, origin=meta.get("origin", str(path)))
+    if meta.get("fs") is None:
+        raise ValueError(f"{path}: source-library sidecar must carry fs")
+    return SourceLibrary(data=data, fs=float(meta["fs"]), origin=meta.get("origin", str(path)))
 
 
 def write_leadfield(path: Path | str, lf: LeadField) -> Path:

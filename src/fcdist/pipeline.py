@@ -9,18 +9,20 @@ are byte-deterministic for a fixed config.
 
 from __future__ import annotations
 
+import csv
 import json
+import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, fields, replace
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
 import warnings
 
-from . import connectivity, forward, matrix_io, spectral, weight_stats
+from . import forward, matrix_io, spectral, weight_stats
 from .connectivity import METRICS, WindowConfig
 from .correlation import pearson_correlation
-from .errors import EmptyBand, ExperimentFailed, FcdistError, NoData
+from .errors import ExperimentFailed, FcdistError, NoData, ShapeMismatch
 from .montages import MONTAGE_BY_SIZE
 from .spectral import ALPHA, Band
 
@@ -45,7 +47,7 @@ class ExperimentConfig:
     """Full description of one simulation experiment."""
 
     montages: tuple[int, ...] = (19, 32, 64, 128)
-    metrics: tuple[str, ...] = METRICS
+    metrics: tuple[str, ...] = tuple(METRICS)
     bands: tuple[Band, ...] = (ALPHA,)
     trials: int = 100
     fs: float = 200.0
@@ -69,7 +71,7 @@ class ExperimentConfig:
                 raise ValueError(f"no built-in montage with {m} channels")
         bad = [m for m in self.metrics if m not in METRICS]
         if bad or not self.metrics:
-            raise ValueError(f"unknown metrics {bad}; choose from {METRICS}")
+            raise ValueError(f"unknown metrics {bad}; choose from {tuple(METRICS)}")
         if not self.bands:
             raise ValueError("at least one band required")
         for b in self.bands:
@@ -147,11 +149,15 @@ def _mode_path(mode: str) -> str | None:
 
 def _cell_leadfield(cfg: ExperimentConfig, montage: int) -> forward.LeadField:
     path = _mode_path(cfg.leadfield_mode)
-    if path is not None:
-        return _file_leadfield(path)
-    return forward.generate_synthetic_leadfield(
-        MONTAGE_BY_SIZE[montage], cfg.n_sources, seed=mix64(cfg.master_seed, montage, 3)
-    )
+    if path is None:
+        return forward.generate_synthetic_leadfield(
+            MONTAGE_BY_SIZE[montage], cfg.n_sources, seed=mix64(cfg.master_seed, montage, 3)
+        )
+    lf = _file_leadfield(path)
+    if lf.n_channels != montage:
+        raise ShapeMismatch(f"lead field {path} has {lf.n_channels} channels, "
+                            f"not the montage's {montage}")
+    return lf
 
 
 def _cell_library(cfg: ExperimentConfig, montage: int, trial: int) -> forward.SourceLibrary:
@@ -164,81 +170,80 @@ def _cell_library(cfg: ExperimentConfig, montage: int, trial: int) -> forward.So
     )
 
 
+def _cell_record(cfg: ExperimentConfig, montage: int, trial: int
+                 ) -> forward.MultichannelRecord:
+    """The scalp record of one (montage, trial) cell."""
+    lf = _cell_leadfield(cfg, montage)
+    lib = _cell_library(cfg, montage, trial)
+    src = forward.assemble_source_activity(
+        lib, cfg.n_sources, cfg.n_active, cfg.noise_sigma, cfg.n_samples,
+        seed=mix64(cfg.master_seed, trial, montage, 2),
+    )
+    return forward.project_to_scalp(lf, src)
+
+
+def _bartlett_coherency(rec: forward.MultichannelRecord, segment_samples: int
+                        ) -> spectral.CoherencyMatrix:
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", spectral.FewSegmentsWarning)
+        cs = spectral.bartlett_cross_spectrum(rec, segment_samples)
+    return spectral.coherency(cs)
+
+
+def _attempt(call, x, *args):
+    """``call(x, *args)``, or the FcdistError it raised; an error ``x`` is passed on."""
+    if isinstance(x, FcdistError):
+        return x
+    try:
+        return call(x, *args)
+    except FcdistError as err:
+        return err
+
+
+def _band_results(cfg: ExperimentConfig, inputs: dict, band: Band, montage: int,
+                  trial: int) -> tuple[list[TrialRow], list[CellFailure]]:
+    """One TrialRow or CellFailure for each metric of ``cfg`` on one band.
+
+    ``inputs`` maps each input kind of the metric table to its value, or to
+    the FcdistError raised while computing it; that error fails every
+    metric that needs the input.
+    """
+    rows: list[TrialRow] = []
+    fails: list[CellFailure] = []
+    for metric in cfg.metrics:
+        kind, call = METRICS[metric]
+        try:
+            x = inputs[kind]
+            if isinstance(x, FcdistError):
+                raise x
+            s = weight_stats.summarize(
+                weight_stats.upper_triangle_weights(call(x, band, cfg.window).weights),
+                cfg.n_bins,
+            )
+            rows.append(TrialRow(montage, metric, band.name, trial,
+                                 s.mcw, s.skewness, s.kurtosis, s.entropy))
+        except FcdistError as err:
+            fails.append(CellFailure(montage, metric, band.name, trial,
+                                     f"{type(err).__name__}: {err}"))
+    return rows, fails
+
+
 def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
                   ) -> tuple[list[TrialRow], list[CellFailure]]:
     """Run one (montage, trial) cell: all configured metrics and bands."""
+    kinds = {METRICS[m][0] for m in cfg.metrics}
+    rec = _attempt(_cell_record, cfg, montage, trial)
+    inputs = {}
+    if "coherency" in kinds:
+        inputs["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples)
     rows: list[TrialRow] = []
     fails: list[CellFailure] = []
-
-    def fail_all(metrics: Iterable[str], band_name: str, err: Exception) -> None:
-        for m in metrics:
-            fails.append(CellFailure(montage, m, band_name, trial, f"{type(err).__name__}: {err}"))
-
-    spectral_metrics = [m for m in cfg.metrics if m in ("COH", "iCOH")]
-    windowed_metrics = [m for m in cfg.metrics if m in ("PLV", "PLI", "AEC")]
-
-    try:
-        lf = _cell_leadfield(cfg, montage)
-        lib = _cell_library(cfg, montage, trial)
-        src = forward.assemble_source_activity(
-            lib, cfg.n_sources, cfg.n_active, cfg.noise_sigma, cfg.n_samples,
-            seed=mix64(cfg.master_seed, trial, montage, 2),
-        )
-        rec = forward.project_to_scalp(lf, src)
-    except FcdistError as err:
-        for band in cfg.bands:
-            fail_all(cfg.metrics, band.name, err)
-        return rows, fails
-
-    coh_matrix = None
-    if spectral_metrics:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", spectral.FewSegmentsWarning)
-                cs = spectral.bartlett_cross_spectrum(rec, cfg.segment_samples)
-            coh_matrix = spectral.coherency(cs)
-        except FcdistError as err:
-            for band in cfg.bands:
-                fail_all(spectral_metrics, band.name, err)
-            spectral_metrics = []
-
-    plv_window = WindowConfig(cfg.window.window_seconds, 0.0)
-
     for band in cfg.bands:
-        analytic = None
-        band_windowed = list(windowed_metrics)
-        if band_windowed:
-            try:
-                analytic = spectral.bandpass_analytic(rec, band)
-            except FcdistError as err:
-                fail_all(band_windowed, band.name, err)
-                band_windowed = []
-        for metric in cfg.metrics:
-            if metric not in spectral_metrics and metric not in band_windowed:
-                continue
-            try:
-                if metric == "COH":
-                    cm = connectivity.coherence_matrix(coh_matrix, band)
-                elif metric == "iCOH":
-                    cm = connectivity.icoh_matrix(coh_matrix, band)
-                elif metric == "PLV":
-                    cm = connectivity.plv_matrix(analytic, plv_window)
-                elif metric == "PLI":
-                    cm = connectivity.pli_matrix(analytic, cfg.window)
-                else:
-                    cm = connectivity.aec_matrix(analytic, cfg.window)
-                summary = weight_stats.summarize(
-                    weight_stats.upper_triangle_weights(cm.weights), cfg.n_bins
-                )
-                rows.append(TrialRow(
-                    montage=montage, metric=metric, band=band.name, trial=trial,
-                    mcw=summary.mcw, skewness=summary.skewness,
-                    kurtosis=summary.kurtosis, entropy=summary.entropy,
-                ))
-            except FcdistError as err:
-                fails.append(CellFailure(
-                    montage, metric, band.name, trial, f"{type(err).__name__}: {err}"
-                ))
+        if "analytic" in kinds:
+            inputs["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
+        band_rows, band_fails = _band_results(cfg, inputs, band, montage, trial)
+        rows += band_rows
+        fails += band_fails
     return rows, fails
 
 
@@ -257,21 +262,21 @@ def _sort_key(cfg: ExperimentConfig):
     return key
 
 
+def _groups(rows: Iterable[TrialRow]) -> dict[tuple[int, str, str], list[TrialRow]]:
+    """Rows by (montage, metric, band), in order of first appearance."""
+    groups: dict[tuple[int, str, str], list[TrialRow]] = {}
+    for row in rows:
+        groups.setdefault((row.montage, row.metric, row.band), []).append(row)
+    return groups
+
+
 def correlate_rows(trial_rows: list[TrialRow], cfg: ExperimentConfig
                    ) -> tuple[list[CorrelationRow], list[CellFailure]]:
     """Pearson correlations of MCW against the three shape statistics."""
-    metric_rank = {m: i for i, m in enumerate(METRICS)}
-    band_rank = {b.name: i for i, b in enumerate(cfg.bands)}
-    groups: dict[tuple[int, str, str], list[TrialRow]] = {}
-    for row in trial_rows:
-        groups.setdefault((row.montage, row.metric, row.band), []).append(row)
-
     corr_rows: list[CorrelationRow] = []
     failures: list[CellFailure] = []
-    for key in sorted(groups, key=lambda k: (k[0], metric_rank.get(k[1], 99),
-                                             band_rank.get(k[2], 99))):
-        montage, metric, band = key
-        rows = groups[key]
+    groups = _groups(sorted(trial_rows, key=_sort_key(cfg)))
+    for (montage, metric, band), rows in groups.items():
         for pair, attr in zip(CORRELATION_PAIRS, ("skewness", "kurtosis", "entropy")):
             points = [(r.mcw, getattr(r, attr)) for r in rows
                       if getattr(r, attr) is not None]
@@ -334,49 +339,33 @@ def run_normative_analysis(
 
     Each input file is one subject and yields one scatter point per
     (metric, band); only the spectral metrics apply since no raw record
-    is available. Malformed files are skipped with a logged failure.
+    is available. Malformed files are skipped with a logged failure, and a
+    subject whose spectra are unusable (e.g. a zero-power channel) records
+    one failure per (metric, band).
     """
+    cfg = ExperimentConfig(
+        metrics=tuple(m for m, (kind, _) in METRICS.items() if kind == "coherency"),
+        bands=tuple(bands), n_bins=n_bins,
+    )
     trial_rows: list[TrialRow] = []
     failures: list[CellFailure] = []
     used = 0
-    n_channels = None
     for subject, path in enumerate(sorted(str(p) for p in inputs)):
         try:
-            cs, labels = matrix_io.read_cross_spectrum(path)
+            cs, _ = matrix_io.read_cross_spectrum(path)
         except FcdistError as err:
             failures.append(CellFailure(0, "-", "-", subject,
                                         f"{Path(path).name}: {err}"))
             continue
         used += 1
-        n_channels = cs.n_channels
-        coh = spectral.coherency(cs)
+        coh = _attempt(spectral.coherency, cs)
         for band in bands:
-            for metric in ("COH", "iCOH"):
-                try:
-                    if metric == "COH":
-                        cm = connectivity.coherence_matrix(coh, band)
-                    else:
-                        cm = connectivity.icoh_matrix(coh, band)
-                    summary = weight_stats.summarize(
-                        weight_stats.upper_triangle_weights(cm.weights), n_bins
-                    )
-                    trial_rows.append(TrialRow(
-                        montage=cs.n_channels, metric=metric, band=band.name,
-                        trial=subject, mcw=summary.mcw, skewness=summary.skewness,
-                        kurtosis=summary.kurtosis, entropy=summary.entropy,
-                    ))
-                except EmptyBand as err:
-                    failures.append(CellFailure(
-                        cs.n_channels, metric, band.name, subject, str(err)
-                    ))
+            rows, fails = _band_results(cfg, {"coherency": coh}, band, cs.n_channels, subject)
+            trial_rows += rows
+            failures += fails
     if used == 0:
         raise NoData("no usable cross-spectrum files")
 
-    cfg = ExperimentConfig(
-        montages=(n_channels,), metrics=("COH", "iCOH"), bands=tuple(bands),
-        trials=max(used, 3), n_bins=n_bins, leadfield_mode="normative",
-        source_mode="normative",
-    )
     corr_rows: list[CorrelationRow] = []
     if used >= 3:
         corr_rows, corr_fails = correlate_rows(trial_rows, cfg)
@@ -439,12 +428,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _write_csv(path: Path, header: list[str], rows: Iterable) -> Path:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
 
 
 def write_results(result: ExperimentResult, out_dir: Path | str,
@@ -453,45 +442,23 @@ def write_results(result: ExperimentResult, out_dir: Path | str,
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    groups = sorted(_groups(result.trial_rows).items())
 
     if "csv" in formats:
-        path = out_dir / "trials.csv"
-        with open(path, "w", newline="\n") as f:
-            f.write("montage,metric,band,trial,mcw,skewness,kurtosis,entropy\n")
-            for r in result.trial_rows:
-                f.write(",".join([
-                    str(r.montage), r.metric, r.band, str(r.trial),
-                    _fmt(r.mcw), _fmt(r.skewness), _fmt(r.kurtosis), _fmt(r.entropy),
-                ]) + "\n")
-        written.append(path)
-
-        path = out_dir / "correlations.csv"
-        with open(path, "w", newline="\n") as f:
-            f.write("montage,metric,band,pair,r,p,n,stars\n")
-            for r in result.correlation_rows:
-                f.write(",".join([
-                    str(r.montage), r.metric, r.band, r.pair,
-                    _fmt(r.r), _fmt(r.p), str(r.n), r.stars,
-                ]) + "\n")
-        written.append(path)
+        for name, row_type, rows in (("trials.csv", TrialRow, result.trial_rows),
+                                     ("correlations.csv", CorrelationRow,
+                                      result.correlation_rows)):
+            written.append(_write_csv(out_dir / name, [f.name for f in fields(row_type)],
+                                      map(astuple, rows)))
 
     if "json" in formats:
         aggregates: dict[str, dict] = {}
-        groups: dict[tuple[int, str, str], list[TrialRow]] = {}
-        for r in result.trial_rows:
-            groups.setdefault((r.montage, r.metric, r.band), []).append(r)
-        for (montage, metric, band), rows in sorted(groups.items()):
+        for (montage, metric, band), rows in groups:
             vals = {}
             for attr in ("mcw", "skewness", "kurtosis", "entropy"):
                 xs = sorted(getattr(r, attr) for r in rows if getattr(r, attr) is not None)
-                if xs:
-                    mid = len(xs) // 2
-                    med = xs[mid] if len(xs) % 2 else 0.5 * (xs[mid - 1] + xs[mid])
-                    vals[f"median_{attr}"] = med
-                    vals[f"mean_{attr}"] = sum(xs) / len(xs)
-                else:
-                    vals[f"median_{attr}"] = None
-                    vals[f"mean_{attr}"] = None
+                vals[f"median_{attr}"] = statistics.median(xs) if xs else None
+                vals[f"mean_{attr}"] = sum(xs) / len(xs) if xs else None
             vals["n_rows"] = len(rows)
             aggregates[f"{montage}/{metric}/{band}"] = vals
         summary = {
@@ -499,11 +466,7 @@ def write_results(result: ExperimentResult, out_dir: Path | str,
             "n_trial_rows": len(result.trial_rows),
             "n_correlation_rows": len(result.correlation_rows),
             "n_failures": len(result.failures),
-            "failures": [
-                {"montage": fl.montage, "metric": fl.metric, "band": fl.band,
-                 "trial": fl.trial, "error": fl.error}
-                for fl in result.failures
-            ],
+            "failures": [asdict(fl) for fl in result.failures],
             "aggregates": aggregates,
         }
         path = out_dir / "summary.json"
@@ -513,24 +476,13 @@ def write_results(result: ExperimentResult, out_dir: Path | str,
         written.append(path)
 
     if "scatter" in formats:
-        groups = {}
-        for r in result.trial_rows:
-            groups.setdefault((r.montage, r.metric, r.band), []).append(r)
-        for (montage, metric, band), rows in sorted(groups.items()):
+        for (montage, metric, band), rows in groups:
             for attr in ("skewness", "kurtosis", "entropy"):
-                path = out_dir / f"scatter_{montage}_{metric}_{band}_{attr}.csv"
-                with open(path, "w", newline="\n") as f:
-                    f.write(f"mcw,{attr}\n")
-                    for r in rows:
-                        y = getattr(r, attr)
-                        if y is not None:
-                            f.write(f"{_fmt(r.mcw)},{_fmt(y)}\n")
-                written.append(path)
+                written.append(_write_csv(
+                    out_dir / f"scatter_{montage}_{metric}_{band}_{attr}.csv", ["mcw", attr],
+                    [(r.mcw, getattr(r, attr)) for r in rows if getattr(r, attr) is not None],
+                ))
     return written
-
-
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
 
 
 def desk_scale_config(montages: tuple[int, ...] = (19, 64), trials: int = 100,

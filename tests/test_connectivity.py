@@ -111,13 +111,6 @@ class TestIcohMatrix:
         assert cm.weights[0, 1] == pytest.approx(abs(signed[0, 1]), abs=1e-12)
         assert cm.signed_raw is not None
 
-    def test_magnitude_per_bin_flag(self, rng):
-        c = coherency_of(rng.standard_normal((3, 256 * 5)))
-        cm = icoh_matrix(c, ALPHA, magnitude_per_bin=True)
-        sel = [i for i, f in enumerate(c.freqs) if 8.0 <= f <= 13.0]
-        expected = np.abs(c.mats[sel].imag).mean(axis=0)
-        assert cm.weights[0, 1] == pytest.approx(expected[0, 1], abs=1e-12)
-
 
 class TestPlv:
     def test_identical_channels(self, rng):

@@ -34,6 +34,19 @@ class TestMatrixRoundTrip:
         assert np.array_equal(back.data, lib.data)
         assert back.fs == lib.fs
 
+    def test_source_library_requires_fs(self, tmp_path):
+        lib = generate_synthetic_sources(4, 300, 128.0, 9.5, seed=3)
+        path = matrix_io.write_source_library(tmp_path / "lib.csv", lib)
+        side = matrix_io.sidecar_path(path)
+        meta = json.loads(side.read_text())
+        del meta["fs"]
+        side.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="fs"):
+            matrix_io.read_source_library(path)
+        side.unlink()
+        with pytest.raises(ValueError, match="fs"):
+            matrix_io.read_source_library(path)
+
     def test_leadfield(self, tmp_path):
         lf = generate_synthetic_leadfield("egi32", 40, seed=2)
         matrix_io.write_leadfield(tmp_path / "lf.csv", lf)

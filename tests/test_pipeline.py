@@ -5,7 +5,14 @@ import pytest
 from conftest import make_record, quiet_cross_spectrum
 
 from fcdist import matrix_io, pipeline, spectral, weight_stats
-from fcdist.connectivity import coherence_matrix, icoh_matrix
+from fcdist.connectivity import (
+    WindowConfig,
+    aec_matrix,
+    coherence_matrix,
+    icoh_matrix,
+    pli_matrix,
+    plv_matrix,
+)
 from fcdist.errors import ExperimentFailed, NoData
 from fcdist.pipeline import (
     ExperimentConfig,
@@ -15,6 +22,7 @@ from fcdist.pipeline import (
     mix64,
     run_normative_analysis,
     run_simulation_experiment,
+    simulate_cell,
     write_results,
 )
 from fcdist.spectral import ALPHA, Band, coherency
@@ -133,6 +141,38 @@ class TestSimulation:
         assert len(res.trial_rows) == 6
         assert not res.failures
 
+    def test_file_leadfield_channel_count(self, tmp_path):
+        from fcdist.forward import generate_synthetic_leadfield
+        lf = generate_synthetic_leadfield("std19", 300, seed=6)
+        matrix_io.write_leadfield(tmp_path / "lf.csv", lf)
+        cfg = tiny_config(montages=(64,), leadfield_mode=f"file:{tmp_path / 'lf.csv'}")
+        with pytest.raises(ExperimentFailed, match="ShapeMismatch"):
+            run_simulation_experiment(cfg)
+
+    def test_metric_table_windows(self):
+        # PLV keeps only the window length; PLI and AEC take the protocol as given
+        window = WindowConfig(4.0, 1.0)
+        cfg = tiny_config(metrics=("COH", "iCOH", "PLV", "PLI", "AEC"), window=window)
+        rec = pipeline._cell_record(cfg, 19, 0)
+        coh = coherency(quiet_cross_spectrum(rec, cfg.segment_samples))
+        analytic = spectral.bandpass_analytic(rec, ALPHA)
+        direct = {
+            "COH": coherence_matrix(coh, ALPHA),
+            "iCOH": icoh_matrix(coh, ALPHA),
+            "PLV": plv_matrix(analytic, WindowConfig(4.0, 0.0)),
+            "PLI": pli_matrix(analytic, window),
+            "AEC": aec_matrix(analytic, window),
+        }
+        rows, fails = simulate_cell(cfg, 19, 0)
+        assert not fails
+        assert [r.metric for r in rows] == list(direct)
+        for row in rows:
+            s = weight_stats.summarize(
+                weight_stats.upper_triangle_weights(direct[row.metric].weights), cfg.n_bins
+            )
+            assert (row.mcw, row.skewness, row.kurtosis, row.entropy) == \
+                (s.mcw, s.skewness, s.kurtosis, s.entropy), row.metric
+
 
 class TestWriteResults:
     def test_empty_tables(self, tmp_path):
@@ -183,10 +223,13 @@ class TestWriteResults:
 
 
 class TestNormative:
-    def write_subject(self, tmp_path, name, rng, n_ch=4, duplicate_pair=False):
+    def write_subject(self, tmp_path, name, rng, n_ch=4, duplicate_pair=False,
+                      zero_channel=False):
         data = rng.standard_normal((n_ch, 512 * 4))
         if duplicate_pair:
             data[1] = data[0]
+        if zero_channel:
+            data[2] = 0.0
         rec = make_record(data, fs=200.0)
         cs = quiet_cross_spectrum(rec, 512)
         labels = list(rec.channel_names)
@@ -251,6 +294,18 @@ class TestNormative:
         assert len(res.trial_rows) == 8  # 2 metrics x 1 band x 4 subjects
         assert len(res.correlation_rows) == 6  # 2 metrics x 3 pairs
         assert all(r.n == 4 for r in res.correlation_rows)
+
+    def test_zero_power_subject_recorded_not_fatal(self, tmp_path, rng):
+        paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=8, zero_channel=i == 3)
+                 for i in range(4)]
+        res = run_normative_analysis(paths, bands=(ALPHA,))
+        assert len(res.trial_rows) == 6  # 2 metrics x 1 band x 3 good subjects
+        assert {r.trial for r in res.trial_rows} == {0, 1, 2}
+        assert [(f.metric, f.band, f.trial) for f in res.failures] == \
+            [("COH", "alpha", 3), ("iCOH", "alpha", 3)]
+        assert all(f.error.startswith("ZeroPowerChannel: ") for f in res.failures)
+        assert len(res.correlation_rows) == 6
+        assert all(r.n == 3 for r in res.correlation_rows)
 
 
 class TestConfig:
