@@ -123,9 +123,15 @@ def plv_matrix(a: AnalyticRecord, w: WindowConfig = PLV_WINDOW) -> ConnectivityM
 
 
 def _wrap_phase(d: np.ndarray) -> np.ndarray:
-    """Wrap phase differences to (-pi, pi]."""
-    d = np.mod(d, 2.0 * np.pi)
-    d[d > np.pi] -= 2.0 * np.pi
+    """Wrap phase differences to (-pi, pi].
+
+    Equal bit for bit to ``np.mod(d, 2 pi)`` followed by subtracting 2 pi
+    above pi, at a fraction of the cost: fmod keeps the sign of d, so
+    negatives (and both zeros, which then end as +0) are lifted by 2 pi.
+    """
+    d = np.fmod(d, 2.0 * np.pi)
+    np.add(d, 2.0 * np.pi, out=d, where=d <= 0.0)
+    np.subtract(d, 2.0 * np.pi, out=d, where=d > np.pi)
     return d
 
 
@@ -134,23 +140,53 @@ def _wrap_phase(d: np.ndarray) -> np.ndarray:
 # picking up the deterministic rounding bias of atan2.
 _PHASE_TIE = 1e-12
 
+# sin(phi_j - phi_i) beyond this margin has the sign of the wrapped
+# difference: its rounding error (~4e-16) is far smaller. Samples within it
+# (ties, differences near +-pi) are decided by the wrapped difference.
+_SIGN_MARGIN = 1e-9
+
 
 def pli_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> ConnectivityMatrix:
     """Phase-lag index: |mean sign of the wrapped phase difference|.
 
     sign(0) counts as 0; window values are averaged across windows. Blind
     to zero-lag coupling by construction.
+
+    The signs come from sin(phi_j - phi_i) = sin phi_j cos phi_i -
+    cos phi_j sin phi_i, formed from sines and cosines computed once. A
+    window's net sign for a pair is the count of sines above
+    ``_SIGN_MARGIN`` less the count below its negative. A pair-window with
+    any sample inside the margin is counted again from the wrapped
+    difference with the ``_PHASE_TIE`` rule, so every sign is the one the
+    wrapped difference gives.
     """
     starts, win = window_starts(a.n_samples, a.fs, w)
     n = a.n_channels
+    sin, cos = np.sin(a.phase), np.cos(a.phase)
     acc = np.zeros((n, n))
+    x = np.empty((n, win))
+    y = np.empty_like(x)
+    above = np.empty(x.shape, dtype=bool)
+    below = np.empty_like(above)
+    signs = np.empty(x.shape, dtype=np.int8)
     for s in starts:
-        ph = a.phase[:, s : s + win]
+        t = slice(s, s + win)
+        sin_w, cos_w = sin[:, t].copy(), cos[:, t].copy()  # contiguous rows run faster
         for i in range(n - 1):
-            d = _wrap_phase(ph[i + 1 :] - ph[i])
-            signs = np.sign(d)
-            signs[np.abs(d) <= _PHASE_TIE] = 0.0
-            acc[i, i + 1 :] += np.abs(signs.mean(axis=1))
+            rows = slice(0, n - 1 - i)  # buffer rows for channels j > i
+            np.multiply(sin_w[i + 1 :], cos_w[i], out=x[rows])
+            np.multiply(cos_w[i + 1 :], sin_w[i], out=y[rows])
+            np.subtract(x[rows], y[rows], out=x[rows])
+            np.greater(x[rows], _SIGN_MARGIN, out=above[rows])
+            np.less(x[rows], -_SIGN_MARGIN, out=below[rows])
+            sg = np.subtract(above[rows].view(np.int8), below[rows].view(np.int8), out=signs[rows])
+            net = np.add.reduce(sg, axis=1, dtype=np.intp)
+            if np.count_nonzero(sg) < sg.size:  # some sample inside the margin
+                tied = np.flatnonzero(np.count_nonzero(sg, axis=1) < win)
+                d = _wrap_phase(a.phase[i + 1 + tied, t] - a.phase[i, t])
+                net[tied] = (np.count_nonzero(d > _PHASE_TIE, axis=1)
+                             - np.count_nonzero(d < -_PHASE_TIE, axis=1))
+            acc[i, i + 1 :] += np.abs(net / win)
     weights = _mirror(np.clip(acc / len(starts), 0.0, 1.0), diagonal=0.0)
     return ConnectivityMatrix(metric="PLI", band=a.band, weights=weights)
 

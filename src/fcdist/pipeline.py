@@ -331,7 +331,7 @@ def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Experimen
 
 
 def run_normative_analysis(
-    inputs: list[Path | str],
+    inputs: Iterable[Path | str],
     bands: tuple[Band, ...] = spectral.DEFAULT_BANDS,
     n_bins: int = 100,
 ) -> ExperimentResult:
@@ -350,7 +350,8 @@ def run_normative_analysis(
     trial_rows: list[TrialRow] = []
     failures: list[CellFailure] = []
     used = 0
-    for subject, path in enumerate(sorted(str(p) for p in inputs)):
+    paths = sorted(str(p) for p in inputs)
+    for subject, path in enumerate(paths):
         try:
             cs, _ = matrix_io.read_cross_spectrum(path)
         except FcdistError as err:
@@ -371,7 +372,7 @@ def run_normative_analysis(
         corr_rows, corr_fails = correlate_rows(trial_rows, cfg)
         failures.extend(corr_fails)
     return ExperimentResult(
-        config={"mode": "normative", "inputs": len(list(inputs)), "subjects_used": used,
+        config={"mode": "normative", "inputs": len(paths), "subjects_used": used,
                 "bands": [band_to_dict(b) for b in bands], "n_bins": n_bins},
         trial_rows=trial_rows,
         correlation_rows=corr_rows,

@@ -67,7 +67,8 @@ class CrossSpectrum:
             raise ValueError("freqs length must match mats")
         if freqs.size and np.any(np.diff(freqs) <= 0):
             raise ValueError("freqs must be strictly increasing")
-        herm = np.max(np.abs(mats - mats.conj().transpose(0, 2, 1))) if mats.size else 0.0
+        # One bin at a time keeps the temporaries small.
+        herm = np.max([np.max(np.abs(m - m.conj().T)) for m in mats]) if mats.size else 0.0
         if herm > 1e-10:
             raise ValueError(f"matrices not Hermitian (max deviation {herm:.3g})")
         diag = np.einsum("fii->fi", mats)
@@ -121,6 +122,8 @@ class AnalyticRecord:
         envelope = np.asarray(self.envelope, dtype=float)
         if phase.shape != envelope.shape or phase.ndim != 2:
             raise ValueError("phase and envelope must be matching 2-D arrays")
+        if not (np.all(np.isfinite(phase)) and np.all(np.isfinite(envelope))):
+            raise ValueError("phase and envelope must be finite")
         if np.any(envelope < 0):
             raise ValueError("envelope must be non-negative")
         if np.any(phase > np.pi) or np.any(phase <= -np.pi):
@@ -164,14 +167,15 @@ def bartlett_cross_spectrum(rec: MultichannelRecord, segment_samples: int = 512)
         )
 
     n = segment_samples
-    n_bins = n // 2 - 1
-    acc = np.zeros((n_bins, n_ch, n_ch), dtype=complex)
-    for s in range(k_segments):
-        seg = rec.data[:, s * n : (s + 1) * n]
-        seg = seg - seg.mean(axis=1, keepdims=True)
-        spec = np.fft.rfft(seg, axis=1)[:, 1 : n // 2]
-        acc += np.einsum("cf,df->fcd", spec, spec.conj())
-    mats = acc * (2.0 / (k_segments * n * n))
+    segs = rec.data[:, : k_segments * n].reshape(n_ch, k_segments, n)
+    segs = segs - segs.mean(axis=2, keepdims=True)
+    # (bin, channel, segment), segments contiguous for the reduction below.
+    spec = np.fft.rfft(segs, axis=2)[:, :, 1 : n // 2].transpose(2, 0, 1).copy()
+    # Plain einsum (no BLAS) sums the segments in order, as a running sum
+    # over segments would; a BLAS product rounds differently and is not
+    # exactly Hermitian.
+    mats = np.einsum("fck,fdk->fcd", spec, spec.conj())
+    mats *= 2.0 / (k_segments * n * n)
     freqs = np.arange(1, n // 2) * (rec.fs / n)
     return CrossSpectrum(freqs=freqs, mats=mats, n_segments=k_segments)
 

@@ -97,6 +97,83 @@ def naive_cross_spectrum(data, fs: float, segment_samples: int):
     return freqs, mats
 
 
+def segment_loop_cross_spectrum(data, fs: float, segment_samples: int):
+    """Averaged-periodogram cross-spectrum, one segment at a time.
+
+    The running-sum form of the estimator: per-segment mean removal, an
+    rfft per segment, the per-bin outer products added segment by segment
+    and scaled by 2 / (K N^2) at the end. Trailing samples that do not fill
+    a segment are dropped. Returns (freqs, mats[n_freqs, n_ch, n_ch]).
+    """
+    data = np.asarray(data, dtype=float)
+    n_ch, n_samples = data.shape
+    n = segment_samples
+    k_segments = n_samples // n
+    acc = np.zeros((n // 2 - 1, n_ch, n_ch), dtype=complex)
+    for s in range(k_segments):
+        seg = data[:, s * n:(s + 1) * n]
+        seg = seg - seg.mean(axis=1, keepdims=True)
+        spec = np.fft.rfft(seg, axis=1)[:, 1:n // 2]
+        acc += np.einsum("cf,df->fcd", spec, spec.conj())
+    mats = acc * (2.0 / (k_segments * n * n))
+    freqs = np.arange(1, n // 2) * (fs / n)
+    return freqs, mats
+
+
+def _pli_sign(d: float) -> int:
+    """Sign of a phase difference wrapped to (-pi, pi]; |d| <= 1e-12 is 0."""
+    d = d % (2.0 * math.pi)  # floor modulo, as np.mod
+    if d > math.pi:
+        d -= 2.0 * math.pi
+    if abs(d) <= 1e-12:
+        return 0
+    return 1 if d > 0 else -1
+
+
+def naive_pli(phase, win: int, step: int):
+    """Phase-lag index by plain loops over pairs, windows and samples.
+
+    Per window, |mean sign of phi_j - phi_i|; averaged over the full
+    windows that start every ``step`` samples. Returns the symmetric
+    weight matrix with a zero diagonal.
+    """
+    phase = np.asarray(phase, dtype=float)
+    n_ch, n_samples = phase.shape
+    starts = list(range(0, n_samples - win + 1, step))
+    out = np.zeros((n_ch, n_ch))
+    for i in range(n_ch):
+        for j in range(i + 1, n_ch):
+            total = 0.0
+            for s in starts:
+                net = 0
+                for t in range(s, s + win):
+                    net += _pli_sign(float(phase[j, t]) - float(phase[i, t]))
+                total += abs(net / win)
+            out[i, j] = out[j, i] = min(max(total / len(starts), 0.0), 1.0)
+    return out
+
+
+def rowloop_pli(phase, win: int, step: int):
+    """Phase-lag index with one vectorized wrapped difference per channel row.
+
+    Same rule as ``naive_pli``; the speed baseline for the sine-sign kernel.
+    """
+    phase = np.asarray(phase, dtype=float)
+    n_ch, n_samples = phase.shape
+    starts = range(0, n_samples - win + 1, step)
+    acc = np.zeros((n_ch, n_ch))
+    for s in starts:
+        ph = phase[:, s:s + win]
+        for i in range(n_ch - 1):
+            d = np.mod(ph[i + 1:] - ph[i], 2.0 * np.pi)
+            d[d > np.pi] -= 2.0 * np.pi
+            signs = np.sign(d)
+            signs[np.abs(d) <= 1e-12] = 0.0
+            acc[i, i + 1:] += np.abs(signs.mean(axis=1))
+    upper = np.triu(np.clip(acc / len(starts), 0.0, 1.0), 1)
+    return upper + upper.T
+
+
 def pearson_r(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

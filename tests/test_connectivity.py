@@ -1,10 +1,13 @@
+import timeit
+
 import numpy as np
 import pytest
 
 from conftest import make_analytic, make_record, quiet_cross_spectrum
-from oracles import count_windows
+from oracles import count_windows, naive_pli, rowloop_pli
 
 from fcdist.connectivity import (
+    _wrap_phase,
     PLV_WINDOW,
     SLIDING_WINDOW,
     WindowConfig,
@@ -180,6 +183,65 @@ class TestPli:
         a = make_analytic(np.vstack([base, base + offs]), fs=200.0)
         cm = pli_matrix(a, WindowConfig(6.0, 0.0))
         assert cm.weights[0, 1] == pytest.approx(0.5)
+
+    def test_wrap_phase_bitwise_floor_modulo(self, rng):
+        d = np.concatenate([
+            rng.uniform(-2 * np.pi, 2 * np.pi, 1000),
+            rng.uniform(-1e-11, 1e-11, 100),
+            np.pi + rng.uniform(-1e-12, 1e-12, 100),
+            rng.uniform(-1e6, 1e6, 100),
+            [0.0, -0.0, np.pi, -np.pi, 2 * np.pi, -2 * np.pi, 1e-300, -1e-300, -5e-324,
+             np.inf, -np.inf, np.nan],
+        ])
+        with np.errstate(invalid="ignore"):  # inf and nan give nan
+            expected = np.mod(d, 2 * np.pi)
+            expected[expected > np.pi] -= 2 * np.pi
+            got = _wrap_phase(d)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_naive_oracle_random(self, seed):
+        ph = np.random.default_rng(seed).uniform(-np.pi, np.pi, size=(6, 300))
+        a = make_analytic(ph, fs=20.0)
+        # 120-sample windows every 80 samples: overlapping
+        assert np.array_equal(pli_matrix(a, WindowConfig(6.0, 2.0)).weights,
+                              naive_pli(ph, 120, 80))
+
+    def test_matches_naive_oracle_engineered_rows(self, rng):
+        def wrapped(x):
+            return np.where(x > np.pi, x - 2 * np.pi, np.where(x <= -np.pi, x + 2 * np.pi, x))
+
+        base = rng.uniform(-np.pi, np.pi, size=300)
+        ph = np.vstack([
+            base,
+            base,  # identical: every sine is exactly 0
+            np.zeros(300),
+            np.full(300, np.pi),  # exactly pi against the zero row
+            wrapped(base + 1e-13),
+            wrapped(base - 1e-13),
+            wrapped(base + np.pi),  # near +-pi against the base row
+            wrapped(base + np.pi + 1e-13),
+            wrapped(base + 1e-9),  # sines straddle the margin
+            rng.uniform(-np.pi, np.pi, size=300),
+        ])
+        a = make_analytic(ph, fs=20.0)
+        weights = pli_matrix(a, WindowConfig(6.0, 2.0)).weights
+        assert np.array_equal(weights, naive_pli(ph, 120, 80))
+        assert weights[0, 1] == 0.0 and weights[0, 4] == 0.0 and weights[0, 5] == 0.0
+        assert weights[2, 3] == 1.0
+
+    def test_matches_rowloop_on_band_passed_noise(self, rng):
+        a = bandpass_analytic(make_record(rng.standard_normal((12, 2600))), ALPHA)
+        assert np.array_equal(pli_matrix(a).weights, rowloop_pli(a.phase, 1200, 1100))
+
+    def test_all_tied_record_zero_and_not_slower_than_rowloop(self, rng):
+        # Every pair-sample is a tie, so every sign takes the fallback path.
+        ph = np.tile(rng.uniform(-np.pi, np.pi, size=2400), (64, 1))
+        a = make_analytic(ph, fs=200.0)
+        assert np.all(pli_matrix(a).weights == 0.0)
+        fast = min(timeit.repeat(lambda: pli_matrix(a), number=1, repeat=3))
+        loop = min(timeit.repeat(lambda: rowloop_pli(ph, 1200, 1100), number=1, repeat=3))
+        assert fast <= loop
 
 
 class TestAec:

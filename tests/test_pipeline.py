@@ -295,6 +295,12 @@ class TestNormative:
         assert len(res.correlation_rows) == 6  # 2 metrics x 3 pairs
         assert all(r.n == 4 for r in res.correlation_rows)
 
+    def test_generator_inputs_counted(self, tmp_path, rng):
+        paths = [self.write_subject(tmp_path, f"s{i}.csv", rng) for i in range(4)]
+        res = run_normative_analysis((p for p in paths), bands=(ALPHA,))
+        assert res.config["inputs"] == 4
+        assert res.config["subjects_used"] == 4
+
     def test_zero_power_subject_recorded_not_fatal(self, tmp_path, rng):
         paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=8, zero_channel=i == 3)
                  for i in range(4)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_record, quiet_cross_spectrum
-from oracles import naive_cross_spectrum
+from oracles import naive_cross_spectrum, segment_loop_cross_spectrum
 
 from fcdist.errors import (
     BandOutOfRange,
@@ -14,6 +14,7 @@ from fcdist.errors import (
 from fcdist.spectral import (
     ALPHA,
     DEFAULT_BANDS,
+    AnalyticRecord,
     Band,
     band_slice,
     bandpass_analytic,
@@ -57,6 +58,20 @@ class TestBartlett:
         assert cs.n_segments == 4
         assert np.allclose(cs.freqs, freqs)
         assert np.max(np.abs(cs.mats - mats)) < 1e-10
+
+    @pytest.mark.parametrize("n_ch, n_samples, segment", [
+        (3, 32 * 4, 32),
+        (5, 64 * 7 + 13, 64),  # trailing partial segment dropped
+        (19, 512 * 3 + 100, 512),
+        (1, 8 * 2, 8),
+    ])
+    def test_equals_segment_loop_exactly(self, rng, n_ch, n_samples, segment):
+        data = 3.0 * rng.standard_normal((n_ch, n_samples)) + 1.5
+        cs = quiet_cross_spectrum(make_record(data, fs=100.0), segment)
+        freqs, mats = segment_loop_cross_spectrum(data, 100.0, segment)
+        assert cs.n_segments == n_samples // segment
+        assert np.array_equal(cs.freqs, freqs)
+        assert np.array_equal(cs.mats, mats)
 
     def test_parseval_white_noise(self, rng):
         data = rng.standard_normal((1, 512 * 30))
@@ -164,6 +179,14 @@ class TestBandpassAnalytic:
         a = bandpass_analytic(rec, Band("mid", 10.0, 30.0))
         assert np.all(a.phase > -np.pi)
         assert np.all(a.phase <= np.pi)
+
+    @pytest.mark.parametrize("name", ["phase", "envelope"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, name, bad):
+        arrays = {"phase": np.zeros((2, 8)), "envelope": np.ones((2, 8))}
+        arrays[name][1, 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            AnalyticRecord(**arrays, fs=100.0, band=ALPHA)
 
     def test_band_out_of_range(self, rng):
         rec = make_record(rng.standard_normal((1, 400)), fs=100.0)
