@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
     except ExperimentFailed as err:
         print(f"experiment failed: {err}", file=sys.stderr)
         return EXIT_EXPERIMENT
-    except (FcdistError, OSError, ValueError, json.JSONDecodeError) as err:
+    except (FcdistError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

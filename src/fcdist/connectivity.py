@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateEnvelope, TooShort
+from .errors import DegenerateEnvelope, InvalidData, TooShort, frozen_field
 from .spectral import AnalyticRecord, Band, CoherencyMatrix, band_slice
 
 
@@ -47,19 +47,15 @@ class ConnectivityMatrix:
     signed_raw: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValueError("weights must be square")
+        w = frozen_field(self, "weights", ndim=2)
+        if w.shape[0] != w.shape[1]:
+            raise InvalidData("weights must be square")
         if np.max(np.abs(w - w.T), initial=0.0) > 1e-12:
-            raise ValueError("weights must be symmetric")
+            raise InvalidData("weights must be symmetric")
         if np.any(w < 0.0) or np.any(w > 1.0):
-            raise ValueError("weights must lie in [0, 1]")
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+            raise InvalidData("weights must lie in [0, 1]")
         if self.signed_raw is not None:
-            s = np.asarray(self.signed_raw, dtype=float)
-            s.flags.writeable = False
-            object.__setattr__(self, "signed_raw", s)
+            frozen_field(self, "signed_raw", ndim=2)
 
     @property
     def n_channels(self) -> int:

@@ -1,12 +1,40 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the checked-array helper.
 
 Every error raised by fcdist derives from :class:`FcdistError`, so callers
-can catch one base class at pipeline boundaries.
+can catch one base class at pipeline boundaries. Data that fails a check
+(NaN, inf, a bad shape or range, a constant library row, a malformed matrix
+file or sidecar) raises :class:`InvalidData`, which pipelines record as a
+cell or subject failure; bad arguments and configs raise a plain ValueError.
 """
+
+import numpy as np
 
 
 class FcdistError(Exception):
     """Base class for all fcdist errors."""
+
+
+class InvalidData(FcdistError, ValueError):
+    """Input data failed a validity check (non-finite, misshapen, out of range)."""
+
+
+def frozen_field(obj, name: str, dtype=float, ndim: int | None = None) -> np.ndarray:
+    """Set field ``name`` of frozen dataclass ``obj`` to a checked read-only array.
+
+    The array is C-contiguous of ``dtype``, with no copy when the value already
+    is one; with ``ndim=2`` a 1-D value becomes one row. Raises InvalidData
+    unless it has ``ndim`` dimensions (when given) and only finite entries.
+    """
+    a = np.ascontiguousarray(getattr(obj, name), dtype=dtype)
+    if ndim == 2 and a.ndim == 1:
+        a = a[None, :]
+    if ndim is not None and a.ndim != ndim:
+        raise InvalidData(f"{name} must be {ndim}-D, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise InvalidData(f"{name} must be finite")
+    a.flags.writeable = False
+    object.__setattr__(obj, name, a)
+    return a
 
 
 # --- source assembly / forward model ---

@@ -17,7 +17,9 @@ from .errors import (
     EmptyRequest,
     InsufficientLibrary,
     InsufficientSamples,
+    InvalidData,
     ShapeMismatch,
+    frozen_field,
 )
 from .montages import Montage, get_montage
 
@@ -31,12 +33,6 @@ _GAIN_EPS = 0.7
 _GAIN_POWER = 3
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=float)
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class SourceLibrary:
     """Pool of candidate source time courses, one row per source."""
@@ -46,14 +42,11 @@ class SourceLibrary:
     origin: str = "synthetic"
 
     def __post_init__(self) -> None:
-        data = np.atleast_2d(np.asarray(self.data, dtype=float))
+        data = frozen_field(self, "data", ndim=2)
         if data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("library must hold at least one row and one sample")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("library rows must be finite")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
-        object.__setattr__(self, "data", _freeze(data))
+            raise InvalidData("library must hold at least one row and one sample")
+        if not 0 < self.fs < np.inf:
+            raise InvalidData("fs must be positive and finite")
 
     @property
     def n_library(self) -> int:
@@ -73,16 +66,13 @@ class SourceActivity:
     n_active: int
 
     def __post_init__(self) -> None:
-        data = np.atleast_2d(np.asarray(self.data, dtype=float))
+        data = frozen_field(self, "data", ndim=2)
         if data.shape[0] < 1 or data.shape[1] < 1:
-            raise ValueError("need at least one source and one sample")
-        if not np.all(np.isfinite(data)):
-            raise ValueError("source rows must be finite")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+            raise InvalidData("need at least one source and one sample")
+        if not 0 < self.fs < np.inf:
+            raise InvalidData("fs must be positive and finite")
         if not 0 <= self.n_active <= data.shape[0]:
-            raise ValueError("n_active must lie in [0, n_sources]")
-        object.__setattr__(self, "data", _freeze(data))
+            raise InvalidData("n_active must lie in [0, n_sources]")
 
     @property
     def n_sources(self) -> int:
@@ -102,14 +92,11 @@ class LeadField:
     channel_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        gain = np.atleast_2d(np.asarray(self.gain, dtype=float))
-        if not np.all(np.isfinite(gain)):
-            raise ValueError("gain entries must be finite")
+        gain = frozen_field(self, "gain", ndim=2)
         if gain.shape[0] != len(self.channel_names):
-            raise ValueError("one channel name per gain row required")
+            raise InvalidData("one channel name per gain row required")
         if np.any(np.all(gain == 0.0, axis=1)):
-            raise ValueError("gain matrix has an all-zero row")
-        object.__setattr__(self, "gain", _freeze(gain))
+            raise InvalidData("gain matrix has an all-zero row")
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
 
     @property
@@ -130,14 +117,11 @@ class MultichannelRecord:
     channel_names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        data = np.atleast_2d(np.asarray(self.data, dtype=float))
-        if not np.all(np.isfinite(data)):
-            raise ValueError("record must be finite")
-        if self.fs <= 0:
-            raise ValueError("fs must be positive")
+        data = frozen_field(self, "data", ndim=2)
+        if not 0 < self.fs < np.inf:
+            raise InvalidData("fs must be positive and finite")
         if data.shape[0] != len(self.channel_names):
-            raise ValueError("one channel name per row required")
-        object.__setattr__(self, "data", _freeze(data))
+            raise InvalidData("one channel name per row required")
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
 
     @property
@@ -296,7 +280,7 @@ def assemble_source_activity(
     active = library.data[chosen, :n_samples].copy()
     sd = active.std(axis=1, keepdims=True)
     if np.any(sd == 0):
-        raise ValueError("selected library rows include a constant row")
+        raise InvalidData("selected library rows include a constant row")
     active /= sd
     data[order[:n_active]] = active
 

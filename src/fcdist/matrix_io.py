@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CrossSpectrumFormatError
+from .errors import CrossSpectrumFormatError, InvalidData
 from .forward import LeadField, MultichannelRecord, SourceLibrary
 from .spectral import CrossSpectrum
 
@@ -38,14 +38,17 @@ def write_matrix(path: Path | str, data: np.ndarray, meta: dict) -> Path:
 
 
 def read_matrix(path: Path | str) -> tuple[np.ndarray, dict]:
-    """Read a matrix CSV and its sidecar; returns (data, meta)."""
+    """Read a matrix CSV and its sidecar as (data, meta); InvalidData if either is malformed."""
     path = Path(path)
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
     side = sidecar_path(path)
     meta: dict = {}
-    if side.exists():
-        with open(side) as f:
-            meta = json.load(f)
+    try:
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        if side.exists():
+            with open(side) as f:
+                meta = json.load(f)
+    except ValueError as e:
+        raise InvalidData(f"{path}: {e}") from e
     return data, meta
 
 
@@ -57,13 +60,19 @@ def write_source_library(path: Path | str, lib: SourceLibrary) -> Path:
     )
 
 
+def _sidecar_fs(path: Path | str, meta: dict) -> float:
+    try:
+        return float(meta["fs"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise InvalidData(f"{path}: sidecar must carry a numeric fs") from e
+
+
 def read_source_library(path: Path | str) -> SourceLibrary:
     data, meta = read_matrix(path)
     if meta.get("kind") not in (None, "sources"):
-        raise ValueError(f"{path}: expected kind 'sources', got {meta.get('kind')!r}")
-    if meta.get("fs") is None:
-        raise ValueError(f"{path}: source-library sidecar must carry fs")
-    return SourceLibrary(data=data, fs=float(meta["fs"]), origin=meta.get("origin", str(path)))
+        raise InvalidData(f"{path}: expected kind 'sources', got {meta.get('kind')!r}")
+    return SourceLibrary(data=data, fs=_sidecar_fs(path, meta),
+                         origin=meta.get("origin", str(path)))
 
 
 def write_leadfield(path: Path | str, lf: LeadField) -> Path:
@@ -77,7 +86,7 @@ def write_leadfield(path: Path | str, lf: LeadField) -> Path:
 def read_leadfield(path: Path | str) -> LeadField:
     data, meta = read_matrix(path)
     if meta.get("kind") not in (None, "leadfield"):
-        raise ValueError(f"{path}: expected kind 'leadfield', got {meta.get('kind')!r}")
+        raise InvalidData(f"{path}: expected kind 'leadfield', got {meta.get('kind')!r}")
     names = meta.get("labels") or [f"ch{i}" for i in range(data.shape[0])]
     return LeadField(
         gain=data, montage=meta.get("montage", "custom"), channel_names=tuple(names)
@@ -94,11 +103,9 @@ def write_record(path: Path | str, rec: MultichannelRecord) -> Path:
 def read_record(path: Path | str) -> MultichannelRecord:
     data, meta = read_matrix(path)
     if meta.get("kind") not in (None, "record"):
-        raise ValueError(f"{path}: expected kind 'record', got {meta.get('kind')!r}")
+        raise InvalidData(f"{path}: expected kind 'record', got {meta.get('kind')!r}")
     names = meta.get("labels") or [f"ch{i}" for i in range(data.shape[0])]
-    if "fs" not in meta or meta["fs"] is None:
-        raise ValueError(f"{path}: record sidecar must carry fs")
-    return MultichannelRecord(data=data, fs=float(meta["fs"]), channel_names=tuple(names))
+    return MultichannelRecord(data=data, fs=_sidecar_fs(path, meta), channel_names=tuple(names))
 
 
 CROSS_SPECTRUM_HEADER = "freq_hz,ch_i,ch_j,re,im"
@@ -147,6 +154,7 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
     n = len(labels)
     entries: dict[float, np.ndarray] = {}
     freq_order: list[float] = []
+    n_rows = 0
     with open(path) as f:
         header = f.readline().strip()
         if header != CROSS_SPECTRUM_HEADER:
@@ -175,9 +183,13 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
                 freq_order.append(freq)
             entries[freq][i, j] = z
             entries[freq][j, i] = z.conjugate()
+            n_rows += 1
 
     if not entries:
         raise CrossSpectrumFormatError(f"{path}: no data rows")
+    # More rows than upper-triangle entries means some (freq, i, j) repeats.
+    if n_rows > len(entries) * n * (n + 1) // 2:
+        raise CrossSpectrumFormatError(f"{path}: duplicate (freq_hz, ch_i, ch_j) rows")
     freqs = np.array(freq_order)
     if np.any(np.diff(freqs) <= 0):
         raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
@@ -186,6 +198,6 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
         raise CrossSpectrumFormatError(f"{path}: incomplete upper triangle")
     try:
         cs = CrossSpectrum(freqs=freqs, mats=mats, n_segments=n_segments)
-    except ValueError as e:
+    except InvalidData as e:
         raise CrossSpectrumFormatError(f"{path}: {e}") from e
     return cs, labels

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import UnknownMontage
+from .errors import InvalidData, UnknownMontage, frozen_field
 
 # Classic 10-20 positions on a unit sphere: circumferential electrodes on
 # the equator, mid-line/parasagittal rows at 45 degrees inclination.
@@ -49,13 +49,8 @@ class Montage:
     positions: np.ndarray = field(repr=False)  # (n_channels, 3)
 
     def __post_init__(self) -> None:
-        pos = np.ascontiguousarray(self.positions, dtype=float)
-        if pos.shape != (len(self.names), 3):
-            raise ValueError("positions must be (n_channels, 3)")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        pos.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
+        if frozen_field(self, "positions").shape != (len(self.names), 3):
+            raise InvalidData("positions must be (n_channels, 3)")
 
     @property
     def n_channels(self) -> int:

@@ -17,8 +17,10 @@ from .errors import (
     BandOutOfRange,
     EmptyBand,
     FewSegmentsWarning,
+    InvalidData,
     TooFewSegments,
     ZeroPowerChannel,
+    frozen_field,
 )
 from .forward import MultichannelRecord
 
@@ -59,27 +61,23 @@ class CrossSpectrum:
     n_segments: int
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.freqs, dtype=float)
-        mats = np.asarray(self.mats, dtype=complex)
-        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
-            raise ValueError("mats must be (n_freqs, n, n)")
+        freqs = frozen_field(self, "freqs", ndim=1)
+        mats = frozen_field(self, "mats", dtype=complex, ndim=3)
+        if mats.shape[1] != mats.shape[2]:
+            raise InvalidData("mats must be (n_freqs, n, n)")
         if freqs.shape != (mats.shape[0],):
-            raise ValueError("freqs length must match mats")
+            raise InvalidData("freqs length must match mats")
         if freqs.size and np.any(np.diff(freqs) <= 0):
-            raise ValueError("freqs must be strictly increasing")
+            raise InvalidData("freqs must be strictly increasing")
         # One bin at a time keeps the temporaries small.
         herm = np.max([np.max(np.abs(m - m.conj().T)) for m in mats]) if mats.size else 0.0
         if herm > 1e-10:
-            raise ValueError(f"matrices not Hermitian (max deviation {herm:.3g})")
+            raise InvalidData(f"matrices not Hermitian (max deviation {herm:.3g})")
         diag = np.einsum("fii->fi", mats)
         if np.any(diag.real < 0) or np.max(np.abs(diag.imag), initial=0.0) > 1e-10:
-            raise ValueError("diagonal must be real and non-negative")
+            raise InvalidData("diagonal must be real and non-negative")
         if self.n_segments < 1:
-            raise ValueError("n_segments must be >= 1")
-        freqs.flags.writeable = False
-        mats.flags.writeable = False
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "mats", mats)
+            raise InvalidData("n_segments must be >= 1")
 
     @property
     def n_channels(self) -> int:
@@ -94,14 +92,10 @@ class CoherencyMatrix:
     mats: np.ndarray = field(repr=False)  # (n_freqs, n, n) complex
 
     def __post_init__(self) -> None:
-        freqs = np.asarray(self.freqs, dtype=float)
-        mats = np.asarray(self.mats, dtype=complex)
+        frozen_field(self, "freqs", ndim=1)
+        mats = frozen_field(self, "mats", dtype=complex, ndim=3)
         if np.max(np.abs(mats), initial=0.0) > 1.0 + 1e-9:
-            raise ValueError("coherency magnitudes exceed 1")
-        freqs.flags.writeable = False
-        mats.flags.writeable = False
-        object.__setattr__(self, "freqs", freqs)
-        object.__setattr__(self, "mats", mats)
+            raise InvalidData("coherency magnitudes exceed 1")
 
     @property
     def n_channels(self) -> int:
@@ -118,20 +112,14 @@ class AnalyticRecord:
     band: Band
 
     def __post_init__(self) -> None:
-        phase = np.asarray(self.phase, dtype=float)
-        envelope = np.asarray(self.envelope, dtype=float)
-        if phase.shape != envelope.shape or phase.ndim != 2:
-            raise ValueError("phase and envelope must be matching 2-D arrays")
-        if not (np.all(np.isfinite(phase)) and np.all(np.isfinite(envelope))):
-            raise ValueError("phase and envelope must be finite")
+        phase = frozen_field(self, "phase", ndim=2)
+        envelope = frozen_field(self, "envelope", ndim=2)
+        if phase.shape != envelope.shape:
+            raise InvalidData("phase and envelope shapes must match")
         if np.any(envelope < 0):
-            raise ValueError("envelope must be non-negative")
+            raise InvalidData("envelope must be non-negative")
         if np.any(phase > np.pi) or np.any(phase <= -np.pi):
-            raise ValueError("phase must lie in (-pi, pi]")
-        phase.flags.writeable = False
-        envelope.flags.writeable = False
-        object.__setattr__(self, "phase", phase)
-        object.__setattr__(self, "envelope", envelope)
+            raise InvalidData("phase must lie in (-pi, pi]")
 
     @property
     def n_channels(self) -> int:

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDistribution, NotSymmetric, RangeViolation
+from .errors import DegenerateDistribution, InvalidData, NotSymmetric, RangeViolation, frozen_field
 
 DEFAULT_BINS = 100
 
@@ -24,13 +24,9 @@ class WeightVector:
     w: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.w, dtype=float).ravel()
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
+        w = frozen_field(self, "w", ndim=1)
         if w.size and (w.min() < 0.0 or w.max() > 1.0):
             raise RangeViolation("weights outside [0, 1]")
-        w.flags.writeable = False
-        object.__setattr__(self, "w", w)
 
     @property
     def n_pairs(self) -> int:
@@ -65,7 +61,7 @@ def upper_triangle_weights(matrix: np.ndarray) -> WeightVector:
     """Row-major strict upper triangle (i < j) of a symmetric matrix."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
-        raise ValueError("need a square matrix with n >= 2")
+        raise InvalidData("need a square matrix with n >= 2")
     asym = np.max(np.abs(m - m.T))
     if asym > 1e-9:
         raise NotSymmetric(f"matrix asymmetric by {asym:.3g}")
@@ -77,7 +73,7 @@ def skewness(w) -> float:
     """Third standardized moment E(x - mu)^3 / sigma^3 (population form)."""
     x = _values(w)
     if x.size < 2:
-        raise ValueError("need at least two values")
+        raise InvalidData("need at least two values")
     d = x - x.mean()
     m2 = np.mean(d * d)
     if m2 == 0.0 or np.ptp(x) == 0.0:
@@ -89,7 +85,7 @@ def kurtosis(w) -> float:
     """Fourth standardized moment E(x - mu)^4 / sigma^4; normal -> 3."""
     x = _values(w)
     if x.size < 2:
-        raise ValueError("need at least two values")
+        raise InvalidData("need at least two values")
     d = x - x.mean()
     m2 = np.mean(d * d)
     if m2 == 0.0 or np.ptp(x) == 0.0:
@@ -106,7 +102,7 @@ def shannon_entropy(w, n_bins: int = DEFAULT_BINS) -> float:
     """
     x = _values(w)
     if x.size < 1:
-        raise ValueError("need at least one value")
+        raise InvalidData("need at least one value")
     if n_bins < 2:
         raise ValueError("need at least two bins")
     if x.min() < 0.0 or x.max() > 1.0:

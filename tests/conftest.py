@@ -36,3 +36,14 @@ def quiet_cross_spectrum(rec, segment_samples):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FewSegmentsWarning)
         return bartlett_cross_spectrum(rec, segment_samples)
+
+
+def poison_alpha_entry(path, value="inf"):
+    """Overwrite the real part of one off-diagonal 8-13 Hz row of a cross-spectrum file."""
+    lines = Path(path).read_text().splitlines()
+    for k, line in enumerate(lines[1:], start=1):
+        freq, i, j, _, im = line.split(",")
+        if 8.0 <= float(freq) <= 13.0 and i != j:
+            lines[k] = ",".join((freq, i, j, value, im))
+            break
+    Path(path).write_text("\n".join(lines) + "\n")

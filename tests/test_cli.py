@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import make_record, quiet_cross_spectrum
+from conftest import make_record, poison_alpha_entry, quiet_cross_spectrum
 
 from fcdist import matrix_io
 from fcdist.cli import main
@@ -125,6 +125,21 @@ class TestNormativeCommand:
                        "--bands", "alpha,beta", "--out", str(out)) == 0
         lines = (out / "trials.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 * 2 * 2  # subjects x metrics x bands
+
+    def test_bad_subject_is_recorded(self, tmp_path, rng):
+        for i in range(3):
+            rec = make_record(rng.standard_normal((4, 512 * 4)), fs=200.0)
+            cs = quiet_cross_spectrum(rec, 512)
+            matrix_io.write_cross_spectrum(tmp_path / f"s{i}.csv", cs,
+                                           list(rec.channel_names))
+        poison_alpha_entry(tmp_path / "s2.csv")
+        out = tmp_path / "norm"
+        assert run_cli("normative", "--input", str(tmp_path / "s*.csv"),
+                       "--bands", "alpha", "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["subjects_used"] == 2
+        assert [f["trial"] for f in summary["failures"]] == [2]
+        assert summary["failures"][0]["error"].startswith("s2.csv: ")
 
     def test_no_match_is_data_error(self, tmp_path, capsys):
         assert run_cli("normative", "--input", str(tmp_path / "*.csv"),

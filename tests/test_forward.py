@@ -13,13 +13,18 @@ from fcdist import (
 from fcdist.errors import (
     BandOutOfRange,
     EmptyRequest,
+    FcdistError,
     InsufficientLibrary,
     InsufficientSamples,
+    InvalidData,
     ShapeMismatch,
     UnknownMontage,
 )
-from fcdist.forward import LeadField, SourceActivity, SourceLibrary
-from fcdist.montages import BUILTIN_MONTAGES
+from fcdist.connectivity import ConnectivityMatrix
+from fcdist.forward import LeadField, MultichannelRecord, SourceActivity, SourceLibrary
+from fcdist.montages import BUILTIN_MONTAGES, Montage
+from fcdist.spectral import ALPHA, AnalyticRecord, CoherencyMatrix, CrossSpectrum
+from fcdist.weight_stats import WeightVector
 
 
 def small_library(n=12, samples=600, fs=200.0, seed=7):
@@ -227,3 +232,70 @@ class TestTypes:
     def test_activity_bounds_n_active(self, rng):
         with pytest.raises(ValueError):
             SourceActivity(data=rng.standard_normal((2, 5)), fs=1.0, n_active=3)
+
+
+def _containers():
+    """(container, valid keyword arguments) for every checked-array container."""
+    rows = np.arange(8.0).reshape(2, 4)
+    names = ("a", "b")
+    freqs = np.array([1.0, 2.0])
+    mats = np.stack([np.eye(2, dtype=complex)] * 2)
+    return [
+        (SourceLibrary, dict(data=rows, fs=1.0)),
+        (SourceActivity, dict(data=rows, fs=1.0, n_active=1)),
+        (LeadField, dict(gain=rows + 1.0, montage="x", channel_names=names)),
+        (MultichannelRecord, dict(data=rows, fs=1.0, channel_names=names)),
+        (CrossSpectrum, dict(freqs=freqs, mats=mats, n_segments=2)),
+        (CoherencyMatrix, dict(freqs=freqs, mats=mats)),
+        (AnalyticRecord, dict(phase=rows / 8.0, envelope=rows, fs=1.0, band=ALPHA)),
+        (ConnectivityMatrix, dict(metric="AEC", band=ALPHA, weights=np.eye(2),
+                                  signed_raw=-np.eye(2))),
+        (WeightVector, dict(w=np.array([0.25, 0.5]))),
+        (Montage, dict(label="x", names=names, positions=np.eye(2, 3))),
+    ]
+
+
+_ARRAY_FIELDS = [
+    pytest.param(cls, kwargs, name, id=f"{cls.__name__}.{name}")
+    for cls, kwargs in _containers()
+    for name, value in kwargs.items()
+    if isinstance(value, np.ndarray)
+]
+
+
+class TestCheckedArrays:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("cls, kwargs, name", _ARRAY_FIELDS)
+    def test_non_finite_is_invalid_data(self, cls, kwargs, name, bad):
+        poisoned = kwargs[name].copy()
+        poisoned.flat[1] = bad
+        with pytest.raises(InvalidData, match="finite") as exc:
+            cls(**{**kwargs, name: poisoned})
+        assert isinstance(exc.value, ValueError)
+        assert isinstance(exc.value, FcdistError)
+
+    @pytest.mark.parametrize("cls, kwargs, name", _ARRAY_FIELDS)
+    def test_fields_frozen(self, cls, kwargs, name):
+        value = getattr(cls(**{k: v.copy() if isinstance(v, np.ndarray) else v
+                               for k, v in kwargs.items()}), name)
+        assert not value.flags.writeable
+        assert value.flags.c_contiguous
+
+    @pytest.mark.parametrize("fs", [0.0, -1.0, np.nan, np.inf])
+    @pytest.mark.parametrize("cls, kwargs", [
+        pytest.param(cls, kwargs, id=cls.__name__) for cls, kwargs in _containers()
+        if cls.__module__ == "fcdist.forward" and "fs" in kwargs
+    ])
+    def test_fs_positive_and_finite(self, cls, kwargs, fs):
+        with pytest.raises(InvalidData, match="fs"):
+            cls(**{**kwargs, "fs": fs})
+
+    def test_contiguous_input_not_copied(self, rng):
+        data = rng.standard_normal((3, 16))
+        assert np.shares_memory(SourceActivity(data=data, fs=1.0, n_active=0).data, data)
+        rec = make_record(rng.standard_normal((3, 64 * 4)), fs=64.0)
+        mats = quiet_cross_spectrum(rec, 64).mats.copy()
+        freqs = np.arange(1.0, mats.shape[0] + 1)
+        cs = CrossSpectrum(freqs=freqs, mats=mats, n_segments=4)
+        assert np.shares_memory(cs.mats, mats)
+        assert np.shares_memory(cs.freqs, freqs)

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_record, quiet_cross_spectrum
 
 from fcdist import matrix_io
-from fcdist.errors import CrossSpectrumFormatError
+from fcdist.errors import CrossSpectrumFormatError, InvalidData
 from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
 
 
@@ -68,6 +68,22 @@ class TestMatrixRoundTrip:
         with pytest.raises(ValueError):
             matrix_io.read_record(tmp_path / "x.csv")
 
+    def test_bad_file_or_sidecar_is_invalid_data(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n3.0,oops\n")
+        with pytest.raises(InvalidData):
+            matrix_io.read_matrix(path)
+        path.write_text("1.0,2.0\n")
+        matrix_io.sidecar_path(path).write_text("{not json")
+        with pytest.raises(InvalidData):
+            matrix_io.read_matrix(path)
+        matrix_io.sidecar_path(path).write_text('{"kind": "leadfield"}')
+        with pytest.raises(InvalidData, match="expected kind"):
+            matrix_io.read_record(path)
+        matrix_io.sidecar_path(path).write_text('{"kind": "record", "fs": "abc"}')
+        with pytest.raises(InvalidData, match="numeric fs"):
+            matrix_io.read_record(path)
+
 
 class TestCrossSpectrumFile:
     def make_cs(self, rng, n_ch=3):
@@ -121,6 +137,16 @@ class TestCrossSpectrumFile:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
         with pytest.raises(CrossSpectrumFormatError):
+            matrix_io.read_cross_spectrum(path)
+
+    def test_duplicate_row_rejected(self, tmp_path, rng):
+        cs = self.make_cs(rng)
+        path = matrix_io.write_cross_spectrum(tmp_path / "cs.csv", cs, ["A", "B", "C"])
+        lines = path.read_text().splitlines()
+        freq, i, j, _, im = lines[2].split(",")  # first bin, pair (0, 1)
+        lines.append(",".join((freq, i, j, "9.5", im)))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CrossSpectrumFormatError, match="duplicate"):
             matrix_io.read_cross_spectrum(path)
 
     def test_bad_channel_index(self, tmp_path):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from conftest import make_record, quiet_cross_spectrum
+from conftest import make_record, poison_alpha_entry, quiet_cross_spectrum
 
 from fcdist import matrix_io, pipeline, spectral, weight_stats
 from fcdist.connectivity import (
@@ -147,6 +147,17 @@ class TestSimulation:
         matrix_io.write_leadfield(tmp_path / "lf.csv", lf)
         cfg = tiny_config(montages=(64,), leadfield_mode=f"file:{tmp_path / 'lf.csv'}")
         with pytest.raises(ExperimentFailed, match="ShapeMismatch"):
+            run_simulation_experiment(cfg)
+
+    def test_constant_file_library_row_is_recorded(self, tmp_path):
+        from fcdist.forward import generate_synthetic_sources
+        # as many rows as active sources, so every cell selects the constant row
+        lib = generate_synthetic_sources(40, 4000, 200.0, 10.0, seed=5)
+        data = lib.data.copy()
+        data[5] = 1.0
+        matrix_io.write_matrix(tmp_path / "lib.csv", data, {"fs": 200.0, "kind": "sources"})
+        cfg = tiny_config(source_mode=f"file:{tmp_path / 'lib.csv'}")
+        with pytest.raises(ExperimentFailed, match="InvalidData: selected library rows"):
             run_simulation_experiment(cfg)
 
     def test_metric_table_windows(self):
@@ -312,6 +323,26 @@ class TestNormative:
         assert all(f.error.startswith("ZeroPowerChannel: ") for f in res.failures)
         assert len(res.correlation_rows) == 6
         assert all(r.n == 3 for r in res.correlation_rows)
+
+    def test_non_finite_subject_recorded_not_fatal(self, tmp_path, rng):
+        paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=8) for i in range(4)]
+        poison_alpha_entry(paths[1])
+        res = run_normative_analysis(paths, bands=(ALPHA,))
+        assert res.config["subjects_used"] == 3
+        assert {r.trial for r in res.trial_rows} == {0, 2, 3}
+        assert len(res.failures) == 1
+        assert res.failures[0].trial == 1 and "finite" in res.failures[0].error
+        assert len(res.correlation_rows) == 6
+        assert all(r.n == 3 for r in res.correlation_rows)
+
+    def test_one_pair_subject_recorded_not_fatal(self, tmp_path, rng):
+        # two channels give one weight: too few for skewness and kurtosis
+        paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=2 if i == 1 else 8)
+                 for i in range(4)]
+        res = run_normative_analysis(paths, bands=(ALPHA,))
+        assert {r.trial for r in res.trial_rows} == {0, 2, 3}
+        assert [(f.metric, f.trial) for f in res.failures[:2]] == [("COH", 1), ("iCOH", 1)]
+        assert all(f.error.startswith("InvalidData: ") for f in res.failures[:2])
 
 
 class TestConfig:
