@@ -70,13 +70,20 @@ def _mirror(upper: np.ndarray, diagonal: float) -> np.ndarray:
     return w
 
 
+def window_samples(fs: float, w: WindowConfig) -> tuple[int, int]:
+    """Window length and step in samples at ``fs``; ValueError if unusable."""
+    win = int(round(w.window_seconds * fs))
+    step = win - int(round(w.overlap_seconds * fs))
+    if win < 2:
+        raise ValueError(f"window of {w.window_seconds} s is shorter than two samples at {fs} Hz")
+    if step < 1:
+        raise ValueError(f"overlap of {w.overlap_seconds} s rounds to the whole window at {fs} Hz")
+    return win, step
+
+
 def window_starts(n_samples: int, fs: float, w: WindowConfig) -> tuple[np.ndarray, int]:
     """Start indices of full sliding windows and the window length."""
-    win = int(round(w.window_seconds * fs))
-    overlap = int(round(w.overlap_seconds * fs))
-    if win < 2:
-        raise ValueError("window shorter than two samples")
-    step = win - overlap
+    win, step = window_samples(fs, w)
     if n_samples < win:
         raise TooShort(f"{n_samples} samples < one {win}-sample window")
     n_windows = (n_samples - win) // step + 1

@@ -1,9 +1,12 @@
 """Source assembly and forward projection to scalp channels.
 
 Cortical activity is modelled as a stack of source rows; a gain matrix
-maps sources to electrodes (scalp record = gain @ sources). Generators
-here are pure functions of their arguments: same arguments, bit-identical
-output.
+maps sources to electrodes (scalp record = gain @ sources). Only the
+active rows are held explicitly. The i.i.d. Gaussian fill of the other
+sources reaches the scalp as G_n @ Z, which is Gaussian with channel
+covariance sigma^2 G_n G_n^T and white in time, so it is drawn in channel
+space at projection instead of source by source. Generators here are pure
+functions of their arguments: same arguments, bit-identical output.
 """
 
 from __future__ import annotations
@@ -22,10 +25,6 @@ from .errors import (
     frozen_field,
 )
 from .montages import Montage, get_montage
-
-# Chunk size (rows) for streaming noise-source generation. Fixed so the
-# random stream, and therefore the output, never depends on memory layout.
-_NOISE_CHUNK = 256
 
 # Softening constant and power of the distance gain surrogate
 # 1 / (eps + d^2)^power.
@@ -59,24 +58,47 @@ class SourceLibrary:
 
 @dataclass(frozen=True)
 class SourceActivity:
-    """Dipole activity matrix: active library rows plus Gaussian fill."""
+    """Dipole activity: explicit rows plus a described Gaussian fill.
 
-    data: np.ndarray = field(repr=False)  # (n_sources, n_samples)
+    ``data`` holds the explicit rows, which sit at gain columns ``columns``
+    (default 0..n-1) of an ``n_sources``-dipole space (default: the explicit
+    rows only). Every other source carries i.i.d. N(0, noise_sigma^2) fill,
+    which is not stored: ``project_to_scalp`` draws it in channel space from
+    ``noise_seed``. A hand-built ``SourceActivity(data, fs, n_active)`` has
+    every row explicit and no fill.
+    """
+
+    data: np.ndarray = field(repr=False)  # (n_explicit, n_samples)
     fs: float
     n_active: int
+    columns: np.ndarray | None = field(default=None, repr=False)  # (n_explicit,)
+    n_sources: int | None = None
+    noise_sigma: float = 0.0
+    noise_seed: int = 0
 
     def __post_init__(self) -> None:
         data = frozen_field(self, "data", ndim=2)
-        if data.shape[0] < 1 or data.shape[1] < 1:
+        n_rows = data.shape[0]
+        if self.columns is None:
+            object.__setattr__(self, "columns", np.arange(n_rows))
+        columns = frozen_field(self, "columns", dtype=np.intp, ndim=1)
+        if self.n_sources is None:
+            object.__setattr__(self, "n_sources", n_rows)
+        if self.n_sources < 1 or data.shape[1] < 1:
             raise InvalidData("need at least one source and one sample")
         if not 0 < self.fs < np.inf:
             raise InvalidData("fs must be positive and finite")
-        if not 0 <= self.n_active <= data.shape[0]:
-            raise InvalidData("n_active must lie in [0, n_sources]")
-
-    @property
-    def n_sources(self) -> int:
-        return self.data.shape[0]
+        if not 0 <= self.n_active <= n_rows:
+            raise InvalidData("n_active must lie in [0, explicit rows]")
+        if columns.size != n_rows:
+            raise InvalidData("one gain column per explicit row required")
+        if n_rows and (columns.min() < 0 or columns.max() >= self.n_sources
+                       or np.unique(columns).size != n_rows):
+            raise InvalidData("columns must be distinct and lie in [0, n_sources)")
+        if not 0 <= self.noise_sigma < np.inf:
+            raise InvalidData("noise_sigma must be non-negative and finite")
+        if self.noise_seed < 0:
+            raise InvalidData("noise_seed must be non-negative")
 
     @property
     def n_samples(self) -> int:
@@ -248,12 +270,15 @@ def assemble_source_activity(
     n_samples: int,
     seed: int = 0,
 ) -> SourceActivity:
-    """Mix active library rows with Gaussian fill and shuffle row order.
+    """Place active library rows among ``n_total`` sources; describe the fill.
 
     Exactly ``n_active`` distinct library rows are selected, truncated to
-    ``n_samples`` and normalized to unit sample variance; the remaining
-    ``n_total - n_active`` rows are i.i.d. zero-mean Gaussian with standard
-    deviation ``noise_sigma``. Row order is a seed-determined permutation.
+    ``n_samples`` and normalized to unit sample variance, and placed at
+    seed-determined source positions (the head of a permutation of
+    ``n_total``). The remaining ``n_total - n_active`` sources are i.i.d.
+    zero-mean Gaussian with standard deviation ``noise_sigma``; they are
+    not drawn here but at projection, in channel space, with covariance
+    noise_sigma^2 G_n G_n^T and a seed taken from the same stream.
     """
     if n_total < 1:
         raise ValueError("n_total must be >= 1")
@@ -275,21 +300,16 @@ def assemble_source_activity(
     rng = np.random.default_rng(seed)
     chosen = rng.choice(library.n_library, size=n_active, replace=False)
     order = rng.permutation(n_total)
+    noise_seed = int(rng.integers(2**63))
 
-    data = np.empty((n_total, n_samples))
     active = library.data[chosen, :n_samples].copy()
     sd = active.std(axis=1, keepdims=True)
     if np.any(sd == 0):
         raise InvalidData("selected library rows include a constant row")
     active /= sd
-    data[order[:n_active]] = active
-
-    noise_rows = order[n_active:]
-    for start in range(0, noise_rows.size, _NOISE_CHUNK):
-        rows = noise_rows[start : start + _NOISE_CHUNK]
-        data[rows] = noise_sigma * rng.standard_normal((rows.size, n_samples))
-
-    return SourceActivity(data=data, fs=library.fs, n_active=n_active)
+    return SourceActivity(data=active, fs=library.fs, n_active=n_active,
+                          columns=order[:n_active], n_sources=n_total,
+                          noise_sigma=noise_sigma, noise_seed=noise_seed)
 
 
 def generate_synthetic_leadfield(
@@ -336,13 +356,28 @@ def generate_synthetic_leadfield(
 
 
 def project_to_scalp(lf: LeadField, src: SourceActivity) -> MultichannelRecord:
-    """Forward solution: scalp record = gain @ source activity."""
+    """Forward solution: scalp record = gain @ source activity.
+
+    The explicit rows project through their gain columns. The fill of the
+    other columns G_n is added as noise_sigma * S @ z, where S is the
+    symmetric square root of G_n G_n^T (from ``eigh``, eigenvalues clipped
+    at 0, so a rank-deficient gain is fine) and z an (n_channels, n_samples)
+    standard-normal draw seeded from ``noise_seed``: the same distribution
+    as projecting the fill sources one by one.
+    """
     if lf.n_sources != src.n_sources:
         raise ShapeMismatch(
             f"lead field has {lf.n_sources} sources, activity has {src.n_sources}"
         )
+    data = lf.gain[:, src.columns] @ src.data
+    if src.noise_sigma > 0 and src.columns.size < src.n_sources:
+        fill = np.delete(lf.gain, src.columns, axis=1)
+        w, v = np.linalg.eigh(fill @ fill.T)
+        root = (v * (src.noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
+        z = np.random.default_rng(src.noise_seed).standard_normal((lf.n_channels, src.n_samples))
+        data += root @ z
     return MultichannelRecord(
-        data=lf.gain @ src.data,
+        data=data,
         fs=src.fs,
         channel_names=lf.channel_names,
     )

@@ -10,7 +10,9 @@ are byte-deterministic for a fixed config.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
+import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields, replace
@@ -20,7 +22,7 @@ from typing import Iterable
 import warnings
 
 from . import forward, matrix_io, spectral, weight_stats
-from .connectivity import METRICS, WindowConfig
+from .connectivity import METRICS, WindowConfig, window_samples
 from .correlation import pearson_correlation
 from .errors import ExperimentFailed, FcdistError, NoData, ShapeMismatch
 from .montages import MONTAGE_BY_SIZE
@@ -86,6 +88,7 @@ class ExperimentConfig:
             raise ValueError("n_active cannot exceed n_sources")
         if self.fs <= 0 or self.noise_sigma < 0:
             raise ValueError("fs must be positive and noise_sigma non-negative")
+        window_samples(self.fs, self.window)
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,38 @@ def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
 
 def _simulate_cell_star(args: tuple[ExperimentConfig, int, int]):
     return simulate_cell(*args)
+
+
+def _one_blas_thread() -> None:
+    """Limit OpenBLAS to one thread in this process.
+
+    OpenBLAS is looked up among the libraries mapped into the process
+    (Linux); where it is not found, the process keeps its default. The
+    grid's output does not change with it: the jobs tests compare pooled
+    and in-process runs byte for byte.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                     "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                getattr(lib, name)(1)
+                break
+
+
+# Forked children are the grid's pool workers (this module's pool, or any
+# other that forks workers over these functions). The workers are the
+# parallelism; BLAS threads on top of them oversubscribe the cores and spin,
+# which cost a 2-worker grid on a 2-core x86 VM about half its throughput.
+os.register_at_fork(after_in_child=_one_blas_thread)
 
 
 def _sort_key(cfg: ExperimentConfig):

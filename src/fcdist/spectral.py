@@ -27,6 +27,11 @@ from .forward import MultichannelRecord
 # Averaging fewer segments than this is allowed but flagged as a diagnostic.
 RECOMMENDED_MIN_SEGMENTS = 20
 
+# Matrix entries per block of bins that `coherency` normalizes at once
+# (1 MB of complex128): small enough for cache, large enough that the
+# per-block Python overhead stays small at 19 channels.
+_COHERENCY_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Band:
@@ -177,13 +182,19 @@ def coherency(cs: CrossSpectrum) -> CoherencyMatrix:
         raise ZeroPowerChannel(
             f"channel {ch} has zero power at {cs.freqs[f_idx]:.6g} Hz"
         )
-    denom = np.sqrt(power[:, :, None] * power[:, None, :])
-    mats = cs.mats / denom
-    # Clamp rounding spill past unit magnitude, then pin the diagonal.
-    mag = np.abs(mats)
-    np.divide(mats, mag, out=mats, where=mag > 1.0)
-    idx = np.arange(cs.n_channels)
-    mats[:, idx, idx] = 1.0
+    # A few bins at a time, so no temporary spans the whole stack.
+    n = cs.n_channels
+    mats = np.empty_like(cs.mats)
+    idx = np.arange(n)
+    step = max(1, _COHERENCY_BLOCK // (n * n))
+    for lo in range(0, mats.shape[0], step):
+        p = power[lo : lo + step]
+        out = mats[lo : lo + step]
+        np.divide(cs.mats[lo : lo + step], np.sqrt(p[:, :, None] * p[:, None, :]), out=out)
+        # Clamp rounding spill past unit magnitude, then pin the diagonal.
+        mag = np.abs(out)
+        np.divide(out, mag, out=out, where=mag > 1.0)
+        out[:, idx, idx] = 1.0
     return CoherencyMatrix(freqs=cs.freqs, mats=mats)
 
 

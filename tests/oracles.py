@@ -1,7 +1,9 @@
 """Independent reference implementations used as test oracles.
 
-Deliberately naive: plain loops, math.fsum, direct O(N^2) transforms.
-Nothing here imports the code paths under test.
+Deliberately naive: plain loops, math.fsum, direct O(N^2) transforms, or
+the earlier, slower forms of code that was later rewritten. Nothing here
+calls the code paths under test; only fcdist's containers and errors are
+imported.
 """
 
 from __future__ import annotations
@@ -11,6 +13,13 @@ import itertools
 import math
 
 import numpy as np
+
+from fcdist.errors import InsufficientLibrary, InsufficientSamples, InvalidData
+from fcdist.forward import SourceActivity
+
+# Chunk size (rows) for streaming noise-source generation. Fixed so the
+# random stream, and therefore the output, never depends on memory layout.
+_NOISE_CHUNK = 256
 
 
 def naive_mean(xs) -> float:
@@ -216,3 +225,72 @@ def count_windows(n_samples: int, win: int, step: int) -> int:
         count += 1
         start += step
     return count
+
+
+def reference_source_activity(
+    library,
+    n_total: int,
+    n_active: int,
+    noise_sigma: float,
+    n_samples: int,
+    seed: int = 0,
+) -> SourceActivity:
+    """Full-matrix source assembly: every fill row drawn in source space.
+
+    The assembly as it was before the fill moved to channel space. It draws
+    the same ``choice`` and ``permutation`` from the seed, so its active rows
+    sit at the folded form's ``columns``; the fill rows differ in value but
+    not in distribution.
+    """
+    if n_total < 1:
+        raise ValueError("n_total must be >= 1")
+    if not 0 <= n_active <= n_total:
+        raise ValueError("need 0 <= n_active <= n_total")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be >= 0")
+    if n_active > library.n_library:
+        raise InsufficientLibrary(
+            f"requested {n_active} active sources from a {library.n_library}-row library"
+        )
+    if n_samples > library.n_samples:
+        raise InsufficientSamples(
+            f"requested {n_samples} samples; library rows hold {library.n_samples}"
+        )
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(library.n_library, size=n_active, replace=False)
+    order = rng.permutation(n_total)
+
+    data = np.empty((n_total, n_samples))
+    active = library.data[chosen, :n_samples].copy()
+    sd = active.std(axis=1, keepdims=True)
+    if np.any(sd == 0):
+        raise InvalidData("selected library rows include a constant row")
+    active /= sd
+    data[order[:n_active]] = active
+
+    noise_rows = order[n_active:]
+    for start in range(0, noise_rows.size, _NOISE_CHUNK):
+        rows = noise_rows[start : start + _NOISE_CHUNK]
+        data[rows] = noise_sigma * rng.standard_normal((rows.size, n_samples))
+
+    return SourceActivity(data=data, fs=library.fs, n_active=n_active)
+
+
+def fullstack_coherency(mats):
+    """Coherency of a cross-spectrum stack with whole-stack temporaries.
+
+    The form that builds the (n_freqs, n, n) denominator, quotient and
+    magnitude at once; assumes every channel power is positive.
+    """
+    power = np.einsum("fii->fi", mats).real
+    denom = np.sqrt(power[:, :, None] * power[:, None, :])
+    out = mats / denom
+    # Clamp rounding spill past unit magnitude, then pin the diagonal.
+    mag = np.abs(out)
+    np.divide(out, mag, out=out, where=mag > 1.0)
+    idx = np.arange(mats.shape[1])
+    out[:, idx, idx] = 1.0
+    return out

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_record, quiet_cross_spectrum
-from oracles import naive_matmul
+from oracles import naive_matmul, reference_source_activity
 
 from fcdist import (
     assemble_source_activity,
@@ -45,30 +45,49 @@ class TestAssemble:
     def test_paper_scale_shapes(self):
         lib = generate_synthetic_sources(200, 10000, 200.0, 10.0, seed=3)
         src = assemble_source_activity(lib, 3002, 200, 0.01, 10000, seed=4)
-        assert src.data.shape == (3002, 10000)
+        # only the active rows are explicit; the fill is described
+        assert src.data.shape == (200, 10000)
         assert src.n_active == 200
-        # exactly 200 rows match normalized library rows bit-exactly
+        assert src.n_sources == 3002
+        assert src.noise_sigma == 0.01
+        assert np.unique(src.columns).size == 200
+        assert src.columns.min() >= 0 and src.columns.max() < 3002
+        # all 200 rows match normalized library rows bit-exactly
         normed = lib.data / lib.data.std(axis=1, keepdims=True)
         lib_rows = {row.tobytes() for row in normed}
         matches = sum(row.tobytes() in lib_rows for row in src.data)
         assert matches == 200
 
     def test_noise_sigma_monte_carlo(self):
+        # fill only, seen on the scalp: channel c has variance
+        # sigma^2 * sum_k G[c, k]^2 (relative standard error sqrt(2/T) = 1.4 %)
         lib = small_library(samples=10000)
+        lf = generate_synthetic_leadfield("std19", 100, seed=5)
         src = assemble_source_activity(lib, 100, 0, 1.0, 10000, seed=11)
-        assert abs(src.data.std() - 1.0) < 0.05
+        rec = project_to_scalp(lf, src)
+        expected = (lf.gain**2).sum(axis=1)
+        assert np.max(np.abs(rec.data.var(axis=1) / expected - 1.0)) < 0.06
 
     def test_deterministic(self):
         lib = small_library()
         a = assemble_source_activity(lib, 30, 10, 0.05, 500, seed=42)
         b = assemble_source_activity(lib, 30, 10, 0.05, 500, seed=42)
         assert np.array_equal(a.data, b.data)
+        assert np.array_equal(a.columns, b.columns)
+        assert a.noise_seed == b.noise_seed
 
     def test_seed_changes_output(self):
         lib = small_library()
         a = assemble_source_activity(lib, 30, 10, 0.05, 500, seed=1)
         b = assemble_source_activity(lib, 30, 10, 0.05, 500, seed=2)
         assert not np.array_equal(a.data, b.data)
+        assert a.noise_seed != b.noise_seed
+
+    def test_active_rows_match_reference(self):
+        lib = small_library()
+        src = assemble_source_activity(lib, 30, 10, 0.05, 500, seed=42)
+        ref = reference_source_activity(lib, 30, 10, 0.05, 500, seed=42)
+        assert np.array_equal(src.data, ref.data[src.columns])
 
     def test_insufficient_library(self):
         lib = small_library(n=4)
@@ -209,6 +228,76 @@ class TestProjection:
         lf = LeadField(gain=rng.standard_normal((3, 5)), montage="custom",
                        channel_names=tuple("abc"))
         src = SourceActivity(data=rng.standard_normal((4, 20)), fs=1.0, n_active=4)
+        with pytest.raises(ShapeMismatch):
+            project_to_scalp(lf, src)
+
+
+class TestChannelSpaceFill:
+    def test_sigma_zero_equals_full_matrix(self):
+        lib = generate_synthetic_sources(200, 2000, 200.0, 10.0, seed=3)
+        lf = generate_synthetic_leadfield("egi64", 3002, seed=1)
+        src = assemble_source_activity(lib, 3002, 200, 0.0, 2000, seed=4)
+        ref = reference_source_activity(lib, 3002, 200, 0.0, 2000, seed=4)
+        rec = project_to_scalp(lf, src)
+        assert np.max(np.abs(rec.data - lf.gain @ ref.data)) < 1e-12
+
+    def test_fill_covariance(self):
+        # Fill only (no active rows), sigma = 1: the empirical channel
+        # covariance C^ of T white samples has entry-wise standard error
+        # sqrt((C_ii C_jj + C_ij^2) / T) around C = G_n G_n^T; allow 5 of them.
+        n_samples = 20000
+        lib = small_library(samples=n_samples)
+        lf = generate_synthetic_leadfield("std19", 300, seed=2)
+        src = assemble_source_activity(lib, 300, 0, 1.0, n_samples, seed=3)
+        rec = project_to_scalp(lf, src)
+        expected = lf.gain @ lf.gain.T
+        empirical = rec.data @ rec.data.T / n_samples
+        d = np.diag(expected)
+        se = np.sqrt((np.outer(d, d) + expected**2) / n_samples)
+        assert np.all(np.abs(empirical - expected) < 5.0 * se)
+
+    @pytest.mark.parametrize("gain", [
+        np.arange(1.0, 25.0).reshape(8, 3),  # 8 channels, 3 fill columns
+        np.repeat(np.arange(1.0, 9.0)[:, None], 6, axis=1),  # one column, six times
+    ], ids=["more-channels-than-fill", "duplicated-columns"])
+    def test_rank_deficient_gain(self, gain):
+        lf = LeadField(gain=gain, montage="custom",
+                       channel_names=tuple(str(c) for c in range(gain.shape[0])))
+        src = SourceActivity(data=np.zeros((0, 400)), fs=100.0, n_active=0,
+                             n_sources=gain.shape[1], noise_sigma=0.5, noise_seed=7)
+        rec = project_to_scalp(lf, src)
+        assert np.all(np.isfinite(rec.data))
+        # The fill stays in the span of the gain columns: an eigenvalue that
+        # is zero up to rounding (~1e-16 relative) adds at most ~1e-8 relative
+        # amplitude outside it once square-rooted.
+        tol = 1e-6 * np.abs(rec.data).max()
+        assert np.linalg.matrix_rank(rec.data, tol=tol) == np.linalg.matrix_rank(gain)
+
+    def test_hand_built_has_no_fill(self, rng):
+        data = rng.standard_normal((3, 20))
+        src = SourceActivity(data=data, fs=10.0, n_active=2)
+        assert np.array_equal(src.columns, np.arange(3))
+        assert src.n_sources == 3 and src.noise_sigma == 0.0
+        assert not src.columns.flags.writeable
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(columns=np.array([0, 5])),  # outside n_sources
+        dict(columns=np.array([1, 1])),  # repeated column
+        dict(columns=np.array([0])),  # one column for two rows
+        dict(n_sources=1),  # fewer sources than explicit rows
+        dict(noise_sigma=-0.1),
+        dict(noise_sigma=np.inf),
+        dict(noise_seed=-1),
+    ])
+    def test_rejects_bad_fill_description(self, rng, kwargs):
+        with pytest.raises(InvalidData):
+            SourceActivity(data=rng.standard_normal((2, 5)), fs=1.0, n_active=2,
+                           **{"n_sources": 4, **kwargs})
+
+    def test_shape_mismatch_counts_fill(self):
+        lib = small_library()
+        src = assemble_source_activity(lib, 30, 5, 0.1, 500, seed=1)
+        lf = generate_synthetic_leadfield("std19", 29, seed=1)
         with pytest.raises(ShapeMismatch):
             project_to_scalp(lf, src)
 

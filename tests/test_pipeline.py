@@ -1,4 +1,7 @@
+import ctypes
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -26,6 +29,19 @@ from fcdist.pipeline import (
     write_results,
 )
 from fcdist.spectral import ALPHA, Band, coherency
+
+
+def _openblas_threads():
+    """OpenBLAS thread count of this process, or None where it is not found."""
+    with open("/proc/self/maps") as maps:
+        paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return None
 
 
 def tiny_config(**overrides):
@@ -78,6 +94,14 @@ class TestSimulation:
         assert (tmp_path / "a" / "trials.csv").read_bytes() == \
             (tmp_path / "b" / "trials.csv").read_bytes()
 
+    def test_pool_workers_use_one_blas_thread(self):
+        # forked after fcdist.pipeline was imported, as every grid worker is
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+            threads = pool.submit(_openblas_threads).result()
+        if threads is None:
+            pytest.skip("no OpenBLAS mapped into the worker")
+        assert threads == 1
+
     def test_seed_isolation_trial_extension(self):
         short = run_simulation_experiment(tiny_config(trials=3))
         long = run_simulation_experiment(tiny_config(trials=4))
@@ -126,6 +150,22 @@ class TestSimulation:
             tiny_config(bands=(Band("hf", 50.0, 120.0),)).validate()
         with pytest.raises(ValueError):
             tiny_config(montages=(21,)).validate()
+
+    @pytest.mark.parametrize("window, match", [
+        (WindowConfig(0.004, 0.0), "shorter than two samples"),  # 0.8 samples
+        (WindowConfig(1.0, 0.998), "whole window"),  # overlap rounds to 200 of 200
+    ], ids=["window-under-two-samples", "overlap-rounds-to-window"])
+    def test_window_rejected_before_any_cell(self, monkeypatch, window, match):
+        cfg = tiny_config(window=window)
+        with pytest.raises(ValueError, match=match):
+            cfg.validate()
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(pipeline, "_cell_record", no_cell)
+        with pytest.raises(ValueError, match=match):
+            run_simulation_experiment(cfg)
 
     def test_file_modes(self, tmp_path):
         from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources

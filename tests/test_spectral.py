@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_record, quiet_cross_spectrum
-from oracles import naive_cross_spectrum, segment_loop_cross_spectrum
+from oracles import fullstack_coherency, naive_cross_spectrum, segment_loop_cross_spectrum
 
 from fcdist.errors import (
     BandOutOfRange,
@@ -139,6 +139,15 @@ class TestCoherency:
             vals.append(np.mean(np.abs(c.mats[:, 0, 1]) ** 2))
         mean = float(np.mean(vals))
         assert 0.5 / k_segments < mean < 1.5 / k_segments
+
+    @pytest.mark.parametrize("n_ch", [2, 19, 128])
+    def test_equals_fullstack_exactly(self, rng, n_ch):
+        # 128 channels span several blocks of bins; the duplicated channel
+        # gives unit-magnitude entries that the clamp may touch.
+        data = rng.standard_normal((n_ch, 64 * 4))
+        data[-1] = data[0]
+        cs = quiet_cross_spectrum(make_record(data, fs=64.0), 64)
+        assert np.array_equal(coherency(cs).mats, fullstack_coherency(cs.mats))
 
     def test_amplitude_invariance(self, rng):
         data = rng.standard_normal((3, 64 * 6))
