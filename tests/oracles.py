@@ -10,12 +10,20 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
-from fcdist.errors import InsufficientLibrary, InsufficientSamples, InvalidData
+from fcdist.errors import (
+    CrossSpectrumFormatError,
+    InsufficientLibrary,
+    InsufficientSamples,
+    InvalidData,
+)
 from fcdist.forward import SourceActivity
+from fcdist.spectral import CrossSpectrum
 
 # Chunk size (rows) for streaming noise-source generation. Fixed so the
 # random stream, and therefore the output, never depends on memory layout.
@@ -294,3 +302,104 @@ def fullstack_coherency(mats):
     idx = np.arange(mats.shape[1])
     out[:, idx, idx] = 1.0
     return out
+
+
+_CS_HEADER = "freq_hz,ch_i,ch_j,re,im"
+
+
+def _cs_sidecar(path) -> Path:
+    return Path(path).with_suffix(".meta.json")
+
+
+def rowloop_write_cross_spectrum(path, cs: CrossSpectrum, labels) -> Path:
+    """Cross-spectrum CSV written one ``f.write`` per upper-triangle entry.
+
+    The byte-for-byte reference for ``matrix_io.write_cross_spectrum``.
+    """
+    path = Path(path)
+    n = cs.n_channels
+    if len(labels) != n:
+        raise ValueError(f"{len(labels)} labels for {n} channels")
+    with open(path, "w", newline="\n") as f:
+        f.write(_CS_HEADER + "\n")
+        for fi, freq in enumerate(cs.freqs):
+            mat = cs.mats[fi]
+            freq_s = repr(float(freq))
+            for i in range(n):
+                for j in range(i, n):
+                    z = mat[i, j]
+                    f.write(f"{freq_s},{i},{j},{float(z.real)!r},{float(z.imag)!r}\n")
+    with open(_cs_sidecar(path), "w", newline="\n") as f:
+        json.dump({"labels": list(labels), "n_segments": cs.n_segments}, f, indent=2)
+        f.write("\n")
+    return path
+
+
+def rowloop_read_cross_spectrum(path) -> tuple[CrossSpectrum, list[str]]:
+    """Cross-spectrum CSV parsed one line at a time with ``float``/``int``.
+
+    The reference for ``matrix_io.read_cross_spectrum``: the same matrices,
+    bit for bit, and CrossSpectrumFormatError for the same files.
+    """
+    path = Path(path)
+    side = _cs_sidecar(path)
+    if not side.exists():
+        raise CrossSpectrumFormatError(f"{path}: missing sidecar {side.name}")
+    try:
+        with open(side) as f:
+            meta = json.load(f)
+        labels = list(meta["labels"])
+        n_segments = int(meta["n_segments"])
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
+        raise CrossSpectrumFormatError(f"{side}: bad sidecar ({e})") from e
+
+    n = len(labels)
+    entries: dict[float, np.ndarray] = {}
+    freq_order: list[float] = []
+    n_rows = 0
+    with open(path) as f:
+        header = f.readline().strip()
+        if header != _CS_HEADER:
+            raise CrossSpectrumFormatError(
+                f"{path}: expected header {_CS_HEADER!r}, got {header!r}"
+            )
+        for lineno, line in enumerate(f, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 5:
+                raise CrossSpectrumFormatError(f"{path}:{lineno}: expected 5 fields")
+            try:
+                freq = float(parts[0])
+                i, j = int(parts[1]), int(parts[2])
+                z = complex(float(parts[3]), float(parts[4]))
+            except ValueError as e:
+                raise CrossSpectrumFormatError(f"{path}:{lineno}: {e}") from e
+            if not 0 <= i <= j < n:
+                raise CrossSpectrumFormatError(
+                    f"{path}:{lineno}: channel pair ({i}, {j}) outside 0..{n - 1} or i > j"
+                )
+            if freq not in entries:
+                entries[freq] = np.full((n, n), np.nan, dtype=complex)
+                freq_order.append(freq)
+            entries[freq][i, j] = z
+            entries[freq][j, i] = z.conjugate()
+            n_rows += 1
+
+    if not entries:
+        raise CrossSpectrumFormatError(f"{path}: no data rows")
+    # More rows than upper-triangle entries means some (freq, i, j) repeats.
+    if n_rows > len(entries) * n * (n + 1) // 2:
+        raise CrossSpectrumFormatError(f"{path}: duplicate (freq_hz, ch_i, ch_j) rows")
+    freqs = np.array(freq_order)
+    if np.any(np.diff(freqs) <= 0):
+        raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
+    mats = np.stack([entries[f] for f in freq_order])
+    if np.any(np.isnan(mats)):
+        raise CrossSpectrumFormatError(f"{path}: incomplete upper triangle")
+    try:
+        cs = CrossSpectrum(freqs=freqs, mats=mats, n_segments=n_segments)
+    except InvalidData as e:
+        raise CrossSpectrumFormatError(f"{path}: {e}") from e
+    return cs, labels

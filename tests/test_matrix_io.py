@@ -1,13 +1,21 @@
 import json
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import make_record, quiet_cross_spectrum
+from oracles import rowloop_read_cross_spectrum, rowloop_write_cross_spectrum
 
 from fcdist import matrix_io
 from fcdist.errors import CrossSpectrumFormatError, InvalidData
 from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
+from fcdist.spectral import CrossSpectrum
 
 
 class TestMatrixRoundTrip:
@@ -169,3 +177,143 @@ class TestCrossSpectrumFile:
         cs = self.make_cs(rng)
         with pytest.raises(ValueError):
             matrix_io.write_cross_spectrum(tmp_path / "cs.csv", cs, ["A", "B"])
+
+
+# One complete two-channel bin at frequency ``f``.
+def _bin_rows(f):
+    return [f"{f},0,0,1.0,0.0", f"{f},0,1,0.5,-0.25", f"{f},1,1,2.0,0.0"]
+
+
+def _write_raw(tmp_path, rows, labels=("A", "B")):
+    path = tmp_path / "raw.csv"
+    path.write_text("".join(line + "\n" for line in ["freq_hz,ch_i,ch_j,re,im", *rows]))
+    matrix_io.sidecar_path(path).write_text(
+        json.dumps({"labels": list(labels), "n_segments": 4}))
+    return path
+
+
+class TestCrossSpectrumRejects:
+    @pytest.mark.parametrize("rows", [
+        pytest.param(_bin_rows(1.0) + ["2.0,0,0,1.0"], id="four-fields"),
+        pytest.param(_bin_rows(1.0) + ["2.0,0,0,1.0,0.0,0.0"], id="six-fields"),
+        pytest.param(["1.0,0,1.5,1.0,0.0"], id="index-1.5"),
+        pytest.param(["1.0,1e0,1,1.0,0.0"], id="index-1e0"),
+        pytest.param(_bin_rows(2.0) + _bin_rows(1.0), id="bin-out-of-order"),
+        pytest.param([], id="header-only"),
+        pytest.param(_bin_rows(1.0)[:1] + ["# comment"] + _bin_rows(1.0)[1:], id="comment"),
+        pytest.param(_bin_rows("nan"), id="nan-frequency"),
+    ])
+    def test_format_error_names_the_file(self, tmp_path, rows):
+        path = _write_raw(tmp_path, rows)
+        with pytest.raises(CrossSpectrumFormatError) as err:
+            matrix_io.read_cross_spectrum(path)
+        assert str(err.value).startswith(f"{path}:")
+
+    def test_blank_lines_between_rows_accepted(self, tmp_path):
+        rows = _bin_rows(1.0) + _bin_rows(2.0)
+        plain, _ = matrix_io.read_cross_spectrum(_write_raw(tmp_path, rows))
+        spaced, _ = matrix_io.read_cross_spectrum(
+            _write_raw(tmp_path, ["", *rows[:2], "  ", *rows[2:], ""]))
+        assert spaced.freqs.tobytes() == plain.freqs.tobytes()
+        assert spaced.mats.tobytes() == plain.mats.tobytes()
+
+
+# Signed zeros, subnormals and extremes, mixed with arbitrary finite floats.
+_edge_floats = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e-300, -1e-300, 1e300, -1e300])
+_parts = st.one_of(_edge_floats, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def cross_spectra(draw):
+    """Exactly Hermitian stacks of 1-9 channels and 1-6 bins whose diagonal is
+    non-negative with a +0.0 or -0.0 imaginary part."""
+    n = draw(st.integers(1, 9))
+    freqs = sorted(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                 min_size=1, max_size=6, unique=True)))
+    shape = (len(freqs), n, n)
+    mats = draw(hnp.arrays(np.float64, shape, elements=_parts)) + 0j
+    mats.imag = draw(hnp.arrays(np.float64, shape, elements=_parts))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    mats = np.where(upper, mats, mats.conj().transpose(0, 2, 1))
+    idx = np.arange(n)
+    diag = mats[:, idx, idx]
+    diag.real = np.abs(diag.real)
+    diag.imag = np.copysign(0.0, diag.imag)
+    mats[:, idx, idx] = diag
+    return CrossSpectrum(freqs=np.array(freqs), mats=mats, n_segments=3)
+
+
+def _valid_shuffle(rows, n_pairs, rnd):
+    """Rows of consecutive n_pairs-row bins reordered so that each bin still
+    first appears after every earlier bin: one leader row per bin keeps the
+    bin order, and every other row lands anywhere after its leader."""
+    bins = [rows[b:b + n_pairs] for b in range(0, len(rows), n_pairs)]
+    for b in bins:
+        rnd.shuffle(b)
+    out = [b[0] for b in bins]
+    for b in bins:
+        for row in b[1:]:
+            out.insert(rnd.randint(out.index(b[0]) + 1, len(out)), row)
+    return out
+
+
+class TestCrossSpectrumAgainstRowLoop:
+    """The chunked reader and the per-bin writer against the row-loop oracles."""
+
+    @given(cross_spectra(), st.randoms(use_true_random=False),
+           st.sampled_from([1, 2, 3, 7, 1 << 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_oracle(self, cs, rnd, chunk):
+        labels = [f"E{k}" for k in range(cs.n_channels)]
+        n_pairs = cs.n_channels * (cs.n_channels + 1) // 2
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(matrix_io, "_CS_CHUNK_LINES", chunk):
+            new = matrix_io.write_cross_spectrum(Path(tmp) / "new.csv", cs, labels)
+            ref = rowloop_write_cross_spectrum(Path(tmp) / "ref.csv", cs, labels)
+            assert new.read_bytes() == ref.read_bytes()
+            assert (matrix_io.sidecar_path(new).read_bytes()
+                    == matrix_io.sidecar_path(ref).read_bytes())
+
+            header, *rows = new.read_text().splitlines(keepends=True)
+            shuffled = Path(tmp) / "shuffled.csv"
+            shuffled.write_text(header + "".join(_valid_shuffle(rows, n_pairs, rnd)))
+            matrix_io.sidecar_path(shuffled).write_bytes(matrix_io.sidecar_path(new).read_bytes())
+            for path in (new, shuffled):
+                got, got_labels = matrix_io.read_cross_spectrum(path)
+                want, _ = rowloop_read_cross_spectrum(path)
+                assert got_labels == labels
+                assert got.freqs.tobytes() == want.freqs.tobytes()
+                assert got.mats.tobytes() == want.mats.tobytes()
+                assert got.n_segments == want.n_segments
+
+    @given(cross_spectra(), st.randoms(use_true_random=False),
+           st.sampled_from(["shuffle", "drop", "repeat", "blank"]),
+           st.sampled_from([1, 3, 1 << 16]))
+    @settings(max_examples=60, deadline=None)
+    def test_same_verdict_as_oracle(self, cs, rnd, edit, chunk):
+        """Any reordering, a dropped or repeated row, or blank lines: the two
+        readers accept the same files, with equal matrices, and reject the rest."""
+        labels = [f"E{k}" for k in range(cs.n_channels)]
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(matrix_io, "_CS_CHUNK_LINES", chunk):
+            path = matrix_io.write_cross_spectrum(Path(tmp) / "cs.csv", cs, labels)
+            header, *rows = path.read_text().splitlines(keepends=True)
+            k = rnd.randrange(len(rows))
+            if edit == "shuffle":
+                rnd.shuffle(rows)
+            elif edit == "drop":
+                del rows[k]
+            elif edit == "repeat":
+                rows.insert(rnd.randint(0, len(rows)), rows[k])
+            else:
+                rows.insert(k, rnd.choice(["\n", "  \n", "\t\n"]))
+            path.write_text(header + "".join(rows))
+            outcomes = []
+            for read in (matrix_io.read_cross_spectrum, rowloop_read_cross_spectrum):
+                try:
+                    got, _ = read(path)
+                    outcomes.append((got.freqs.tobytes(), got.mats.tobytes()))
+                except CrossSpectrumFormatError:
+                    outcomes.append("rejected")
+            assert outcomes[0] == outcomes[1]

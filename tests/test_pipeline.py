@@ -1,9 +1,17 @@
 import ctypes
+import dataclasses
 import json
+import math
 import multiprocessing
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_record, poison_alpha_entry, quiet_cross_spectrum
 
@@ -383,6 +391,53 @@ class TestNormative:
         assert {r.trial for r in res.trial_rows} == {0, 2, 3}
         assert [(f.metric, f.trial) for f in res.failures[:2]] == [("COH", 1), ("iCOH", 1)]
         assert all(f.error.startswith("InvalidData: ") for f in res.failures[:2])
+
+
+FAULTS = ("nan", "inf", "zero_power", "truncated", "bad_sidecar")
+
+
+@lru_cache(maxsize=None)
+def _cohort_spectrum(subject: int, zero_channel: bool):
+    """The 8-channel cross-spectrum of one cohort subject, optionally with a silent channel."""
+    data = np.random.default_rng(subject).standard_normal((8, 128 * 16))
+    if zero_channel:
+        data[2] = 0.0
+    return quiet_cross_spectrum(make_record(data), 128)
+
+
+def _write_cohort_subject(path: Path, subject: int, fault: str | None) -> Path:
+    cs = _cohort_spectrum(subject, fault == "zero_power")
+    matrix_io.write_cross_spectrum(path, cs, [f"E{k}" for k in range(8)])
+    if fault in ("nan", "inf"):
+        poison_alpha_entry(path, fault)
+    elif fault == "truncated":
+        text = path.read_text()
+        path.write_text(text[:len(text) // 2])
+    elif fault == "bad_sidecar":
+        matrix_io.sidecar_path(path).write_text('{"labels": ["E0"]')
+    return path
+
+
+class TestNormativeFaultInjection:
+    @given(st.lists(st.one_of(st.none(), st.sampled_from(FAULTS)), min_size=4, max_size=6))
+    @settings(max_examples=50, deadline=None)
+    def test_faulty_subjects_recorded_and_rows_finite(self, faults):
+        """Every injected fault is recorded against its subject and no other;
+        the run succeeds while one subject is usable and emits only finite rows."""
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [_write_cohort_subject(Path(tmp) / f"s{k}.csv", k, fault)
+                     for k, fault in enumerate(faults)]
+            if all(fault not in (None, "zero_power") for fault in faults):
+                with pytest.raises(NoData):  # no file could be read
+                    run_normative_analysis(paths, bands=(ALPHA,))
+                return
+            res = run_normative_analysis(paths, bands=(ALPHA,))
+        faulty = {k for k, fault in enumerate(faults) if fault}
+        assert {f.trial for f in res.failures if f.trial >= 0} == faulty
+        assert {r.trial for r in res.trial_rows} == set(range(len(faults))) - faulty
+        for row in res.trial_rows + res.correlation_rows:
+            for value in dataclasses.astuple(row):
+                assert not isinstance(value, float) or math.isfinite(value), row
 
 
 class TestConfig:
