@@ -13,6 +13,7 @@ import argparse
 import glob
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import forward, matrix_io, pipeline, weight_stats
@@ -37,7 +38,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="fcdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[], help="run the seeded simulation grid")
+    p = sub.add_parser("simulate", help="run the seeded simulation grid")
     p.add_argument("--config", type=Path, help="JSON config file (ExperimentConfig fields)")
     p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     p.add_argument("--seed", type=int, help="override master_seed")
@@ -76,8 +77,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _parse_bands(spec: str):
-    return tuple(pipeline.band_from_spec(tok) for tok in spec.split(",") if tok.strip())
+def _tokens(spec: str) -> list[str]:
+    """The non-empty, stripped items of a comma list."""
+    return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
 def _cmd_simulate(args) -> int:
@@ -85,22 +87,16 @@ def _cmd_simulate(args) -> int:
     if args.config is not None:
         with open(args.config) as f:
             raw = json.load(f)
-    cfg = pipeline.config_from_dict(raw)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if args.montages:
-        overrides["montages"] = tuple(int(tok) for tok in args.montages.split(","))
-    if args.metrics:
-        overrides["metrics"] = tuple(tok.strip() for tok in args.metrics.split(","))
-    if args.bands:
-        overrides["bands"] = _parse_bands(args.bands)
-    if overrides:
-        from dataclasses import replace
-        cfg = replace(cfg, **overrides)
-    result = pipeline.run_simulation_experiment(cfg, jobs=max(args.jobs, 1))
+        if not isinstance(raw, dict):
+            raise ValueError(f"{args.config}: config must be a JSON object")
+    for key, value in (("master_seed", args.seed), ("trials", args.trials)):
+        if value is not None:
+            raw[key] = value
+    for key in ("montages", "metrics", "bands"):
+        if getattr(args, key):
+            raw[key] = _tokens(getattr(args, key))
+    result = pipeline.run_simulation_experiment(pipeline.config_from_dict(raw),
+                                                jobs=max(args.jobs, 1))
     written = pipeline.write_results(result, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return EXIT_OK
@@ -111,7 +107,8 @@ def _cmd_normative(args) -> int:
     if not paths:
         print(f"no files match {args.input!r}", file=sys.stderr)
         return EXIT_DATA
-    result = pipeline.run_normative_analysis(paths, _parse_bands(args.bands), args.bins)
+    bands = tuple(map(pipeline.band_from_spec, _tokens(args.bands)))
+    result = pipeline.run_normative_analysis(paths, bands, args.bins)
     written = pipeline.write_results(result, args.out)
     print(f"analyzed {result.config['subjects_used']} subject(s); "
           f"wrote {len(written)} files to {args.out}")
@@ -140,13 +137,7 @@ def _cmd_summarize(args) -> int:
     summary = weight_stats.summarize(
         weight_stats.upper_triangle_weights(data), args.bins
     )
-    print(json.dumps({
-        "mcw": summary.mcw,
-        "skewness": summary.skewness,
-        "kurtosis": summary.kurtosis,
-        "entropy": summary.entropy,
-        "n_pairs": summary.n_pairs,
-    }, indent=2))
+    print(json.dumps(asdict(summary), indent=2))
     return EXIT_OK
 
 

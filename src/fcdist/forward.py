@@ -302,6 +302,8 @@ def assemble_source_activity(
     order = rng.permutation(n_total)
     noise_seed = int(rng.integers(2**63))
 
+    # Indexing already copies. The second copy stays: without it, glibc's dynamic mmap
+    # threshold left a worker that runs a 19- then a 64-channel cell 7 MB larger at peak.
     active = library.data[chosen, :n_samples].copy()
     sd = active.std(axis=1, keepdims=True)
     if np.any(sd == 0):

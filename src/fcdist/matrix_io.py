@@ -68,10 +68,20 @@ def _sidecar_fs(path: Path | str, meta: dict) -> float:
         raise InvalidData(f"{path}: sidecar must carry a numeric fs") from e
 
 
-def read_source_library(path: Path | str) -> SourceLibrary:
+def _read_kind(path: Path | str, kind: str) -> tuple[np.ndarray, dict]:
+    """``read_matrix``, with InvalidData unless the sidecar's kind is ``kind`` or absent."""
     data, meta = read_matrix(path)
-    if meta.get("kind") not in (None, "sources"):
-        raise InvalidData(f"{path}: expected kind 'sources', got {meta.get('kind')!r}")
+    if meta.get("kind") not in (None, kind):
+        raise InvalidData(f"{path}: expected kind {kind!r}, got {meta.get('kind')!r}")
+    return data, meta
+
+
+def _labels(data: np.ndarray, meta: dict) -> tuple[str, ...]:
+    return tuple(meta.get("labels") or (f"ch{i}" for i in range(data.shape[0])))
+
+
+def read_source_library(path: Path | str) -> SourceLibrary:
+    data, meta = _read_kind(path, "sources")
     return SourceLibrary(data=data, fs=_sidecar_fs(path, meta),
                          origin=meta.get("origin", str(path)))
 
@@ -85,12 +95,9 @@ def write_leadfield(path: Path | str, lf: LeadField) -> Path:
 
 
 def read_leadfield(path: Path | str) -> LeadField:
-    data, meta = read_matrix(path)
-    if meta.get("kind") not in (None, "leadfield"):
-        raise InvalidData(f"{path}: expected kind 'leadfield', got {meta.get('kind')!r}")
-    names = meta.get("labels") or [f"ch{i}" for i in range(data.shape[0])]
+    data, meta = _read_kind(path, "leadfield")
     return LeadField(
-        gain=data, montage=meta.get("montage", "custom"), channel_names=tuple(names)
+        gain=data, montage=meta.get("montage", "custom"), channel_names=_labels(data, meta)
     )
 
 
@@ -102,11 +109,9 @@ def write_record(path: Path | str, rec: MultichannelRecord) -> Path:
 
 
 def read_record(path: Path | str) -> MultichannelRecord:
-    data, meta = read_matrix(path)
-    if meta.get("kind") not in (None, "record"):
-        raise InvalidData(f"{path}: expected kind 'record', got {meta.get('kind')!r}")
-    names = meta.get("labels") or [f"ch{i}" for i in range(data.shape[0])]
-    return MultichannelRecord(data=data, fs=_sidecar_fs(path, meta), channel_names=tuple(names))
+    data, meta = _read_kind(path, "record")
+    return MultichannelRecord(data=data, fs=_sidecar_fs(path, meta),
+                              channel_names=_labels(data, meta))
 
 
 CROSS_SPECTRUM_HEADER = "freq_hz,ch_i,ch_j,re,im"

@@ -15,7 +15,7 @@ import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields, replace
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
@@ -24,7 +24,7 @@ import warnings
 from . import forward, matrix_io, spectral, weight_stats
 from .connectivity import METRICS, WindowConfig, window_samples
 from .correlation import pearson_correlation
-from .errors import ExperimentFailed, FcdistError, NoData, ShapeMismatch
+from .errors import ExperimentFailed, FcdistError, InvalidData, NoData, ShapeMismatch
 from .montages import MONTAGE_BY_SIZE
 from .spectral import ALPHA, Band
 
@@ -89,6 +89,8 @@ class ExperimentConfig:
         if self.fs <= 0 or self.noise_sigma < 0:
             raise ValueError("fs must be positive and noise_sigma non-negative")
         window_samples(self.fs, self.window)
+        _mode_path(self.source_mode)
+        _mode_path(self.leadfield_mode)
 
 
 @dataclass(frozen=True)
@@ -132,14 +134,10 @@ class ExperimentResult:
     failures: list[CellFailure]
 
 
-@lru_cache(maxsize=8)
-def _file_library(path: str) -> forward.SourceLibrary:
-    return matrix_io.read_source_library(path)
-
-
-@lru_cache(maxsize=8)
-def _file_leadfield(path: str) -> forward.LeadField:
-    return matrix_io.read_leadfield(path)
+@lru_cache(maxsize=16)
+def _read_file(reader, path: str):
+    """``reader(path)``, read once per process and path."""
+    return reader(path)
 
 
 def _mode_path(mode: str) -> str | None:
@@ -156,7 +154,7 @@ def _cell_leadfield(cfg: ExperimentConfig, montage: int) -> forward.LeadField:
         return forward.generate_synthetic_leadfield(
             MONTAGE_BY_SIZE[montage], cfg.n_sources, seed=mix64(cfg.master_seed, montage, 3)
         )
-    lf = _file_leadfield(path)
+    lf = _read_file(matrix_io.read_leadfield, path)
     if lf.n_channels != montage:
         raise ShapeMismatch(f"lead field {path} has {lf.n_channels} channels, "
                             f"not the montage's {montage}")
@@ -166,7 +164,11 @@ def _cell_leadfield(cfg: ExperimentConfig, montage: int) -> forward.LeadField:
 def _cell_library(cfg: ExperimentConfig, montage: int, trial: int) -> forward.SourceLibrary:
     path = _mode_path(cfg.source_mode)
     if path is not None:
-        return _file_library(path)
+        lib = _read_file(matrix_io.read_source_library, path)
+        if lib.fs != cfg.fs:
+            raise InvalidData(f"source library {path} is sampled at {lib.fs} Hz, "
+                              f"not the config's fs {cfg.fs} Hz")
+        return lib
     return forward.generate_synthetic_sources(
         cfg.n_active, cfg.n_samples, cfg.fs, cfg.alpha_hz,
         seed=mix64(cfg.master_seed, trial, montage, 1),
@@ -203,6 +205,10 @@ def _attempt(call, x, *args):
         return err
 
 
+def _failure_text(err: FcdistError) -> str:
+    return f"{type(err).__name__}: {err}"
+
+
 def _band_results(cfg: ExperimentConfig, inputs: dict, band: Band, montage: int,
                   trial: int) -> tuple[list[TrialRow], list[CellFailure]]:
     """One TrialRow or CellFailure for each metric of ``cfg`` on one band.
@@ -226,8 +232,7 @@ def _band_results(cfg: ExperimentConfig, inputs: dict, band: Band, montage: int,
             rows.append(TrialRow(montage, metric, band.name, trial,
                                  s.mcw, s.skewness, s.kurtosis, s.entropy))
         except FcdistError as err:
-            fails.append(CellFailure(montage, metric, band.name, trial,
-                                     f"{type(err).__name__}: {err}"))
+            fails.append(CellFailure(montage, metric, band.name, trial, _failure_text(err)))
     return rows, fails
 
 
@@ -318,9 +323,8 @@ def correlate_rows(trial_rows: list[TrialRow], cfg: ExperimentConfig
             try:
                 res = pearson_correlation([p[0] for p in points], [p[1] for p in points])
             except FcdistError as err:
-                failures.append(CellFailure(
-                    montage, metric, band, -1, f"{pair}: {type(err).__name__}: {err}"
-                ))
+                failures.append(CellFailure(montage, metric, band, -1,
+                                            f"{pair}: {_failure_text(err)}"))
                 continue
             corr_rows.append(CorrelationRow(
                 montage=montage, metric=metric, band=band, pair=pair,
@@ -391,7 +395,7 @@ def run_normative_analysis(
             cs, _ = matrix_io.read_cross_spectrum(path)
         except FcdistError as err:
             failures.append(CellFailure(0, "-", "-", subject,
-                                        f"{Path(path).name}: {err}"))
+                                        f"{Path(path).name}: {_failure_text(err)}"))
             continue
         used += 1
         coh = _attempt(spectral.coherency, cs)
@@ -472,57 +476,49 @@ def _write_csv(path: Path, header: list[str], rows: Iterable) -> Path:
     return path
 
 
-def write_results(result: ExperimentResult, out_dir: Path | str,
-                  formats: tuple[str, ...] = ("csv", "json", "scatter")) -> list[Path]:
+def write_results(result: ExperimentResult, out_dir: Path | str) -> list[Path]:
     """Emit trials.csv, correlations.csv, summary.json and scatter CSVs."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written: list[Path] = []
+    for name, row_type, rows in (("trials.csv", TrialRow, result.trial_rows),
+                                 ("correlations.csv", CorrelationRow, result.correlation_rows)):
+        written.append(_write_csv(out_dir / name, [f.name for f in fields(row_type)],
+                                  map(astuple, rows)))
     groups = sorted(_groups(result.trial_rows).items())
+    aggregates: dict[str, dict] = {}
+    for (montage, metric, band), rows in groups:
+        vals = {}
+        for attr in ("mcw", "skewness", "kurtosis", "entropy"):
+            xs = sorted(getattr(r, attr) for r in rows if getattr(r, attr) is not None)
+            vals[f"median_{attr}"] = statistics.median(xs) if xs else None
+            vals[f"mean_{attr}"] = sum(xs) / len(xs) if xs else None
+        vals["n_rows"] = len(rows)
+        aggregates[f"{montage}/{metric}/{band}"] = vals
+    summary = {
+        "config": result.config,
+        "n_trial_rows": len(result.trial_rows),
+        "n_correlation_rows": len(result.correlation_rows),
+        "n_failures": len(result.failures),
+        "failures": [asdict(fl) for fl in result.failures],
+        "aggregates": aggregates,
+    }
+    path = out_dir / "summary.json"
+    with open(path, "w", newline="\n") as f:
+        json.dump(summary, f, indent=2)
+        f.write("\n")
+    written.append(path)
 
-    if "csv" in formats:
-        for name, row_type, rows in (("trials.csv", TrialRow, result.trial_rows),
-                                     ("correlations.csv", CorrelationRow,
-                                      result.correlation_rows)):
-            written.append(_write_csv(out_dir / name, [f.name for f in fields(row_type)],
-                                      map(astuple, rows)))
-
-    if "json" in formats:
-        aggregates: dict[str, dict] = {}
-        for (montage, metric, band), rows in groups:
-            vals = {}
-            for attr in ("mcw", "skewness", "kurtosis", "entropy"):
-                xs = sorted(getattr(r, attr) for r in rows if getattr(r, attr) is not None)
-                vals[f"median_{attr}"] = statistics.median(xs) if xs else None
-                vals[f"mean_{attr}"] = sum(xs) / len(xs) if xs else None
-            vals["n_rows"] = len(rows)
-            aggregates[f"{montage}/{metric}/{band}"] = vals
-        summary = {
-            "config": result.config,
-            "n_trial_rows": len(result.trial_rows),
-            "n_correlation_rows": len(result.correlation_rows),
-            "n_failures": len(result.failures),
-            "failures": [asdict(fl) for fl in result.failures],
-            "aggregates": aggregates,
-        }
-        path = out_dir / "summary.json"
-        with open(path, "w", newline="\n") as f:
-            json.dump(summary, f, indent=2)
-            f.write("\n")
-        written.append(path)
-
-    if "scatter" in formats:
-        for (montage, metric, band), rows in groups:
-            for attr in ("skewness", "kurtosis", "entropy"):
-                written.append(_write_csv(
-                    out_dir / f"scatter_{montage}_{metric}_{band}_{attr}.csv", ["mcw", attr],
-                    [(r.mcw, getattr(r, attr)) for r in rows if getattr(r, attr) is not None],
-                ))
+    for (montage, metric, band), rows in groups:
+        for attr in ("skewness", "kurtosis", "entropy"):
+            written.append(_write_csv(
+                out_dir / f"scatter_{montage}_{metric}_{band}_{attr}.csv", ["mcw", attr],
+                [(r.mcw, getattr(r, attr)) for r in rows if getattr(r, attr) is not None],
+            ))
     return written
 
 
 def desk_scale_config(montages: tuple[int, ...] = (19, 64), trials: int = 100,
                       master_seed: int = 0) -> ExperimentConfig:
     """The default desk-scale grid: alpha band, all metrics."""
-    return replace(ExperimentConfig(), montages=montages, trials=trials,
-                   master_seed=master_seed)
+    return ExperimentConfig(montages=montages, trials=trials, master_seed=master_seed)

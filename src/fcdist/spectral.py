@@ -27,11 +27,6 @@ from .forward import MultichannelRecord
 # Averaging fewer segments than this is allowed but flagged as a diagnostic.
 RECOMMENDED_MIN_SEGMENTS = 20
 
-# Matrix entries per block of bins that `coherency` normalizes at once
-# (1 MB of complex128): small enough for cache, large enough that the
-# per-block Python overhead stays small at 19 channels.
-_COHERENCY_BLOCK = 1 << 16
-
 
 @dataclass(frozen=True)
 class Band:
@@ -182,19 +177,14 @@ def coherency(cs: CrossSpectrum) -> CoherencyMatrix:
         raise ZeroPowerChannel(
             f"channel {ch} has zero power at {cs.freqs[f_idx]:.6g} Hz"
         )
-    # A few bins at a time, so no temporary spans the whole stack.
-    n = cs.n_channels
+    # One bin at a time, so no temporary spans the whole stack.
     mats = np.empty_like(cs.mats)
-    idx = np.arange(n)
-    step = max(1, _COHERENCY_BLOCK // (n * n))
-    for lo in range(0, mats.shape[0], step):
-        p = power[lo : lo + step]
-        out = mats[lo : lo + step]
-        np.divide(cs.mats[lo : lo + step], np.sqrt(p[:, :, None] * p[:, None, :]), out=out)
+    for out, s, p in zip(mats, cs.mats, power):
+        np.divide(s, np.sqrt(p[:, None] * p[None, :]), out=out)
         # Clamp rounding spill past unit magnitude, then pin the diagonal.
         mag = np.abs(out)
         np.divide(out, mag, out=out, where=mag > 1.0)
-        out[:, idx, idx] = 1.0
+        np.fill_diagonal(out, 1.0)
     return CoherencyMatrix(freqs=cs.freqs, mats=mats)
 
 

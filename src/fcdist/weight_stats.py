@@ -69,8 +69,8 @@ def upper_triangle_weights(matrix: np.ndarray) -> WeightVector:
     return WeightVector(w=m[i, j])
 
 
-def skewness(w) -> float:
-    """Third standardized moment E(x - mu)^3 / sigma^3 (population form)."""
+def _central_moments(w) -> tuple[np.ndarray, float]:
+    """Deviations from the mean and their mean square; DegenerateDistribution at zero spread."""
     x = _values(w)
     if x.size < 2:
         raise InvalidData("need at least two values")
@@ -78,18 +78,18 @@ def skewness(w) -> float:
     m2 = np.mean(d * d)
     if m2 == 0.0 or np.ptp(x) == 0.0:
         raise DegenerateDistribution("zero-variance sample")
+    return d, m2
+
+
+def skewness(w) -> float:
+    """Third standardized moment E(x - mu)^3 / sigma^3 (population form)."""
+    d, m2 = _central_moments(w)
     return float(np.mean(d**3) / m2**1.5)
 
 
 def kurtosis(w) -> float:
     """Fourth standardized moment E(x - mu)^4 / sigma^4; normal -> 3."""
-    x = _values(w)
-    if x.size < 2:
-        raise InvalidData("need at least two values")
-    d = x - x.mean()
-    m2 = np.mean(d * d)
-    if m2 == 0.0 or np.ptp(x) == 0.0:
-        raise DegenerateDistribution("zero-variance sample")
+    d, m2 = _central_moments(w)
     return float(np.mean(d**4) / (m2 * m2))
 
 

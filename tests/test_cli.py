@@ -101,6 +101,14 @@ class TestSimulate:
         assert run_cli("simulate", "--config", str(cfg_path),
                        "--out", str(tmp_path / "r")) == 2
 
+    @pytest.mark.parametrize("text", ['[{"trials": 3}]', '3', '"cfg"'])
+    def test_non_object_config_is_data_error(self, tmp_path, capsys, text):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text)
+        assert run_cli("simulate", "--config", str(cfg_path), "--trials", "3",
+                       "--out", str(tmp_path / "r")) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
     def test_experiment_failure_exit_code(self, tmp_path):
         cfg = {
             "montages": [19], "metrics": ["COH"], "bands": ["alpha"],
@@ -140,6 +148,7 @@ class TestNormativeCommand:
         assert summary["config"]["subjects_used"] == 2
         assert [f["trial"] for f in summary["failures"]] == [2]
         assert summary["failures"][0]["error"].startswith("s2.csv: ")
+        assert summary["failures"][0]["error"].startswith("s2.csv: CrossSpectrumFormatError: ")
 
     def test_no_match_is_data_error(self, tmp_path, capsys):
         assert run_cli("normative", "--input", str(tmp_path / "*.csv"),

@@ -175,6 +175,19 @@ class TestSimulation:
         with pytest.raises(ValueError, match=match):
             run_simulation_experiment(cfg)
 
+    @pytest.mark.parametrize("field", ["source_mode", "leadfield_mode"])
+    def test_mode_rejected_before_any_cell(self, monkeypatch, field):
+        cfg = tiny_config(**{field: "bogus"})
+        with pytest.raises(ValueError, match="mode must be"):
+            cfg.validate()
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(pipeline, "_cell_record", no_cell)
+        with pytest.raises(ValueError, match="mode must be"):
+            run_simulation_experiment(cfg, jobs=2)
+
     def test_file_modes(self, tmp_path):
         from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
         lib = generate_synthetic_sources(40, 4000, 200.0, 10.0, seed=5)
@@ -195,6 +208,17 @@ class TestSimulation:
         matrix_io.write_leadfield(tmp_path / "lf.csv", lf)
         cfg = tiny_config(montages=(64,), leadfield_mode=f"file:{tmp_path / 'lf.csv'}")
         with pytest.raises(ExperimentFailed, match="ShapeMismatch"):
+            run_simulation_experiment(cfg)
+
+    def test_file_library_rate_must_match_fs(self, tmp_path):
+        from fcdist.forward import generate_synthetic_sources
+        lib = generate_synthetic_sources(40, 4000, 100.0, 10.0, seed=5)
+        matrix_io.write_source_library(tmp_path / "lib.csv", lib)
+        cfg = tiny_config(source_mode=f"file:{tmp_path / 'lib.csv'}")
+        rows, fails = simulate_cell(cfg, 19, 0)
+        assert not rows
+        assert {f.error.split(":")[0] for f in fails} == {"InvalidData"}
+        with pytest.raises(ExperimentFailed, match="InvalidData: source library .* 100.0 Hz"):
             run_simulation_experiment(cfg)
 
     def test_constant_file_library_row_is_recorded(self, tmp_path):
