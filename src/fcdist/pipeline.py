@@ -81,9 +81,11 @@ class ExperimentConfig:
                 raise ValueError(f"band {b.name} exceeds Nyquist ({self.fs / 2.0} Hz)")
         if self.trials < 3:
             raise ValueError("need trials >= 3 for the correlation stage")
-        for name in ("n_samples", "n_sources", "n_active", "segment_samples", "n_bins"):
+        for name in ("n_samples", "n_sources", "n_active", "n_bins"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.segment_samples < 4 or self.segment_samples % 2:
+            raise ValueError("segment_samples must be even and >= 4")
         if self.n_active > self.n_sources:
             raise ValueError("n_active cannot exceed n_sources")
         if self.fs <= 0 or self.noise_sigma < 0:
@@ -187,11 +189,12 @@ def _cell_record(cfg: ExperimentConfig, montage: int, trial: int
     return forward.project_to_scalp(lf, src)
 
 
-def _bartlett_coherency(rec: forward.MultichannelRecord, segment_samples: int
-                        ) -> spectral.CoherencyMatrix:
+def _bartlett_coherency(rec: forward.MultichannelRecord, segment_samples: int,
+                        band: Band) -> spectral.CoherencyMatrix:
+    """The record's coherency on the band's bins, the only ones COH and iCOH read."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", spectral.FewSegmentsWarning)
-        cs = spectral.bartlett_cross_spectrum(rec, segment_samples)
+        cs = spectral.bartlett_cross_spectrum(rec, segment_samples, band)
     return spectral.coherency(cs)
 
 
@@ -242,11 +245,11 @@ def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
     kinds = {METRICS[m][0] for m in cfg.metrics}
     rec = _attempt(_cell_record, cfg, montage, trial)
     inputs = {}
-    if "coherency" in kinds:
-        inputs["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples)
     rows: list[TrialRow] = []
     fails: list[CellFailure] = []
     for band in cfg.bands:
+        if "coherency" in kinds:
+            inputs["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples, band)
         if "analytic" in kinds:
             inputs["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
         band_rows, band_fails = _band_results(cfg, inputs, band, montage, trial)

@@ -130,7 +130,8 @@ class AnalyticRecord:
         return self.phase.shape[1]
 
 
-def bartlett_cross_spectrum(rec: MultichannelRecord, segment_samples: int = 512) -> CrossSpectrum:
+def bartlett_cross_spectrum(rec: MultichannelRecord, segment_samples: int = 512,
+                            band: Band | None = None) -> CrossSpectrum:
     """Averaged-periodogram cross-spectrum over non-overlapping segments.
 
     The record is cut into K = floor(n_samples / segment_samples) segments;
@@ -138,6 +139,12 @@ def bartlett_cross_spectrum(rec: MultichannelRecord, segment_samples: int = 512)
     outer products x_i(f) conj(x_j(f)) are averaged over segments. The
     frequency axis is k * fs / segment_samples for k = 1 .. N/2 - 1 (DC and
     Nyquist excluded).
+
+    With a ``band``, only the bins that ``band_slice`` selects on that full
+    axis are formed; each is bit for bit the full result's bin, and a band
+    that selects none raises ``EmptyBand``. ``coherency`` of such a
+    spectrum then checks channel power on the band's bins only, so its
+    ``ZeroPowerChannel`` names the band's first bin.
     """
     if segment_samples < 4 or segment_samples % 2:
         raise ValueError("segment_samples must be even and >= 4")
@@ -157,15 +164,19 @@ def bartlett_cross_spectrum(rec: MultichannelRecord, segment_samples: int = 512)
     n = segment_samples
     segs = rec.data[:, : k_segments * n].reshape(n_ch, k_segments, n)
     segs = segs - segs.mean(axis=2, keepdims=True)
+    freqs = np.arange(1, n // 2) * (rec.fs / n)
+    lo, hi = 0, freqs.size
+    if band is not None:
+        idx = band_slice(freqs, band)
+        lo, hi = idx[0], idx[-1] + 1
     # (bin, channel, segment), segments contiguous for the reduction below.
-    spec = np.fft.rfft(segs, axis=2)[:, :, 1 : n // 2].transpose(2, 0, 1).copy()
+    spec = np.fft.rfft(segs, axis=2)[:, :, 1 + lo : 1 + hi].transpose(2, 0, 1).copy()
     # Plain einsum (no BLAS) sums the segments in order, as a running sum
     # over segments would; a BLAS product rounds differently and is not
     # exactly Hermitian.
     mats = np.einsum("fck,fdk->fcd", spec, spec.conj())
     mats *= 2.0 / (k_segments * n * n)
-    freqs = np.arange(1, n // 2) * (rec.fs / n)
-    return CrossSpectrum(freqs=freqs, mats=mats, n_segments=k_segments)
+    return CrossSpectrum(freqs=freqs[lo:hi], mats=mats, n_segments=k_segments)
 
 
 def coherency(cs: CrossSpectrum) -> CoherencyMatrix:
@@ -241,8 +252,6 @@ def band_slice(freqs: np.ndarray, band: Band) -> np.ndarray:
     freqs = np.asarray(freqs, dtype=float)
     idx = np.nonzero((freqs >= band.lo) & (freqs <= band.hi))[0]
     if idx.size == 0:
-        raise EmptyBand(
-            f"band {band.name} ({band.lo}, {band.hi}) Hz selects no bins on "
-            f"[{freqs[0]:.4g}, {freqs[-1]:.4g}] Hz"
-        )
+        grid = f"[{freqs[0]:.4g}, {freqs[-1]:.4g}] Hz" if freqs.size else "an empty grid"
+        raise EmptyBand(f"band {band.name} ({band.lo}, {band.hi}) Hz selects no bins on {grid}")
     return idx

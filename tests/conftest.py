@@ -30,12 +30,12 @@ def make_analytic(phase, envelope=None, fs=200.0, band=Band("alpha", 8.0, 13.0))
     return AnalyticRecord(phase=phase, envelope=np.atleast_2d(envelope), fs=fs, band=band)
 
 
-def quiet_cross_spectrum(rec, segment_samples):
+def quiet_cross_spectrum(rec, segment_samples, band=None):
     from fcdist.spectral import bartlett_cross_spectrum
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", FewSegmentsWarning)
-        return bartlett_cross_spectrum(rec, segment_samples)
+        return bartlett_cross_spectrum(rec, segment_samples, band)
 
 
 def poison_alpha_entry(path, value="inf"):

@@ -23,7 +23,7 @@ from fcdist.errors import (
     InvalidData,
 )
 from fcdist.forward import SourceActivity
-from fcdist.spectral import CrossSpectrum
+from fcdist.spectral import CoherencyMatrix, CrossSpectrum
 
 # Chunk size (rows) for streaming noise-source generation. Fixed so the
 # random stream, and therefore the output, never depends on memory layout.
@@ -302,6 +302,17 @@ def fullstack_coherency(mats):
     idx = np.arange(mats.shape[1])
     out[:, idx, idx] = 1.0
     return out
+
+
+def allbin_bartlett_coherency(rec, segment_samples: int) -> CoherencyMatrix:
+    """Coherency of a record on every bin of its Bartlett grid.
+
+    The grid's earlier COH/iCOH input: one all-bin coherency per cell that
+    every band then sliced. Assumes at least two segments and positive
+    channel power at every bin.
+    """
+    freqs, mats = segment_loop_cross_spectrum(rec.data, rec.fs, segment_samples)
+    return CoherencyMatrix(freqs=freqs, mats=fullstack_coherency(mats))
 
 
 _CS_HEADER = "freq_hz,ch_i,ch_j,re,im"

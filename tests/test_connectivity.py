@@ -18,14 +18,14 @@ from fcdist.connectivity import (
     plv_matrix,
     window_starts,
 )
-from fcdist.errors import DegenerateEnvelope, TooShort
+from fcdist.errors import DegenerateEnvelope, EmptyBand, TooShort
 from fcdist.forward import (
     LeadField,
     SourceActivity,
     generate_synthetic_sources,
     project_to_scalp,
 )
-from fcdist.spectral import ALPHA, bandpass_analytic, coherency
+from fcdist.spectral import ALPHA, CoherencyMatrix, bandpass_analytic, coherency
 
 
 def coherency_of(data, fs=200.0, segment=256):
@@ -88,6 +88,13 @@ class TestCoherenceMatrix:
         c = coherency_of(rng.standard_normal((4, 256 * 4)))
         cm = coherence_matrix(c, ALPHA)
         assert np.all(np.diag(cm.weights) == 1.0)
+
+    @pytest.mark.parametrize("metric", [coherence_matrix, icoh_matrix])
+    def test_zero_bin_coherency_is_empty_band(self, metric):
+        # An EmptyBand is recorded as a cell failure; an IndexError would crash the grid.
+        c = CoherencyMatrix(freqs=np.empty(0), mats=np.empty((0, 3, 3), dtype=complex))
+        with pytest.raises(EmptyBand, match="selects no bins on an empty grid"):
+            metric(c, ALPHA)
 
 
 class TestIcohMatrix:

@@ -14,9 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_record, poison_alpha_entry, quiet_cross_spectrum
+from oracles import allbin_bartlett_coherency
 
 from fcdist import matrix_io, pipeline, spectral, weight_stats
 from fcdist.connectivity import (
+    METRICS,
     WindowConfig,
     aec_matrix,
     coherence_matrix,
@@ -36,7 +38,7 @@ from fcdist.pipeline import (
     simulate_cell,
     write_results,
 )
-from fcdist.spectral import ALPHA, Band, coherency
+from fcdist.spectral import ALPHA, DEFAULT_BANDS, Band, coherency
 
 
 def _openblas_threads():
@@ -175,6 +177,19 @@ class TestSimulation:
         with pytest.raises(ValueError, match=match):
             run_simulation_experiment(cfg)
 
+    @pytest.mark.parametrize("segment_samples", [63, 2])
+    def test_segment_samples_rejected_before_any_cell(self, monkeypatch, segment_samples):
+        cfg = tiny_config(segment_samples=segment_samples)
+        with pytest.raises(ValueError, match="segment_samples must be even and >= 4"):
+            cfg.validate()
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(pipeline, "_cell_record", no_cell)
+        with pytest.raises(ValueError, match="segment_samples must be even and >= 4"):
+            run_simulation_experiment(cfg, jobs=2)
+
     @pytest.mark.parametrize("field", ["source_mode", "leadfield_mode"])
     def test_mode_rejected_before_any_cell(self, monkeypatch, field):
         cfg = tiny_config(**{field: "bogus"})
@@ -255,6 +270,49 @@ class TestSimulation:
             )
             assert (row.mcw, row.skewness, row.kurtosis, row.entropy) == \
                 (s.mcw, s.skewness, s.kurtosis, s.entropy), row.metric
+
+
+class TestBandBins:
+    def test_cell_equals_allbin_coherency(self):
+        # Each band's coherency is formed on its own bins; rows and failure
+        # texts equal those of one all-bin coherency that every band slices.
+        cfg = tiny_config(metrics=tuple(METRICS),
+                          bands=(*DEFAULT_BANDS, band_from_spec("x=10.0-10.1")))
+        rec = pipeline._cell_record(cfg, 19, 1)
+        coh = allbin_bartlett_coherency(rec, cfg.segment_samples)
+        rows, fails = [], []
+        for band in cfg.bands:
+            inputs = {"coherency": coh,
+                      "analytic": pipeline._attempt(spectral.bandpass_analytic, rec, band)}
+            band_rows, band_fails = pipeline._band_results(cfg, inputs, band, 19, 1)
+            rows += band_rows
+            fails += band_fails
+        assert simulate_cell(cfg, 19, 1) == (rows, fails)
+        assert len(rows) == 4 * 5 + 3
+        empty = "EmptyBand: band x (10.0, 10.1) Hz selects no bins on [0.3906, 99.61] Hz"
+        assert [(f.metric, f.error) for f in fails] == [("COH", empty), ("iCOH", empty)]
+
+    def test_dead_channel_fails_every_band(self, monkeypatch):
+        cfg = tiny_config(metrics=("COH", "iCOH"), bands=DEFAULT_BANDS)
+        rec = pipeline._cell_record(cfg, 19, 0)
+        data = rec.data.copy()
+        data[4] = 0.0
+        dead = make_record(data, fs=rec.fs)
+        monkeypatch.setattr(pipeline, "_cell_record", lambda *args: dead)
+        rows, fails = simulate_cell(cfg, 19, 0)
+        assert rows == []
+        assert [(f.band, f.error) for f in fails] == [
+            (band.name, f"ZeroPowerChannel: channel 4 has zero power at {first:.6g} Hz")
+            for band, first in zip(DEFAULT_BANDS, (1.171875, 4.296875, 8.203125, 13.28125))
+            for _ in ("COH", "iCOH")
+        ]
+
+    def test_too_few_segments_fails_every_band(self):
+        cfg = tiny_config(bands=DEFAULT_BANDS, segment_samples=4096)
+        rows, fails = simulate_cell(cfg, 19, 0)
+        assert [r.metric for r in rows] == ["PLV"] * 4
+        assert [(f.metric, f.error) for f in fails] == [
+            ("COH", "TooFewSegments: 4000 samples hold 0 segment(s) of 4096; need >= 2")] * 4
 
 
 class TestWriteResults:

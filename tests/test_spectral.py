@@ -102,6 +102,31 @@ class TestBartlett:
         with pytest.raises(ValueError):
             bartlett_cross_spectrum(rec, 63)
 
+    @pytest.mark.parametrize("band, first, last", [
+        (DEFAULT_BANDS[0], 3, 10),    # delta: the first bin any default band reads
+        (DEFAULT_BANDS[3], 34, 49),   # beta: ends at 19.140625 Hz
+        (Band("one", 10.0, 10.2), 26, 26),
+    ], ids=["delta", "beta", "one-bin"])
+    def test_band_bins_equal_full_grid_slice(self, rng, band, first, last):
+        # 19 channels on the 512-sample grid at 200 Hz; the duplicated
+        # channel gives unit-magnitude coherencies that the clamp may touch.
+        data = rng.standard_normal((19, 512 * 5))
+        data[-1] = data[0]
+        rec = make_record(data, fs=200.0)
+        full = quiet_cross_spectrum(rec, 512)
+        idx = band_slice(full.freqs, band)
+        cs = quiet_cross_spectrum(rec, 512, band)
+        assert np.array_equal(cs.freqs, np.arange(first, last + 1) * (200.0 / 512))
+        assert np.array_equal(cs.freqs, full.freqs[idx])
+        assert np.array_equal(cs.mats, full.mats[idx])
+        assert cs.n_segments == full.n_segments
+        assert np.array_equal(coherency(cs).mats, coherency(full).mats[idx])
+
+    def test_band_without_bins(self, rng):
+        rec = make_record(rng.standard_normal((2, 512 * 3)), fs=200.0)
+        with pytest.raises(EmptyBand, match=r"on \[0.3906, 99.61\] Hz$"):
+            quiet_cross_spectrum(rec, 512, Band("x", 10.0, 10.1))
+
 
 class TestCoherency:
     def test_duplicated_channel_unit_magnitude(self, rng):
@@ -127,6 +152,14 @@ class TestCoherency:
         rec = make_record(data, fs=64.0)
         with pytest.raises(ZeroPowerChannel):
             coherency(quiet_cross_spectrum(rec, 64))
+
+    def test_zero_power_channel_band_bins(self, rng):
+        # Only the band's bins are checked, so the error names its first bin.
+        data = rng.standard_normal((2, 64 * 4))
+        data[1] = 0.0
+        rec = make_record(data, fs=64.0)
+        with pytest.raises(ZeroPowerChannel, match="channel 1 has zero power at 10 Hz"):
+            coherency(quiet_cross_spectrum(rec, 64, Band("mid", 10.0, 12.0)))
 
     def test_independent_noise_bias_monte_carlo(self):
         # mean |C|^2 for independent channels approaches 1/K
@@ -235,6 +268,10 @@ class TestBandSlice:
         freqs = np.arange(5.0, 20.0)
         with pytest.raises(EmptyBand):
             band_slice(freqs, Band("low", 0.5, 2.0))
+
+    def test_empty_grid(self):
+        with pytest.raises(EmptyBand, match="selects no bins on an empty grid"):
+            band_slice(np.array([]), Band("low", 0.5, 2.0))
 
     def test_full_axis(self):
         freqs = np.linspace(1.0, 40.0, 64)
