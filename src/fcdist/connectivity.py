@@ -143,10 +143,9 @@ def _wrap_phase(d: np.ndarray) -> np.ndarray:
 # picking up the deterministic rounding bias of atan2.
 _PHASE_TIE = 1e-12
 
-# sin(phi_j - phi_i) beyond this margin has the sign of the wrapped
-# difference: its rounding error (~4e-16) is far smaller. Samples within it
-# (ties, differences near +-pi) are decided by the wrapped difference.
-_SIGN_MARGIN = 1e-9
+# Integer phase steps per radian: pi is 2^31 steps, so int32 arithmetic on
+# the steps wraps modulo 2 pi. One step is pi / 2^31 = 1.46e-9 rad.
+_PHASE_STEPS = 2**31 / np.pi
 
 
 def pli_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> ConnectivityMatrix:
@@ -155,37 +154,36 @@ def pli_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> Connectiv
     sign(0) counts as 0; window values are averaged across windows. Blind
     to zero-lag coupling by construction.
 
-    The signs come from sin(phi_j - phi_i) = sin phi_j cos phi_i -
-    cos phi_j sin phi_i, formed from sines and cosines computed once. A
-    window's net sign for a pair is the count of sines above
-    ``_SIGN_MARGIN`` less the count below its negative. A pair-window with
-    any sample inside the margin is counted again from the wrapped
-    difference with the ``_PHASE_TIE`` rule, so every sign is the one the
-    wrapped difference gives.
+    The signs come from integer phases. Each window's phases are rounded to
+    q = rint(phi 2^31 / pi) and held as int32, where pi becomes -2^31, the
+    same angle, and the difference d = q_j - q_i wraps modulo 2^32, that is
+    modulo 2 pi. Rounding moves a phase by at most half a step, so
+    |d| in [2, 2^31 - 2] puts the true wrapped difference at least one step
+    (1.46e-9 rad) away from 0 and from pi, far outside the ``_PHASE_TIE``
+    rule and the ~4e-16 error of the float difference, and sign(d) is the
+    sign the wrapped float difference gives. A pair-window with any sample
+    at |d| <= 1 or |d| >= 2^31 - 1 is counted again from the wrapped float
+    difference with the ``_PHASE_TIE`` rule.
     """
     starts, win = window_starts(a.n_samples, a.fs, w)
     n = a.n_channels
-    sin, cos = np.sin(a.phase), np.cos(a.phase)
     acc = np.zeros((n, n))
-    x = np.empty((n, win))
-    y = np.empty_like(x)
-    above = np.empty(x.shape, dtype=bool)
-    below = np.empty_like(above)
-    signs = np.empty(x.shape, dtype=np.int8)
+    u = np.empty((n, win), dtype=np.int32)
+    low = np.empty_like(u)
     for s in starts:
         t = slice(s, s + win)
-        sin_w, cos_w = sin[:, t].copy(), cos[:, t].copy()  # contiguous rows run faster
+        # Through int64: a float-to-int32 cast of 2^31 is undefined.
+        q = np.rint(a.phase[:, t] * _PHASE_STEPS).astype(np.int64).astype(np.int32)
+        q1 = q + 1
         for i in range(n - 1):
             rows = slice(0, n - 1 - i)  # buffer rows for channels j > i
-            np.multiply(sin_w[i + 1 :], cos_w[i], out=x[rows])
-            np.multiply(cos_w[i + 1 :], sin_w[i], out=y[rows])
-            np.subtract(x[rows], y[rows], out=x[rows])
-            np.greater(x[rows], _SIGN_MARGIN, out=above[rows])
-            np.less(x[rows], -_SIGN_MARGIN, out=below[rows])
-            sg = np.subtract(above[rows].view(np.int8), below[rows].view(np.int8), out=signs[rows])
-            net = np.add.reduce(sg, axis=1, dtype=np.intp)
-            if np.count_nonzero(sg) < sg.size:  # some sample inside the margin
-                tied = np.flatnonzero(np.count_nonzero(sg, axis=1) < win)
+            # u = d + 1, which has the sign of d wherever d needs no fallback.
+            ur = np.subtract(q1[i + 1 :], q[i], out=u[rows])
+            # (d + 1) mod 2^31 <= 2 exactly when |d| <= 1 or |d| >= 2^31 - 1.
+            near = np.bitwise_and(ur, 0x7FFFFFFF, out=low[rows]).min(axis=1) <= 2
+            net = np.sign(ur, out=ur).sum(axis=1, dtype=np.int32)
+            if near.any():
+                tied = np.flatnonzero(near)
                 d = _wrap_phase(a.phase[i + 1 + tied, t] - a.phase[i, t])
                 net[tied] = (np.count_nonzero(d > _PHASE_TIE, axis=1)
                              - np.count_nonzero(d < -_PHASE_TIE, axis=1))

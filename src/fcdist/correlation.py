@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .errors import ConstantSeries, TooFewPoints
+from .errors import ConstantSeries, InvalidData, TooFewPoints
 
 
 @dataclass(frozen=True)
@@ -39,6 +39,8 @@ def pearson_correlation(x, y) -> CorrelationResult:
     """
     x = np.asarray(x, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise InvalidData("correlation needs finite x and y")
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     n = x.size

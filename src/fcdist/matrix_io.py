@@ -180,8 +180,11 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
         raise CrossSpectrumFormatError(f"{side}: bad sidecar ({e})") from e
 
     n = len(labels)
-    # One NaN-filled (n, n) matrix per frequency, in order of first appearance.
-    entries: dict[float, np.ndarray] = {}
+    # Row of ``mats`` per frequency, in order of first appearance. ``mats`` is
+    # NaN-filled and doubled in place when full, then trimmed in place, so
+    # the result is never held twice.
+    index: dict[float, int] = {}
+    mats = np.full((1, n, n), np.nan, dtype=complex)
     n_rows = 0
     with open(path) as f:
         header = f.readline().strip()
@@ -209,26 +212,27 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
             by_freq = np.argsort(inv, kind="stable")
             ends = np.cumsum(np.bincount(inv)).tolist()
             for u in np.argsort(first).tolist():
-                freq = float(uniq[u])
-                if freq not in entries:
-                    entries[freq] = np.full((n, n), np.nan, dtype=complex)
-                mat = entries[freq]
+                slot = index.setdefault(float(uniq[u]), len(index))
+                if slot == len(mats):
+                    # No view of ``mats`` is alive here, so the buffer may move.
+                    mats.resize((2 * slot, n, n), refcheck=False)
+                    mats[slot:] = np.nan
                 sel = by_freq[ends[u - 1] if u else 0:ends[u]]
                 # Upper entry, then its conjugate: a diagonal entry ends up conjugated.
-                mat[i[sel], j[sel]] = z[sel]
-                mat[j[sel], i[sel]] = z[sel].conj()
+                mats[slot, i[sel], j[sel]] = z[sel]
+                mats[slot, j[sel], i[sel]] = z[sel].conj()
             n_rows += rows.size
             lineno += len(lines)
 
-    if not entries:
+    if not index:
         raise CrossSpectrumFormatError(f"{path}: no data rows")
     # More rows than upper-triangle entries means some (freq, i, j) repeats.
-    if n_rows > len(entries) * n * (n + 1) // 2:
+    if n_rows > len(index) * n * (n + 1) // 2:
         raise CrossSpectrumFormatError(f"{path}: duplicate (freq_hz, ch_i, ch_j) rows")
-    freqs = np.array(list(entries))
+    freqs = np.array(list(index))
     if np.any(np.diff(freqs) <= 0):
         raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
-    mats = np.stack(list(entries.values()))
+    mats.resize((len(index), n, n), refcheck=False)
     if np.any(np.isnan(mats)):
         raise CrossSpectrumFormatError(f"{path}: incomplete upper triangle")
     try:

@@ -191,6 +191,49 @@ def rowloop_pli(phase, win: int, step: int):
     return upper + upper.T
 
 
+def sincos_pli(phase, win: int, step: int):
+    """Phase-lag index from the signs of sin(phi_j - phi_i).
+
+    The sine is formed as sin phi_j cos phi_i - cos phi_j sin phi_i from
+    sines and cosines computed once; a sine beyond +-1e-9 gives the sign,
+    and a pair-window with any sample inside that margin is counted again
+    from the wrapped difference with the 1e-12 tie rule. Same rule as
+    ``naive_pli``; the speed baseline for the integer-phase kernel.
+    """
+    phase = np.asarray(phase, dtype=float)
+    n, n_samples = phase.shape
+    margin, tie, two_pi = 1e-9, 1e-12, 2.0 * np.pi
+    sin, cos = np.sin(phase), np.cos(phase)
+    acc = np.zeros((n, n))
+    x = np.empty((n, win))
+    y = np.empty_like(x)
+    above = np.empty(x.shape, dtype=bool)
+    below = np.empty_like(above)
+    signs = np.empty(x.shape, dtype=np.int8)
+    starts = range(0, n_samples - win + 1, step)
+    for s in starts:
+        t = slice(s, s + win)
+        sin_w, cos_w = sin[:, t].copy(), cos[:, t].copy()
+        for i in range(n - 1):
+            rows = slice(0, n - 1 - i)
+            np.multiply(sin_w[i + 1:], cos_w[i], out=x[rows])
+            np.multiply(cos_w[i + 1:], sin_w[i], out=y[rows])
+            np.subtract(x[rows], y[rows], out=x[rows])
+            np.greater(x[rows], margin, out=above[rows])
+            np.less(x[rows], -margin, out=below[rows])
+            sg = np.subtract(above[rows].view(np.int8), below[rows].view(np.int8), out=signs[rows])
+            net = np.add.reduce(sg, axis=1, dtype=np.intp)
+            if np.count_nonzero(sg) < sg.size:
+                tied = np.flatnonzero(np.count_nonzero(sg, axis=1) < win)
+                d = np.fmod(phase[i + 1 + tied, t] - phase[i, t], two_pi)
+                np.add(d, two_pi, out=d, where=d <= 0.0)
+                np.subtract(d, two_pi, out=d, where=d > np.pi)
+                net[tied] = np.count_nonzero(d > tie, axis=1) - np.count_nonzero(d < -tie, axis=1)
+            acc[i, i + 1:] += np.abs(net / win)
+    upper = np.triu(np.clip(acc / len(starts), 0.0, 1.0), 1)
+    return upper + upper.T
+
+
 def pearson_r(x, y) -> float:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

@@ -2,9 +2,11 @@ import timeit
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_analytic, make_record, quiet_cross_spectrum
-from oracles import count_windows, naive_pli, rowloop_pli
+from oracles import count_windows, naive_pli, rowloop_pli, sincos_pli
 
 from fcdist.connectivity import (
     _wrap_phase,
@@ -157,6 +159,16 @@ class TestPlv:
             plv_matrix(a)
 
 
+# One integer phase step of the PLI kernel, and the offsets (in steps) of
+# the rows placed around a base row.
+_STEP = np.pi / 2**31
+_OFFSETS = (0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -1.5, 2.0, -2.0, 3.0, -3.0)
+
+
+def _wrapped(x):
+    return np.where(x > np.pi, x - 2 * np.pi, np.where(x <= -np.pi, x + 2 * np.pi, x))
+
+
 class TestPli:
     def test_identical_channels_zero(self, rng):
         ph = rng.uniform(-np.pi, np.pi, size=1300)
@@ -215,20 +227,17 @@ class TestPli:
                               naive_pli(ph, 120, 80))
 
     def test_matches_naive_oracle_engineered_rows(self, rng):
-        def wrapped(x):
-            return np.where(x > np.pi, x - 2 * np.pi, np.where(x <= -np.pi, x + 2 * np.pi, x))
-
         base = rng.uniform(-np.pi, np.pi, size=300)
         ph = np.vstack([
             base,
-            base,  # identical: every sine is exactly 0
+            base,  # identical: every difference is exactly 0
             np.zeros(300),
             np.full(300, np.pi),  # exactly pi against the zero row
-            wrapped(base + 1e-13),
-            wrapped(base - 1e-13),
-            wrapped(base + np.pi),  # near +-pi against the base row
-            wrapped(base + np.pi + 1e-13),
-            wrapped(base + 1e-9),  # sines straddle the margin
+            _wrapped(base + 1e-13),
+            _wrapped(base - 1e-13),
+            _wrapped(base + np.pi),  # near +-pi against the base row
+            _wrapped(base + np.pi + 1e-13),
+            _wrapped(base + 1e-9),  # under one integer phase step
             rng.uniform(-np.pi, np.pi, size=300),
         ])
         a = make_analytic(ph, fs=20.0)
@@ -240,6 +249,39 @@ class TestPli:
     def test_matches_rowloop_on_band_passed_noise(self, rng):
         a = bandpass_analytic(make_record(rng.standard_normal((12, 2600))), ALPHA)
         assert np.array_equal(pli_matrix(a).weights, rowloop_pli(a.phase, 1200, 1100))
+
+    def test_matches_sincos_kernel_and_not_slower(self, rng):
+        mix = np.eye(64) + 0.3 * rng.standard_normal((64, 64))
+        a = bandpass_analytic(make_record(mix @ rng.standard_normal((64, 6000))), ALPHA)
+        assert np.array_equal(pli_matrix(a).weights, sincos_pli(a.phase, 1200, 1100))
+        fast = min(timeit.repeat(lambda: pli_matrix(a), number=1, repeat=3))
+        sincos = min(timeit.repeat(lambda: sincos_pli(a.phase, 1200, 1100), number=1, repeat=3))
+        assert fast <= sincos
+
+    @given(
+        base=st.lists(
+            st.one_of(
+                st.floats(-np.pi, np.pi, exclude_min=True),
+                st.sampled_from([0.0, np.pi, -np.pi + 1e-15, np.pi - _STEP, _STEP / 2, -_STEP]),
+            ),
+            min_size=24, max_size=24,
+        ),
+        overlap=st.sampled_from([0.0, 0.75]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_naive_oracle_near_quantization_steps(self, base, overlap):
+        # Rows within a few integer steps of a base row and of base + pi, where
+        # the rounded differences land on or next to the fallback values.
+        base = np.array(base)
+        rows = [_wrapped(base + lift + k * _STEP) for lift in (0.0, np.pi) for k in _OFFSETS]
+        rows += [np.full(24, v) for v in (np.pi, -np.pi + 1e-15, np.pi - _STEP)]
+        # A tie whose rounded difference is one step: 1e-13 either side of a half step.
+        rows += [np.full(24, _STEP / 2 - 1e-13), np.full(24, _STEP / 2 + 1e-13)]
+        ph = np.vstack(rows)
+        # 8-sample windows every 8 (disjoint) or every 5 (overlapping) samples
+        w = WindowConfig(2.0, overlap)
+        weights = pli_matrix(make_analytic(ph, fs=4.0), w).weights
+        assert np.array_equal(weights, naive_pli(ph, 8, 8 if overlap == 0.0 else 5))
 
     def test_all_tied_record_zero_and_not_slower_than_rowloop(self, rng):
         # Every pair-sample is a tie, so every sign takes the fallback path.

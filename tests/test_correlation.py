@@ -4,7 +4,7 @@ import pytest
 from oracles import exact_permutation_pvalue, mc_permutation_pvalue
 
 from fcdist.correlation import pearson_correlation, significance_stars
-from fcdist.errors import ConstantSeries, TooFewPoints
+from fcdist.errors import ConstantSeries, FcdistError, InvalidData, TooFewPoints
 
 
 class TestPearson:
@@ -44,6 +44,15 @@ class TestPearson:
             p_mc = mc_permutation_pvalue(x, y, n_draws=60_000, seed=77_000 + case)
             worst = max(worst, abs(res.p - p_mc))
         assert worst < 0.01
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", ["x", "y"])
+    def test_non_finite_is_invalid_data(self, bad, side):
+        x, y = np.arange(1.0, 9.0), np.array([2.0, 1.0, 4.0, 3.0, 6.0, 5.0, 8.0, 7.0])
+        (x if side == "x" else y)[3] = bad
+        with pytest.raises(InvalidData, match="finite") as exc:
+            pearson_correlation(x, y)
+        assert isinstance(exc.value, FcdistError)
 
     def test_affine_invariance(self, rng):
         x = rng.standard_normal(40)
