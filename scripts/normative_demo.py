@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """End-to-end demo of the stored-cross-spectrum analysis mode.
 
-Simulates a handful of scalp records, writes their Bartlett cross-spectra
+Simulates a handful of 19-channel scalp records (the trials of the
+desk-scale grid's 19-channel cells), writes their Bartlett cross-spectra
 in the interchange format, then runs the normative analysis over the files
 and prints the per-band medians.
 
@@ -16,13 +17,7 @@ from pathlib import Path
 
 from fcdist import matrix_io
 from fcdist.errors import FewSegmentsWarning
-from fcdist.forward import (
-    assemble_source_activity,
-    generate_synthetic_leadfield,
-    generate_synthetic_sources,
-    project_to_scalp,
-)
-from fcdist.pipeline import run_normative_analysis, write_results
+from fcdist.pipeline import cell_record, desk_scale_config, run_normative_analysis, write_results
 from fcdist.spectral import DEFAULT_BANDS, bartlett_cross_spectrum
 
 
@@ -37,16 +32,12 @@ def main() -> int:
     spectra_dir = out / "spectra"
     spectra_dir.mkdir(parents=True, exist_ok=True)
 
-    lf = generate_synthetic_leadfield("std19", 3002, seed=args.seed)
+    cfg = desk_scale_config((19,), trials=args.subjects, master_seed=args.seed)
     for subject in range(args.subjects):
-        lib = generate_synthetic_sources(200, 10000, 200.0, 10.0,
-                                         seed=args.seed + 1000 + subject)
-        src = assemble_source_activity(lib, 3002, 200, 0.01, 10000,
-                                       seed=args.seed + 2000 + subject)
-        rec = project_to_scalp(lf, src)
+        rec = cell_record(cfg, 19, subject)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FewSegmentsWarning)
-            cs = bartlett_cross_spectrum(rec, 512)
+            cs = bartlett_cross_spectrum(rec, cfg.segment_samples)
         matrix_io.write_cross_spectrum(
             spectra_dir / f"subject{subject:03d}.csv", cs, list(rec.channel_names)
         )

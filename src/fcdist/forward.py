@@ -64,13 +64,12 @@ class SourceActivity:
     (default 0..n-1) of an ``n_sources``-dipole space (default: the explicit
     rows only). Every other source carries i.i.d. N(0, noise_sigma^2) fill,
     which is not stored: ``project_to_scalp`` draws it in channel space from
-    ``noise_seed``. A hand-built ``SourceActivity(data, fs, n_active)`` has
-    every row explicit and no fill.
+    ``noise_seed``. A hand-built ``SourceActivity(data, fs)`` has every row
+    explicit and no fill.
     """
 
     data: np.ndarray = field(repr=False)  # (n_explicit, n_samples)
     fs: float
-    n_active: int
     columns: np.ndarray | None = field(default=None, repr=False)  # (n_explicit,)
     n_sources: int | None = None
     noise_sigma: float = 0.0
@@ -88,8 +87,6 @@ class SourceActivity:
             raise InvalidData("need at least one source and one sample")
         if not 0 < self.fs < np.inf:
             raise InvalidData("fs must be positive and finite")
-        if not 0 <= self.n_active <= n_rows:
-            raise InvalidData("n_active must lie in [0, explicit rows]")
         if columns.size != n_rows:
             raise InvalidData("one gain column per explicit row required")
         if n_rows and (columns.min() < 0 or columns.max() >= self.n_sources
@@ -309,9 +306,8 @@ def assemble_source_activity(
     if np.any(sd == 0):
         raise InvalidData("selected library rows include a constant row")
     active /= sd
-    return SourceActivity(data=active, fs=library.fs, n_active=n_active,
-                          columns=order[:n_active], n_sources=n_total,
-                          noise_sigma=noise_sigma, noise_seed=noise_seed)
+    return SourceActivity(data=active, fs=library.fs, columns=order[:n_active],
+                          n_sources=n_total, noise_sigma=noise_sigma, noise_seed=noise_seed)
 
 
 def generate_synthetic_leadfield(

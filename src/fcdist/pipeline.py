@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 import warnings
 
 from . import forward, matrix_io, spectral, weight_stats
@@ -177,8 +177,8 @@ def _cell_library(cfg: ExperimentConfig, montage: int, trial: int) -> forward.So
     )
 
 
-def _cell_record(cfg: ExperimentConfig, montage: int, trial: int
-                 ) -> forward.MultichannelRecord:
+def cell_record(cfg: ExperimentConfig, montage: int, trial: int
+                ) -> forward.MultichannelRecord:
     """The scalp record of one (montage, trial) cell."""
     lf = _cell_leadfield(cfg, montage)
     lib = _cell_library(cfg, montage, trial)
@@ -212,30 +212,33 @@ def _failure_text(err: FcdistError) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _band_results(cfg: ExperimentConfig, inputs: dict, band: Band, montage: int,
-                  trial: int) -> tuple[list[TrialRow], list[CellFailure]]:
-    """One TrialRow or CellFailure for each metric of ``cfg`` on one band.
+def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
+                  band_inputs: Callable[[Band], dict]
+                  ) -> tuple[list[TrialRow], list[CellFailure]]:
+    """One TrialRow or CellFailure for each (band, metric) of ``cfg`` on one unit.
 
-    ``inputs`` maps each input kind of the metric table to its value, or to
-    the FcdistError raised while computing it; that error fails every
-    metric that needs the input.
+    ``band_inputs(band)`` maps each input kind of the metric table to its
+    value on the band, or to the FcdistError raised while computing it;
+    that error fails every metric that needs the input.
     """
     rows: list[TrialRow] = []
     fails: list[CellFailure] = []
-    for metric in cfg.metrics:
-        kind, call = METRICS[metric]
-        try:
-            x = inputs[kind]
-            if isinstance(x, FcdistError):
-                raise x
-            s = weight_stats.summarize(
-                weight_stats.upper_triangle_weights(call(x, band, cfg.window).weights),
-                cfg.n_bins,
-            )
-            rows.append(TrialRow(montage, metric, band.name, trial,
-                                 s.mcw, s.skewness, s.kurtosis, s.entropy))
-        except FcdistError as err:
-            fails.append(CellFailure(montage, metric, band.name, trial, _failure_text(err)))
+    for band in cfg.bands:
+        inputs = band_inputs(band)
+        for metric in cfg.metrics:
+            kind, call = METRICS[metric]
+            try:
+                x = inputs[kind]
+                if isinstance(x, FcdistError):
+                    raise x
+                s = weight_stats.summarize(
+                    weight_stats.upper_triangle_weights(call(x, band, cfg.window).weights),
+                    cfg.n_bins,
+                )
+                rows.append(TrialRow(montage, metric, band.name, trial,
+                                     s.mcw, s.skewness, s.kurtosis, s.entropy))
+            except FcdistError as err:
+                fails.append(CellFailure(montage, metric, band.name, trial, _failure_text(err)))
     return rows, fails
 
 
@@ -243,19 +246,29 @@ def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
                   ) -> tuple[list[TrialRow], list[CellFailure]]:
     """Run one (montage, trial) cell: all configured metrics and bands."""
     kinds = {METRICS[m][0] for m in cfg.metrics}
-    rec = _attempt(_cell_record, cfg, montage, trial)
-    inputs = {}
-    rows: list[TrialRow] = []
-    fails: list[CellFailure] = []
-    for band in cfg.bands:
+    rec = _attempt(cell_record, cfg, montage, trial)
+
+    def band_inputs(band: Band) -> dict:
+        inputs = {}
         if "coherency" in kinds:
             inputs["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples, band)
         if "analytic" in kinds:
             inputs["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
-        band_rows, band_fails = _band_results(cfg, inputs, band, montage, trial)
-        rows += band_rows
-        fails += band_fails
-    return rows, fails
+        return inputs
+
+    return _unit_results(cfg, montage, trial, band_inputs)
+
+
+def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
+                      ) -> tuple[list[TrialRow], list[CellFailure]]:
+    """Run one stored-spectrum subject: the coherency metrics of ``cfg`` on each band.
+
+    The subject's montage is its channel count. Raises the FcdistError of a
+    file that cannot be read; unusable spectra fail every (metric, band).
+    """
+    cs, _ = matrix_io.read_cross_spectrum(path)
+    coh = _attempt(spectral.coherency, cs)
+    return _unit_results(cfg, cs.n_channels, subject, lambda band: {"coherency": coh})
 
 
 def _simulate_cell_star(args: tuple[ExperimentConfig, int, int]):
@@ -395,17 +408,14 @@ def run_normative_analysis(
     paths = sorted(str(p) for p in inputs)
     for subject, path in enumerate(paths):
         try:
-            cs, _ = matrix_io.read_cross_spectrum(path)
+            rows, fails = normative_subject(cfg, path, subject)
         except FcdistError as err:
             failures.append(CellFailure(0, "-", "-", subject,
                                         f"{Path(path).name}: {_failure_text(err)}"))
             continue
         used += 1
-        coh = _attempt(spectral.coherency, cs)
-        for band in bands:
-            rows, fails = _band_results(cfg, {"coherency": coh}, band, cs.n_channels, subject)
-            trial_rows += rows
-            failures += fails
+        trial_rows += rows
+        failures += fails
     if used == 0:
         raise NoData("no usable cross-spectrum files")
 

@@ -69,8 +69,8 @@ def upper_triangle_weights(matrix: np.ndarray) -> WeightVector:
     return WeightVector(w=m[i, j])
 
 
-def _central_moments(w) -> tuple[np.ndarray, float]:
-    """Deviations from the mean and their mean square; DegenerateDistribution at zero spread."""
+def _shape_moments(w) -> tuple[float, float]:
+    """Population skewness and kurtosis; DegenerateDistribution at zero spread."""
     x = _values(w)
     if x.size < 2:
         raise InvalidData("need at least two values")
@@ -78,19 +78,17 @@ def _central_moments(w) -> tuple[np.ndarray, float]:
     m2 = np.mean(d * d)
     if m2 == 0.0 or np.ptp(x) == 0.0:
         raise DegenerateDistribution("zero-variance sample")
-    return d, m2
+    return float(np.mean(d**3) / m2**1.5), float(np.mean(d**4) / (m2 * m2))
 
 
 def skewness(w) -> float:
     """Third standardized moment E(x - mu)^3 / sigma^3 (population form)."""
-    d, m2 = _central_moments(w)
-    return float(np.mean(d**3) / m2**1.5)
+    return _shape_moments(w)[0]
 
 
 def kurtosis(w) -> float:
     """Fourth standardized moment E(x - mu)^4 / sigma^4; normal -> 3."""
-    d, m2 = _central_moments(w)
-    return float(np.mean(d**4) / (m2 * m2))
+    return _shape_moments(w)[1]
 
 
 def shannon_entropy(w, n_bins: int = DEFAULT_BINS) -> float:
@@ -120,11 +118,9 @@ def summarize(w, n_bins: int = DEFAULT_BINS) -> DistributionSummary:
     x = _values(w)
     entropy = shannon_entropy(x, n_bins)
     try:
-        skew: float | None = skewness(x)
-        kurt: float | None = kurtosis(x)
+        skew, kurt = _shape_moments(x)
     except DegenerateDistribution:
-        skew = None
-        kurt = None
+        skew = kurt = None
     return DistributionSummary(
         mcw=float(x.mean()),
         skewness=skew,

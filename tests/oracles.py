@@ -327,7 +327,7 @@ def reference_source_activity(
         rows = noise_rows[start : start + _NOISE_CHUNK]
         data[rows] = noise_sigma * rng.standard_normal((rows.size, n_samples))
 
-    return SourceActivity(data=data, fs=library.fs, n_active=n_active)
+    return SourceActivity(data=data, fs=library.fs)
 
 
 def fullstack_coherency(mats):

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,3 +174,20 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+
+class TestScripts:
+    def test_normative_demo(self, tmp_path):
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "normative_demo.py"),
+             "--subjects", "3", "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert set(summary["aggregates"]) == {
+            f"19/{metric}/{band}" for metric in ("COH", "iCOH")
+            for band in ("delta", "theta", "alpha", "beta")
+        }

@@ -395,7 +395,7 @@ class TestInvariants:
     def test_zero_lag_blindness(self, rng):
         # rank-1 mixing of a single source: volume-conduction dichotomy
         lib = generate_synthetic_sources(1, 10000, 200.0, 10.0, seed=5)
-        src = SourceActivity(data=lib.data, fs=200.0, n_active=1)
+        src = SourceActivity(data=lib.data, fs=200.0)
         gains = 0.2 + rng.random((6, 1))
         lf = LeadField(gain=gains, montage="custom",
                        channel_names=tuple(f"c{i}" for i in range(6)))

@@ -47,7 +47,6 @@ class TestAssemble:
         src = assemble_source_activity(lib, 3002, 200, 0.01, 10000, seed=4)
         # only the active rows are explicit; the fill is described
         assert src.data.shape == (200, 10000)
-        assert src.n_active == 200
         assert src.n_sources == 3002
         assert src.noise_sigma == 0.01
         assert np.unique(src.columns).size == 200
@@ -188,7 +187,7 @@ class TestSyntheticLeadfield:
 class TestProjection:
     def test_identity_gain(self, rng):
         data = rng.standard_normal((4, 50))
-        src = SourceActivity(data=data, fs=100.0, n_active=4)
+        src = SourceActivity(data=data, fs=100.0)
         lf = LeadField(gain=np.eye(4), montage="custom",
                        channel_names=("a", "b", "c", "d"))
         rec = project_to_scalp(lf, src)
@@ -197,7 +196,7 @@ class TestProjection:
 
     def test_single_source_column(self, rng):
         s = rng.standard_normal(40)
-        src = SourceActivity(data=s[None, :], fs=50.0, n_active=1)
+        src = SourceActivity(data=s[None, :], fs=50.0)
         lf = LeadField(gain=np.array([[2.0], [1.0]]), montage="custom",
                        channel_names=("a", "b"))
         rec = project_to_scalp(lf, src)
@@ -209,7 +208,7 @@ class TestProjection:
         data = rng.standard_normal((6, 50))
         lf = LeadField(gain=gain, montage="custom",
                        channel_names=tuple("abcd"))
-        src = SourceActivity(data=data, fs=10.0, n_active=6)
+        src = SourceActivity(data=data, fs=10.0)
         rec = project_to_scalp(lf, src)
         assert np.max(np.abs(rec.data - naive_matmul(gain, data))) < 1e-12
 
@@ -219,15 +218,15 @@ class TestProjection:
         x = rng.standard_normal((5, 30))
         y = rng.standard_normal((5, 30))
         a, b = 1.7, -0.4
-        combined = project_to_scalp(lf, SourceActivity(data=a * x + b * y, fs=1.0, n_active=5))
-        separate = (a * project_to_scalp(lf, SourceActivity(data=x, fs=1.0, n_active=5)).data
-                    + b * project_to_scalp(lf, SourceActivity(data=y, fs=1.0, n_active=5)).data)
+        combined = project_to_scalp(lf, SourceActivity(data=a * x + b * y, fs=1.0))
+        separate = (a * project_to_scalp(lf, SourceActivity(data=x, fs=1.0)).data
+                    + b * project_to_scalp(lf, SourceActivity(data=y, fs=1.0)).data)
         assert np.max(np.abs(combined.data - separate)) < 1e-10
 
     def test_shape_mismatch(self, rng):
         lf = LeadField(gain=rng.standard_normal((3, 5)), montage="custom",
                        channel_names=tuple("abc"))
-        src = SourceActivity(data=rng.standard_normal((4, 20)), fs=1.0, n_active=4)
+        src = SourceActivity(data=rng.standard_normal((4, 20)), fs=1.0)
         with pytest.raises(ShapeMismatch):
             project_to_scalp(lf, src)
 
@@ -263,7 +262,7 @@ class TestChannelSpaceFill:
     def test_rank_deficient_gain(self, gain):
         lf = LeadField(gain=gain, montage="custom",
                        channel_names=tuple(str(c) for c in range(gain.shape[0])))
-        src = SourceActivity(data=np.zeros((0, 400)), fs=100.0, n_active=0,
+        src = SourceActivity(data=np.zeros((0, 400)), fs=100.0,
                              n_sources=gain.shape[1], noise_sigma=0.5, noise_seed=7)
         rec = project_to_scalp(lf, src)
         assert np.all(np.isfinite(rec.data))
@@ -275,7 +274,7 @@ class TestChannelSpaceFill:
 
     def test_hand_built_has_no_fill(self, rng):
         data = rng.standard_normal((3, 20))
-        src = SourceActivity(data=data, fs=10.0, n_active=2)
+        src = SourceActivity(data=data, fs=10.0)
         assert np.array_equal(src.columns, np.arange(3))
         assert src.n_sources == 3 and src.noise_sigma == 0.0
         assert not src.columns.flags.writeable
@@ -291,7 +290,7 @@ class TestChannelSpaceFill:
     ])
     def test_rejects_bad_fill_description(self, rng, kwargs):
         with pytest.raises(InvalidData):
-            SourceActivity(data=rng.standard_normal((2, 5)), fs=1.0, n_active=2,
+            SourceActivity(data=rng.standard_normal((2, 5)), fs=1.0,
                            **{"n_sources": 4, **kwargs})
 
     def test_shape_mismatch_counts_fill(self):
@@ -318,10 +317,6 @@ class TestTypes:
             MultichannelRecord(data=rng.standard_normal((3, 10)), fs=1.0,
                                channel_names=("a", "b"))
 
-    def test_activity_bounds_n_active(self, rng):
-        with pytest.raises(ValueError):
-            SourceActivity(data=rng.standard_normal((2, 5)), fs=1.0, n_active=3)
-
 
 def _containers():
     """(container, valid keyword arguments) for every checked-array container."""
@@ -331,7 +326,7 @@ def _containers():
     mats = np.stack([np.eye(2, dtype=complex)] * 2)
     return [
         (SourceLibrary, dict(data=rows, fs=1.0)),
-        (SourceActivity, dict(data=rows, fs=1.0, n_active=1)),
+        (SourceActivity, dict(data=rows, fs=1.0)),
         (LeadField, dict(gain=rows + 1.0, montage="x", channel_names=names)),
         (MultichannelRecord, dict(data=rows, fs=1.0, channel_names=names)),
         (CrossSpectrum, dict(freqs=freqs, mats=mats, n_segments=2)),
@@ -381,7 +376,7 @@ class TestCheckedArrays:
 
     def test_contiguous_input_not_copied(self, rng):
         data = rng.standard_normal((3, 16))
-        assert np.shares_memory(SourceActivity(data=data, fs=1.0, n_active=0).data, data)
+        assert np.shares_memory(SourceActivity(data=data, fs=1.0).data, data)
         rec = make_record(rng.standard_normal((3, 64 * 4)), fs=64.0)
         mats = quiet_cross_spectrum(rec, 64).mats.copy()
         freqs = np.arange(1.0, mats.shape[0] + 1)

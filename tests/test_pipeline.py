@@ -173,7 +173,7 @@ class TestSimulation:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(pipeline, "_cell_record", no_cell)
+        monkeypatch.setattr(pipeline, "cell_record", no_cell)
         with pytest.raises(ValueError, match=match):
             run_simulation_experiment(cfg)
 
@@ -186,7 +186,7 @@ class TestSimulation:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(pipeline, "_cell_record", no_cell)
+        monkeypatch.setattr(pipeline, "cell_record", no_cell)
         with pytest.raises(ValueError, match="segment_samples must be even and >= 4"):
             run_simulation_experiment(cfg, jobs=2)
 
@@ -199,7 +199,7 @@ class TestSimulation:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(pipeline, "_cell_record", no_cell)
+        monkeypatch.setattr(pipeline, "cell_record", no_cell)
         with pytest.raises(ValueError, match="mode must be"):
             run_simulation_experiment(cfg, jobs=2)
 
@@ -251,7 +251,7 @@ class TestSimulation:
         # PLV keeps only the window length; PLI and AEC take the protocol as given
         window = WindowConfig(4.0, 1.0)
         cfg = tiny_config(metrics=("COH", "iCOH", "PLV", "PLI", "AEC"), window=window)
-        rec = pipeline._cell_record(cfg, 19, 0)
+        rec = pipeline.cell_record(cfg, 19, 0)
         coh = coherency(quiet_cross_spectrum(rec, cfg.segment_samples))
         analytic = spectral.bandpass_analytic(rec, ALPHA)
         direct = {
@@ -278,15 +278,11 @@ class TestBandBins:
         # texts equal those of one all-bin coherency that every band slices.
         cfg = tiny_config(metrics=tuple(METRICS),
                           bands=(*DEFAULT_BANDS, band_from_spec("x=10.0-10.1")))
-        rec = pipeline._cell_record(cfg, 19, 1)
+        rec = pipeline.cell_record(cfg, 19, 1)
         coh = allbin_bartlett_coherency(rec, cfg.segment_samples)
-        rows, fails = [], []
-        for band in cfg.bands:
-            inputs = {"coherency": coh,
-                      "analytic": pipeline._attempt(spectral.bandpass_analytic, rec, band)}
-            band_rows, band_fails = pipeline._band_results(cfg, inputs, band, 19, 1)
-            rows += band_rows
-            fails += band_fails
+        rows, fails = pipeline._unit_results(cfg, 19, 1, lambda band: {
+            "coherency": coh,
+            "analytic": pipeline._attempt(spectral.bandpass_analytic, rec, band)})
         assert simulate_cell(cfg, 19, 1) == (rows, fails)
         assert len(rows) == 4 * 5 + 3
         empty = "EmptyBand: band x (10.0, 10.1) Hz selects no bins on [0.3906, 99.61] Hz"
@@ -294,11 +290,11 @@ class TestBandBins:
 
     def test_dead_channel_fails_every_band(self, monkeypatch):
         cfg = tiny_config(metrics=("COH", "iCOH"), bands=DEFAULT_BANDS)
-        rec = pipeline._cell_record(cfg, 19, 0)
+        rec = pipeline.cell_record(cfg, 19, 0)
         data = rec.data.copy()
         data[4] = 0.0
         dead = make_record(data, fs=rec.fs)
-        monkeypatch.setattr(pipeline, "_cell_record", lambda *args: dead)
+        monkeypatch.setattr(pipeline, "cell_record", lambda *args: dead)
         rows, fails = simulate_cell(cfg, 19, 0)
         assert rows == []
         assert [(f.band, f.error) for f in fails] == [
@@ -473,6 +469,31 @@ class TestNormative:
         assert {r.trial for r in res.trial_rows} == {0, 2, 3}
         assert [(f.metric, f.trial) for f in res.failures[:2]] == [("COH", 1), ("iCOH", 1)]
         assert all(f.error.startswith("InvalidData: ") for f in res.failures[:2])
+
+
+class TestModesAgree:
+    @pytest.mark.parametrize("bands", [(ALPHA,), DEFAULT_BANDS], ids=["alpha", "four_bands"])
+    def test_normative_equals_simulate(self, tmp_path, bands):
+        # The grid's records, stored as all-bin spectra and read back, give
+        # the grid's own COH and iCOH rows and correlations, bit for bit.
+        cfg = ExperimentConfig(montages=(19,), metrics=("COH", "iCOH"), bands=bands,
+                               trials=3, n_samples=4000, window=WindowConfig(2.0, 0.5))
+        paths = []
+        for t in range(cfg.trials):
+            rec = pipeline.cell_record(cfg, 19, t)
+            paths.append(matrix_io.write_cross_spectrum(
+                tmp_path / f"subject{t:03d}.csv",
+                quiet_cross_spectrum(rec, cfg.segment_samples), list(rec.channel_names)))
+        simulated = run_simulation_experiment(cfg)
+        stored = run_normative_analysis(paths, bands=bands)
+
+        def key(row):
+            return row.metric, row.band, row.trial
+
+        assert sorted(stored.trial_rows, key=key) == sorted(simulated.trial_rows, key=key)
+        assert len(stored.trial_rows) == 3 * 2 * len(bands)
+        assert stored.correlation_rows == simulated.correlation_rows
+        assert stored.failures == simulated.failures == []
 
 
 FAULTS = ("nan", "inf", "zero_power", "truncated", "bad_sidecar")
