@@ -35,6 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
+    defaults = pipeline.ExperimentConfig()
     parser = _Parser(prog="fcdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -53,27 +54,27 @@ def _build_parser() -> _Parser:
     p.add_argument("--bands", default="delta,theta,alpha,beta",
                    help="comma list of names or name=lo-hi")
     p.add_argument("--out", type=Path, default=Path("results"))
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", type=int, default=defaults.n_bins)
 
     p = sub.add_parser("gen-sources", help="generate a synthetic source library")
-    p.add_argument("--n", type=int, default=200, help="number of source rows")
-    p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--fs", type=float, default=200.0)
-    p.add_argument("--alpha-hz", type=float, default=10.0)
+    p.add_argument("--n", type=int, default=defaults.n_active, help="number of source rows")
+    p.add_argument("--samples", type=int, default=defaults.n_samples)
+    p.add_argument("--fs", type=float, default=defaults.fs)
+    p.add_argument("--alpha-hz", type=float, default=defaults.alpha_hz)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
 
     p = sub.add_parser("gen-leadfield", help="generate a synthetic lead field")
     p.add_argument("--montage", default="std19",
                    help="std19 | egi32 | egi64 | egi128 or channel count")
-    p.add_argument("--n-sources", type=int, default=3002)
+    p.add_argument("--n-sources", type=int, default=defaults.n_sources)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
 
     p = sub.add_parser("summarize",
                        help="distribution statistics of a stored connectivity matrix")
     p.add_argument("--input", type=Path, required=True, help="matrix CSV path")
-    p.add_argument("--bins", type=int, default=100)
+    p.add_argument("--bins", type=int, default=defaults.n_bins)
     return parser
 
 

@@ -2,10 +2,9 @@
 
 COH and iCOH come from the full-record cross-spectrum; PLV, PLI and AEC
 from windowed analytic signals. Weights live in [0, 1]; metrics whose raw
-value is signed (iCOH, AEC) keep the signed band/window average in
-``signed_raw`` and fold to magnitude for the weight matrix. Every matrix
-is built from one value per unordered pair and mirrored, so symmetry is
-exact.
+value is signed (iCOH, AEC) fold the signed band/window average to
+magnitude. Every matrix is built from one value per unordered pair and
+mirrored, so symmetry is exact.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ class ConnectivityMatrix:
     metric: str
     band: Band
     weights: np.ndarray = field(repr=False)
-    signed_raw: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         w = frozen_field(self, "weights", ndim=2)
@@ -54,8 +52,6 @@ class ConnectivityMatrix:
             raise InvalidData("weights must be symmetric")
         if np.any(w < 0.0) or np.any(w > 1.0):
             raise InvalidData("weights must lie in [0, 1]")
-        if self.signed_raw is not None:
-            frozen_field(self, "signed_raw", ndim=2)
 
     @property
     def n_channels(self) -> int:
@@ -107,7 +103,7 @@ def icoh_matrix(c: CoherencyMatrix, band: Band) -> ConnectivityMatrix:
     idx = band_slice(c.freqs, band)
     signed = c.mats[idx].imag.mean(axis=0)
     w = _mirror(np.clip(np.abs(signed), 0.0, 1.0), diagonal=0.0)
-    return ConnectivityMatrix(metric="iCOH", band=band, weights=w, signed_raw=signed)
+    return ConnectivityMatrix(metric="iCOH", band=band, weights=w)
 
 
 def plv_matrix(a: AnalyticRecord, w: WindowConfig = PLV_WINDOW) -> ConnectivityMatrix:
@@ -219,10 +215,8 @@ def aec_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> Connectiv
         raise DegenerateEnvelope(
             f"channel pair ({i}, {j}) had a constant envelope in every window"
         )
-    signed = acc / count
-    weights = _mirror(np.clip(np.abs(signed), 0.0, 1.0), diagonal=1.0)
-    signed = _mirror(signed, diagonal=1.0)
-    return ConnectivityMatrix(metric="AEC", band=a.band, weights=weights, signed_raw=signed)
+    weights = _mirror(np.clip(np.abs(acc / count), 0.0, 1.0), diagonal=1.0)
+    return ConnectivityMatrix(metric="AEC", band=a.band, weights=weights)
 
 
 # The metric table, in reporting order: name -> (input, call). The input is

@@ -168,7 +168,7 @@ def _spectral_noise(rng: np.random.Generator, amplitude: np.ndarray, n_samples: 
     return x
 
 
-def _resonator_amplitude(freqs: np.ndarray, f0: float, q: float = 5.0) -> np.ndarray:
+def _resonator_amplitude(freqs: np.ndarray, f0: float, q: float) -> np.ndarray:
     """Second-order resonator magnitude centred on f0."""
     ratio = freqs / f0
     return 1.0 / np.sqrt((1.0 - ratio**2) ** 2 + (ratio / q) ** 2)

@@ -15,13 +15,43 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CrossSpectrumFormatError, InvalidData
-from .forward import LeadField, MultichannelRecord, SourceLibrary
+from .errors import CrossSpectrumFormatError, FcdistError, InvalidData
+from .forward import LeadField, SourceLibrary
 from .spectral import CrossSpectrum
 
 
 def sidecar_path(path: Path | str) -> Path:
     return Path(path).with_suffix(".meta.json")
+
+
+def _write_sidecar(path: Path, meta: dict) -> None:
+    with open(sidecar_path(path), "w", newline="\n") as f:
+        json.dump(meta, f, indent=2)
+        f.write("\n")
+
+
+def _read_sidecar(path: Path, error: type[FcdistError], required: bool) -> dict:
+    """The JSON object in ``path``'s sidecar, or ``{}`` if there is none and none is required.
+
+    Raises ``error`` for a missing required sidecar, one that cannot be read
+    or is not a JSON object, and ``labels`` that are not a list of strings.
+    """
+    side = sidecar_path(path)
+    if not side.exists():
+        if required:
+            raise error(f"{path}: missing sidecar {side.name}")
+        return {}
+    try:
+        with open(side) as f:
+            meta = json.load(f)
+    except (OSError, ValueError) as e:
+        raise error(f"{side}: bad sidecar ({e})") from e
+    if not isinstance(meta, dict):
+        raise error(f"{side}: sidecar must be a JSON object")
+    labels = meta.get("labels", [])
+    if not (isinstance(labels, list) and all(isinstance(s, str) for s in labels)):
+        raise error(f"{side}: labels must be a list of strings")
+    return meta
 
 
 def write_matrix(path: Path | str, data: np.ndarray, meta: dict) -> Path:
@@ -32,25 +62,18 @@ def write_matrix(path: Path | str, data: np.ndarray, meta: dict) -> Path:
         for row in data:
             f.write(",".join(map(repr, row.tolist())))
             f.write("\n")
-    with open(sidecar_path(path), "w", newline="\n") as f:
-        json.dump(meta, f, indent=2)
-        f.write("\n")
+    _write_sidecar(path, meta)
     return path
 
 
 def read_matrix(path: Path | str) -> tuple[np.ndarray, dict]:
-    """Read a matrix CSV and its sidecar as (data, meta); InvalidData if either is malformed."""
+    """Read a matrix CSV and its sidecar as (data, meta); InvalidData if either is unreadable."""
     path = Path(path)
-    side = sidecar_path(path)
-    meta: dict = {}
     try:
         data = np.loadtxt(path, delimiter=",", ndmin=2)
-        if side.exists():
-            with open(side) as f:
-                meta = json.load(f)
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         raise InvalidData(f"{path}: {e}") from e
-    return data, meta
+    return data, _read_sidecar(path, InvalidData, required=False)
 
 
 def write_source_library(path: Path | str, lib: SourceLibrary) -> Path:
@@ -61,13 +84,6 @@ def write_source_library(path: Path | str, lib: SourceLibrary) -> Path:
     )
 
 
-def _sidecar_fs(path: Path | str, meta: dict) -> float:
-    try:
-        return float(meta["fs"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise InvalidData(f"{path}: sidecar must carry a numeric fs") from e
-
-
 def _read_kind(path: Path | str, kind: str) -> tuple[np.ndarray, dict]:
     """``read_matrix``, with InvalidData unless the sidecar's kind is ``kind`` or absent."""
     data, meta = read_matrix(path)
@@ -76,14 +92,13 @@ def _read_kind(path: Path | str, kind: str) -> tuple[np.ndarray, dict]:
     return data, meta
 
 
-def _labels(data: np.ndarray, meta: dict) -> tuple[str, ...]:
-    return tuple(meta.get("labels") or (f"ch{i}" for i in range(data.shape[0])))
-
-
 def read_source_library(path: Path | str) -> SourceLibrary:
     data, meta = _read_kind(path, "sources")
-    return SourceLibrary(data=data, fs=_sidecar_fs(path, meta),
-                         origin=meta.get("origin", str(path)))
+    try:
+        fs = float(meta["fs"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise InvalidData(f"{path}: sidecar must carry a numeric fs") from e
+    return SourceLibrary(data=data, fs=fs, origin=meta.get("origin", str(path)))
 
 
 def write_leadfield(path: Path | str, lf: LeadField) -> Path:
@@ -96,22 +111,8 @@ def write_leadfield(path: Path | str, lf: LeadField) -> Path:
 
 def read_leadfield(path: Path | str) -> LeadField:
     data, meta = _read_kind(path, "leadfield")
-    return LeadField(
-        gain=data, montage=meta.get("montage", "custom"), channel_names=_labels(data, meta)
-    )
-
-
-def write_record(path: Path | str, rec: MultichannelRecord) -> Path:
-    return write_matrix(
-        path, rec.data,
-        {"fs": rec.fs, "labels": list(rec.channel_names), "kind": "record"},
-    )
-
-
-def read_record(path: Path | str) -> MultichannelRecord:
-    data, meta = _read_kind(path, "record")
-    return MultichannelRecord(data=data, fs=_sidecar_fs(path, meta),
-                              channel_names=_labels(data, meta))
+    labels = meta.get("labels") or [f"ch{i}" for i in range(data.shape[0])]
+    return LeadField(gain=data, montage=meta.get("montage", "custom"), channel_names=labels)
 
 
 CROSS_SPECTRUM_HEADER = "freq_hz,ch_i,ch_j,re,im"
@@ -142,9 +143,7 @@ def write_cross_spectrum(
                 f"{lead}{pair}{re!r},{im!r}\n"
                 for pair, re, im in zip(pairs, z.real.tolist(), z.imag.tolist())
             ))
-    with open(sidecar_path(path), "w", newline="\n") as f:
-        json.dump({"labels": list(labels), "n_segments": cs.n_segments}, f, indent=2)
-        f.write("\n")
+    _write_sidecar(path, {"labels": list(labels), "n_segments": cs.n_segments})
     return path
 
 
@@ -165,19 +164,14 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
 
     Data rows may come in any order as long as each frequency first appears
     after every lower one; the file is streamed in fixed-size chunks.
-    Raises CrossSpectrumFormatError for malformed or incomplete files.
+    Raises CrossSpectrumFormatError for unreadable, malformed or incomplete files.
     """
     path = Path(path)
-    side = sidecar_path(path)
-    if not side.exists():
-        raise CrossSpectrumFormatError(f"{path}: missing sidecar {side.name}")
+    meta = _read_sidecar(path, CrossSpectrumFormatError, required=True)
     try:
-        with open(side) as f:
-            meta = json.load(f)
-        labels = list(meta["labels"])
-        n_segments = int(meta["n_segments"])
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as e:
-        raise CrossSpectrumFormatError(f"{side}: bad sidecar ({e})") from e
+        labels, n_segments = meta["labels"], int(meta["n_segments"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CrossSpectrumFormatError(f"{sidecar_path(path)}: bad sidecar ({e})") from e
 
     n = len(labels)
     # Row of ``mats`` per frequency, in order of first appearance. ``mats`` is
@@ -186,43 +180,46 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
     index: dict[float, int] = {}
     mats = np.full((1, n, n), np.nan, dtype=complex)
     n_rows = 0
-    with open(path) as f:
-        header = f.readline().strip()
-        if header != CROSS_SPECTRUM_HEADER:
-            raise CrossSpectrumFormatError(
-                f"{path}: expected header {CROSS_SPECTRUM_HEADER!r}, got {header!r}"
-            )
-        lineno = 2
-        while lines := list(itertools.islice(f, _CS_CHUNK_LINES)):
-            rows = _parse_rows(path, lines, lineno)
-            i, j = rows["i"], rows["j"]
-            bad = np.flatnonzero((i < 0) | (i > j) | (j >= n))
-            if bad.size:
-                k = bad[0]
-                data_lines = [m for m, line in enumerate(lines, lineno) if not line.isspace()]
+    try:
+        with open(path) as f:
+            header = f.readline().strip()
+            if header != CROSS_SPECTRUM_HEADER:
                 raise CrossSpectrumFormatError(
-                    f"{path}:{data_lines[k]}: channel pair ({i[k]}, {j[k]}) "
-                    f"outside 0..{n - 1} or i > j"
+                    f"{path}: expected header {CROSS_SPECTRUM_HEADER!r}, got {header!r}"
                 )
-            # Built from parts, not re + 1j * im, so -0.0 and inf come through exactly.
-            z = np.empty(rows.size, dtype=complex)
-            z.real, z.imag = rows["re"], rows["im"]
-            uniq, first, inv = np.unique(rows["freq"], return_index=True, return_inverse=True)
-            # Row numbers grouped by frequency, in file order within each group.
-            by_freq = np.argsort(inv, kind="stable")
-            ends = np.cumsum(np.bincount(inv)).tolist()
-            for u in np.argsort(first).tolist():
-                slot = index.setdefault(float(uniq[u]), len(index))
-                if slot == len(mats):
-                    # No view of ``mats`` is alive here, so the buffer may move.
-                    mats.resize((2 * slot, n, n), refcheck=False)
-                    mats[slot:] = np.nan
-                sel = by_freq[ends[u - 1] if u else 0:ends[u]]
-                # Upper entry, then its conjugate: a diagonal entry ends up conjugated.
-                mats[slot, i[sel], j[sel]] = z[sel]
-                mats[slot, j[sel], i[sel]] = z[sel].conj()
-            n_rows += rows.size
-            lineno += len(lines)
+            lineno = 2
+            while lines := list(itertools.islice(f, _CS_CHUNK_LINES)):
+                rows = _parse_rows(path, lines, lineno)
+                i, j = rows["i"], rows["j"]
+                bad = np.flatnonzero((i < 0) | (i > j) | (j >= n))
+                if bad.size:
+                    k = bad[0]
+                    data_lines = [m for m, line in enumerate(lines, lineno) if not line.isspace()]
+                    raise CrossSpectrumFormatError(
+                        f"{path}:{data_lines[k]}: channel pair ({i[k]}, {j[k]}) "
+                        f"outside 0..{n - 1} or i > j"
+                    )
+                # Built from parts, not re + 1j * im, so -0.0 and inf come through exactly.
+                z = np.empty(rows.size, dtype=complex)
+                z.real, z.imag = rows["re"], rows["im"]
+                uniq, first, inv = np.unique(rows["freq"], return_index=True, return_inverse=True)
+                # Row numbers grouped by frequency, in file order within each group.
+                by_freq = np.argsort(inv, kind="stable")
+                ends = np.cumsum(np.bincount(inv)).tolist()
+                for u in np.argsort(first).tolist():
+                    slot = index.setdefault(float(uniq[u]), len(index))
+                    if slot == len(mats):
+                        # No view of ``mats`` is alive here, so the buffer may move.
+                        mats.resize((2 * slot, n, n), refcheck=False)
+                        mats[slot:] = np.nan
+                    sel = by_freq[ends[u - 1] if u else 0:ends[u]]
+                    # Upper entry, then its conjugate: a diagonal entry ends up conjugated.
+                    mats[slot, i[sel], j[sel]] = z[sel]
+                    mats[slot, j[sel], i[sel]] = z[sel].conj()
+                n_rows += rows.size
+                lineno += len(lines)
+    except (OSError, UnicodeDecodeError) as e:
+        raise CrossSpectrumFormatError(f"{path}: {e}") from e
 
     if not index:
         raise CrossSpectrumFormatError(f"{path}: no data rows")
@@ -230,7 +227,7 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
     if n_rows > len(index) * n * (n + 1) // 2:
         raise CrossSpectrumFormatError(f"{path}: duplicate (freq_hz, ch_i, ch_j) rows")
     freqs = np.array(list(index))
-    if np.any(np.diff(freqs) <= 0):
+    if np.any(freqs[1:] <= freqs[:-1]):
         raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
     mats.resize((len(index), n, n), refcheck=False)
     if np.any(np.isnan(mats)):

@@ -67,7 +67,7 @@ class CrossSpectrum:
             raise InvalidData("mats must be (n_freqs, n, n)")
         if freqs.shape != (mats.shape[0],):
             raise InvalidData("freqs length must match mats")
-        if freqs.size and np.any(np.diff(freqs) <= 0):
+        if np.any(freqs[1:] <= freqs[:-1]):
             raise InvalidData("freqs must be strictly increasing")
         # One bin at a time keeps the temporaries small.
         herm = np.max([np.max(np.abs(m - m.conj().T)) for m in mats]) if mats.size else 0.0
@@ -199,17 +199,20 @@ def coherency(cs: CrossSpectrum) -> CoherencyMatrix:
     return CoherencyMatrix(freqs=cs.freqs, mats=mats)
 
 
-def _butterworth_bandpass_gain(freqs: np.ndarray, band: Band, order: int = 4) -> np.ndarray:
+_BUTTERWORTH_ORDER = 4
+
+
+def _butterworth_bandpass_gain(freqs: np.ndarray, band: Band) -> np.ndarray:
     """Zero-phase (forward-backward) band-pass amplitude response.
 
-    Squared-magnitude response of an analog Butterworth band-pass of the
-    given order, i.e. the effective gain of filtering forward then backward.
+    Squared-magnitude response of an analog Butterworth band-pass of order
+    ``_BUTTERWORTH_ORDER``, i.e. the effective gain of filtering forward then backward.
     """
     f = np.abs(freqs)
     gain = np.zeros_like(f)
     nz = f > 0
     xi = (f[nz] ** 2 - band.lo * band.hi) / (f[nz] * (band.hi - band.lo))
-    gain[nz] = 1.0 / (1.0 + xi ** (2 * order))
+    gain[nz] = 1.0 / (1.0 + xi ** (2 * _BUTTERWORTH_ORDER))
     return gain
 
 

@@ -447,7 +447,7 @@ def rowloop_read_cross_spectrum(path) -> tuple[CrossSpectrum, list[str]]:
     if n_rows > len(entries) * n * (n + 1) // 2:
         raise CrossSpectrumFormatError(f"{path}: duplicate (freq_hz, ch_i, ch_j) rows")
     freqs = np.array(freq_order)
-    if np.any(np.diff(freqs) <= 0):
+    if np.any(freqs[1:] <= freqs[:-1]):
         raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
     mats = np.stack([entries[f] for f in freq_order])
     if np.any(np.isnan(mats)):

@@ -332,8 +332,7 @@ def _containers():
         (CrossSpectrum, dict(freqs=freqs, mats=mats, n_segments=2)),
         (CoherencyMatrix, dict(freqs=freqs, mats=mats)),
         (AnalyticRecord, dict(phase=rows / 8.0, envelope=rows, fs=1.0, band=ALPHA)),
-        (ConnectivityMatrix, dict(metric="AEC", band=ALPHA, weights=np.eye(2),
-                                  signed_raw=-np.eye(2))),
+        (ConnectivityMatrix, dict(metric="AEC", band=ALPHA, weights=np.eye(2))),
         (WeightVector, dict(w=np.array([0.25, 0.5]))),
         (Montage, dict(label="x", names=names, positions=np.eye(2, 3))),
     ]

@@ -47,12 +47,16 @@ class TestMatrixRoundTrip:
         path = matrix_io.write_source_library(tmp_path / "lib.csv", lib)
         side = matrix_io.sidecar_path(path)
         meta = json.loads(side.read_text())
+        for fs in (None, "abc", [128.0]):
+            side.write_text(json.dumps({**meta, "fs": fs}))
+            with pytest.raises(InvalidData, match="numeric fs"):
+                matrix_io.read_source_library(path)
         del meta["fs"]
         side.write_text(json.dumps(meta))
-        with pytest.raises(ValueError, match="fs"):
+        with pytest.raises(InvalidData, match="numeric fs"):
             matrix_io.read_source_library(path)
         side.unlink()
-        with pytest.raises(ValueError, match="fs"):
+        with pytest.raises(InvalidData, match="numeric fs"):
             matrix_io.read_source_library(path)
 
     def test_leadfield(self, tmp_path):
@@ -63,19 +67,6 @@ class TestMatrixRoundTrip:
         assert back.channel_names == lf.channel_names
         assert back.montage == "egi32"
 
-    def test_record(self, tmp_path, rng):
-        rec = make_record(rng.standard_normal((3, 50)), fs=250.0)
-        matrix_io.write_record(tmp_path / "rec.csv", rec)
-        back = matrix_io.read_record(tmp_path / "rec.csv")
-        assert np.array_equal(back.data, rec.data)
-        assert back.fs == 250.0
-
-    def test_record_requires_fs(self, tmp_path):
-        matrix_io.write_matrix(tmp_path / "x.csv", np.ones((2, 4)),
-                               {"kind": "record", "labels": ["a", "b"], "fs": None})
-        with pytest.raises(ValueError):
-            matrix_io.read_record(tmp_path / "x.csv")
-
     def test_bad_file_or_sidecar_is_invalid_data(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,2.0\n3.0,oops\n")
@@ -85,13 +76,32 @@ class TestMatrixRoundTrip:
         matrix_io.sidecar_path(path).write_text("{not json")
         with pytest.raises(InvalidData):
             matrix_io.read_matrix(path)
-        matrix_io.sidecar_path(path).write_text('{"kind": "leadfield"}')
+        matrix_io.sidecar_path(path).write_text('{"kind": "leadfield", "fs": 1.0}')
         with pytest.raises(InvalidData, match="expected kind"):
-            matrix_io.read_record(path)
-        matrix_io.sidecar_path(path).write_text('{"kind": "record", "fs": "abc"}')
-        with pytest.raises(InvalidData, match="numeric fs"):
-            matrix_io.read_record(path)
+            matrix_io.read_source_library(path)
 
+    @pytest.mark.parametrize("case", [
+        "missing", "directory", "not-utf8", "sidecar-list", "sidecar-labels-int",
+        "sidecar-labels-numbers", "sidecar-labels-null", "sidecar-directory"])
+    def test_unreadable_input_is_invalid_data(self, tmp_path, case):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,2.0\n")
+        side = matrix_io.sidecar_path(path)
+        if case == "missing":
+            path.unlink()
+        elif case == "directory":
+            path.unlink()
+            path.mkdir()
+        elif case == "not-utf8":
+            path.write_bytes(b"1.0,2.\xff\n")
+        elif case == "sidecar-directory":
+            side.mkdir()
+        else:
+            labels = {"sidecar-labels-int": 5, "sidecar-labels-numbers": [1],
+                      "sidecar-labels-null": None}.get(case)
+            side.write_text(json.dumps([1, 2] if case == "sidecar-list" else {"labels": labels}))
+        with pytest.raises(InvalidData):
+            matrix_io.read_leadfield(path)
 
 class TestCrossSpectrumFile:
     def make_cs(self, rng, n_ch=3):
@@ -208,6 +218,29 @@ class TestCrossSpectrumRejects:
         with pytest.raises(CrossSpectrumFormatError) as err:
             matrix_io.read_cross_spectrum(path)
         assert str(err.value).startswith(f"{path}:")
+
+    @pytest.mark.parametrize("case", [
+        "not-utf8-header", "not-utf8-row", "directory", "sidecar-list",
+        "sidecar-labels-numbers", "sidecar-without-labels"])
+    def test_unreadable_file_is_format_error(self, tmp_path, case):
+        path = _write_raw(tmp_path, _bin_rows(1.0))
+        side = matrix_io.sidecar_path(path)
+        if case.startswith("not-utf8"):
+            lines = path.read_bytes().splitlines(keepends=True)
+            k = 0 if case == "not-utf8-header" else 2
+            lines[k] = lines[k].replace(b",", b"\xff,", 1)
+            path.write_bytes(b"".join(lines))
+        elif case == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            side.write_text(json.dumps({
+                "sidecar-list": [1, 2],
+                "sidecar-labels-numbers": {"labels": [0, 1], "n_segments": 4},
+                "sidecar-without-labels": {"n_segments": 4},
+            }[case]))
+        with pytest.raises(CrossSpectrumFormatError):
+            matrix_io.read_cross_spectrum(path)
 
     def test_blank_lines_between_rows_accepted(self, tmp_path):
         rows = _bin_rows(1.0) + _bin_rows(2.0)

@@ -236,6 +236,28 @@ class TestSimulation:
         with pytest.raises(ExperimentFailed, match="InvalidData: source library .* 100.0 Hz"):
             run_simulation_experiment(cfg)
 
+    @pytest.mark.parametrize("mode", ["source_mode", "leadfield_mode"])
+    @pytest.mark.parametrize("case", ["missing", "directory", "sidecar-list", "sidecar-labels-int"])
+    def test_unreadable_file_input_fails_each_cell(self, tmp_path, mode, case):
+        from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
+        if mode == "source_mode":
+            lib = generate_synthetic_sources(40, 4000, 200.0, 10.0, seed=5)
+            path = matrix_io.write_source_library(tmp_path / "in.csv", lib)
+        else:
+            lf = generate_synthetic_leadfield("std19", 300, seed=6)
+            path = matrix_io.write_leadfield(tmp_path / "in.csv", lf)
+        if case in ("missing", "directory"):
+            path.unlink()
+            if case == "directory":
+                path.mkdir()
+        else:
+            matrix_io.sidecar_path(path).write_text(
+                "[1, 2]" if case == "sidecar-list" else '{"fs": 200.0, "labels": 5}')
+        cfg = tiny_config(**{mode: f"file:{path}"})
+        rows, fails = simulate_cell(cfg, 19, 0)
+        assert not rows
+        assert fails and {f.error.split(":")[0] for f in fails} == {"InvalidData"}
+
     def test_constant_file_library_row_is_recorded(self, tmp_path):
         from fcdist.forward import generate_synthetic_sources
         # as many rows as active sources, so every cell selects the constant row
@@ -496,7 +518,7 @@ class TestModesAgree:
         assert stored.failures == simulated.failures == []
 
 
-FAULTS = ("nan", "inf", "zero_power", "truncated", "bad_sidecar")
+FAULTS = ("nan", "inf", "zero_power", "truncated", "bad_sidecar", "undecodable")
 
 
 @lru_cache(maxsize=None)
@@ -518,6 +540,10 @@ def _write_cohort_subject(path: Path, subject: int, fault: str | None) -> Path:
         path.write_text(text[:len(text) // 2])
     elif fault == "bad_sidecar":
         matrix_io.sidecar_path(path).write_text('{"labels": ["E0"]')
+    elif fault == "undecodable":
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[len(lines) // 2] = b"\xff" + lines[len(lines) // 2]
+        path.write_bytes(b"".join(lines))
     return path
 
 

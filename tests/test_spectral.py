@@ -8,6 +8,7 @@ from fcdist.errors import (
     BandOutOfRange,
     EmptyBand,
     FewSegmentsWarning,
+    InvalidData,
     TooFewSegments,
     ZeroPowerChannel,
 )
@@ -16,6 +17,7 @@ from fcdist.spectral import (
     DEFAULT_BANDS,
     AnalyticRecord,
     Band,
+    CrossSpectrum,
     band_slice,
     bandpass_analytic,
     bartlett_cross_spectrum,
@@ -126,6 +128,20 @@ class TestBartlett:
         rec = make_record(rng.standard_normal((2, 512 * 3)), fs=200.0)
         with pytest.raises(EmptyBand, match=r"on \[0.3906, 99.61\] Hz$"):
             quiet_cross_spectrum(rec, 512, Band("x", 10.0, 10.1))
+
+
+@pytest.mark.parametrize("freqs, increasing", [
+    ([-1.7e308, 1.7e308], True),  # their difference overflows to inf
+    ([1.0, 1.0], False),
+    ([2.0, 1.0], False),
+])
+def test_cross_spectrum_freqs_strictly_increasing(freqs, increasing):
+    mats = np.stack([np.eye(2, dtype=complex)] * len(freqs))
+    if increasing:
+        assert CrossSpectrum(freqs=np.array(freqs), mats=mats, n_segments=3).freqs.size == 2
+    else:
+        with pytest.raises(InvalidData, match="strictly increasing"):
+            CrossSpectrum(freqs=np.array(freqs), mats=mats, n_segments=3)
 
 
 class TestCoherency:
