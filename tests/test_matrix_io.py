@@ -47,10 +47,6 @@ class TestMatrixRoundTrip:
         path = matrix_io.write_source_library(tmp_path / "lib.csv", lib)
         side = matrix_io.sidecar_path(path)
         meta = json.loads(side.read_text())
-        for fs in (None, "abc", [128.0]):
-            side.write_text(json.dumps({**meta, "fs": fs}))
-            with pytest.raises(InvalidData, match="numeric fs"):
-                matrix_io.read_source_library(path)
         del meta["fs"]
         side.write_text(json.dumps(meta))
         with pytest.raises(InvalidData, match="numeric fs"):
@@ -58,6 +54,16 @@ class TestMatrixRoundTrip:
         side.unlink()
         with pytest.raises(InvalidData, match="numeric fs"):
             matrix_io.read_source_library(path)
+
+    def test_source_library_rejects_non_numeric_fs(self, tmp_path):
+        lib = generate_synthetic_sources(4, 300, 128.0, 9.5, seed=3)
+        path = matrix_io.write_source_library(tmp_path / "lib.csv", lib)
+        side = matrix_io.sidecar_path(path)
+        meta = json.loads(side.read_text())
+        for fs in (None, "abc", [128.0]):
+            side.write_text(json.dumps({**meta, "fs": fs}))
+            with pytest.raises(InvalidData, match="numeric fs"):
+                matrix_io.read_source_library(path)
 
     def test_leadfield(self, tmp_path):
         lf = generate_synthetic_leadfield("egi32", 40, seed=2)
