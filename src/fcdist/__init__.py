@@ -51,7 +51,6 @@ from .spectral import (
 )
 from .weight_stats import (
     DistributionSummary,
-    WeightVector,
     kurtosis,
     shannon_entropy,
     skewness,
@@ -80,7 +79,6 @@ __all__ = [
     "MultichannelRecord",
     "SourceActivity",
     "SourceLibrary",
-    "WeightVector",
     "WindowConfig",
     "aec_matrix",
     "assemble_source_activity",

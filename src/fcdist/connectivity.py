@@ -206,9 +206,9 @@ def aec_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> Connectiv
         ok = norms > 0.0
         z = np.zeros_like(centred)
         z[ok] = centred[ok] / norms[ok, None]
-        valid = np.outer(ok, ok)
-        acc += np.where(valid, z @ z.T, 0.0)
-        count += valid
+        # a constant channel's row of z is zero, so its products add only +-0
+        acc += z @ z.T
+        count += np.outer(ok, ok)
     off_diag = ~np.eye(n, dtype=bool)
     if np.any(count[off_diag] == 0):
         i, j = np.argwhere((count == 0) & off_diag)[0]

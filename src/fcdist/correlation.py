@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc
 
-from .errors import ConstantSeries, InvalidData, TooFewPoints
+from .errors import ConstantSeries, TooFewPoints, checked_array
 
 
 @dataclass(frozen=True)
@@ -37,10 +37,8 @@ def pearson_correlation(x, y) -> CorrelationResult:
     p uses the regularized incomplete beta form of the t CDF with n - 2
     degrees of freedom; |r| = 1 short-circuits to p = 0.
     """
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if not (np.isfinite(x).all() and np.isfinite(y).all()):
-        raise InvalidData("correlation needs finite x and y")
+    x = checked_array(np.ravel(x), "x", ndim=1)
+    y = checked_array(np.ravel(y), "y", ndim=1)
     if x.size != y.size:
         raise ValueError(f"length mismatch: {x.size} vs {y.size}")
     n = x.size

@@ -18,20 +18,26 @@ class InvalidData(FcdistError, ValueError):
     """Input data failed a validity check (non-finite, misshapen, out of range)."""
 
 
-def frozen_field(obj, name: str, dtype=float, ndim: int | None = None) -> np.ndarray:
-    """Set field ``name`` of frozen dataclass ``obj`` to a checked read-only array.
+def checked_array(value, name: str, dtype=float, ndim: int | None = None) -> np.ndarray:
+    """``value`` as a C-contiguous array of ``dtype``, checked.
 
-    The array is C-contiguous of ``dtype``, with no copy when the value already
-    is one; with ``ndim=2`` a 1-D value becomes one row. Raises InvalidData
-    unless it has ``ndim`` dimensions (when given) and only finite entries.
+    No copy when the value already is one; with ``ndim=2`` a 1-D value
+    becomes one row. Raises InvalidData unless it has ``ndim`` dimensions
+    (when given) and only finite entries.
     """
-    a = np.ascontiguousarray(getattr(obj, name), dtype=dtype)
+    a = np.ascontiguousarray(value, dtype=dtype)
     if ndim == 2 and a.ndim == 1:
         a = a[None, :]
     if ndim is not None and a.ndim != ndim:
         raise InvalidData(f"{name} must be {ndim}-D, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise InvalidData(f"{name} must be finite")
+    return a
+
+
+def frozen_field(obj, name: str, dtype=float, ndim: int | None = None) -> np.ndarray:
+    """Set field ``name`` of frozen dataclass ``obj`` to its read-only ``checked_array``."""
+    a = checked_array(getattr(obj, name), name, dtype, ndim)
     a.flags.writeable = False
     object.__setattr__(obj, name, a)
     return a

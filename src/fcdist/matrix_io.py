@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,12 +68,19 @@ def write_matrix(path: Path | str, data: np.ndarray, meta: dict) -> Path:
 
 
 def read_matrix(path: Path | str) -> tuple[np.ndarray, dict]:
-    """Read a matrix CSV and its sidecar as (data, meta); InvalidData if either is unreadable."""
+    """Read a matrix CSV and its sidecar as (data, meta).
+
+    InvalidData if either is unreadable or the file holds no data rows.
+    """
     path = Path(path)
     try:
-        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
+            data = np.loadtxt(path, delimiter=",", ndmin=2)
     except (OSError, ValueError) as e:
         raise InvalidData(f"{path}: {e}") from e
+    if data.size == 0:
+        raise InvalidData(f"{path}: no data rows")
     return data, _read_sidecar(path, InvalidData, required=False)
 
 

@@ -81,15 +81,19 @@ class ExperimentConfig:
                 raise ValueError(f"band {b.name} exceeds Nyquist ({self.fs / 2.0} Hz)")
         if self.trials < 3:
             raise ValueError("need trials >= 3 for the correlation stage")
-        for name in ("n_samples", "n_sources", "n_active", "n_bins"):
+        for name in ("n_sources", "n_active", "n_bins"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if self.n_samples < 4:
+            raise ValueError("n_samples must be >= 4")
         if self.segment_samples < 4 or self.segment_samples % 2:
             raise ValueError("segment_samples must be even and >= 4")
         if self.n_active > self.n_sources:
             raise ValueError("n_active cannot exceed n_sources")
         if self.fs <= 0 or self.noise_sigma < 0:
             raise ValueError("fs must be positive and noise_sigma non-negative")
+        if self.source_mode == "synthetic" and not 0.0 < self.alpha_hz < self.fs / 2.0:
+            raise ValueError(f"alpha_hz={self.alpha_hz} outside (0, {self.fs / 2.0})")
         window_samples(self.fs, self.window)
         _mode_path(self.source_mode)
         _mode_path(self.leadfield_mode)
@@ -271,10 +275,6 @@ def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
     return _unit_results(cfg, cs.n_channels, subject, lambda band: {"coherency": coh})
 
 
-def _simulate_cell_star(args: tuple[ExperimentConfig, int, int]):
-    return simulate_cell(*args)
-
-
 def _one_blas_thread() -> None:
     """Limit OpenBLAS to one thread in this process.
 
@@ -359,7 +359,7 @@ def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Experimen
         outcomes = [simulate_cell(*c) for c in cells]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_simulate_cell_star, cells, chunksize=1))
+            outcomes = list(pool.map(simulate_cell, *zip(*cells), chunksize=1))
 
     trial_rows: list[TrialRow] = []
     failures: list[CellFailure] = []

@@ -8,29 +8,13 @@ Shannon entropy of a fixed 100-bin histogram on [0, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistribution, InvalidData, NotSymmetric, RangeViolation, frozen_field
+from .errors import DegenerateDistribution, InvalidData, NotSymmetric, RangeViolation, checked_array
 
 DEFAULT_BINS = 100
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Strict-upper-triangle weights of one connectivity matrix."""
-
-    w: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        w = frozen_field(self, "w", ndim=1)
-        if w.size and (w.min() < 0.0 or w.max() > 1.0):
-            raise RangeViolation("weights outside [0, 1]")
-
-    @property
-    def n_pairs(self) -> int:
-        return self.w.size
 
 
 @dataclass(frozen=True)
@@ -52,21 +36,27 @@ class DistributionSummary:
 
 
 def _values(w) -> np.ndarray:
-    if isinstance(w, WeightVector):
-        return w.w
-    return np.asarray(w, dtype=float).ravel()
+    return checked_array(np.ravel(w), "weights", ndim=1)
 
 
-def upper_triangle_weights(matrix: np.ndarray) -> WeightVector:
-    """Row-major strict upper triangle (i < j) of a symmetric matrix."""
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 2:
+def _check_range(x: np.ndarray) -> None:
+    if x.min() < 0.0 or x.max() > 1.0:
+        raise RangeViolation(
+            f"weights span [{x.min():.6g}, {x.max():.6g}], outside [0, 1]"
+        )
+
+
+def upper_triangle_weights(matrix) -> np.ndarray:
+    """Row-major strict upper triangle (i < j) of a symmetric matrix, in [0, 1]."""
+    m = checked_array(matrix, "matrix", ndim=2)
+    if m.shape[0] != m.shape[1] or m.shape[0] < 2:
         raise InvalidData("need a square matrix with n >= 2")
     asym = np.max(np.abs(m - m.T))
     if asym > 1e-9:
         raise NotSymmetric(f"matrix asymmetric by {asym:.3g}")
-    i, j = np.triu_indices(m.shape[0], k=1)
-    return WeightVector(w=m[i, j])
+    w = m[np.triu_indices(m.shape[0], k=1)]
+    _check_range(w)
+    return w
 
 
 def _shape_moments(w) -> tuple[float, float]:
@@ -103,10 +93,7 @@ def shannon_entropy(w, n_bins: int = DEFAULT_BINS) -> float:
         raise InvalidData("need at least one value")
     if n_bins < 2:
         raise ValueError("need at least two bins")
-    if x.min() < 0.0 or x.max() > 1.0:
-        raise RangeViolation(
-            f"weights span [{x.min():.6g}, {x.max():.6g}], outside [0, 1]"
-        )
+    _check_range(x)
     bins = np.minimum((x * n_bins).astype(np.intp), n_bins - 1)
     counts = np.bincount(bins, minlength=n_bins)
     p = counts[counts > 0] / x.size

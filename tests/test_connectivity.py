@@ -328,6 +328,20 @@ class TestAec:
         with pytest.raises(DegenerateEnvelope):
             aec_matrix(make_analytic(ph, env, fs=200.0))
 
+    def test_channel_constant_in_some_windows(self, rng):
+        # five 200-sample windows; channel 1 is constant in windows 1 and 3,
+        # so its pairs average the other three windows only
+        env = 1.0 + rng.random((3, 1000))
+        env[1, 200:400] = 2.0
+        env[1, 600:800] = 0.5
+        a = make_analytic(rng.uniform(-np.pi, np.pi, size=(3, 1000)), env, fs=200.0)
+        cm = aec_matrix(a, WindowConfig(1.0, 0.0))
+        for i, j in [(0, 1), (0, 2), (1, 2)]:
+            r = [np.corrcoef(env[i, s:s + 200], env[j, s:s + 200])[0, 1]
+                 for s in range(0, 1000, 200) if 1 not in (i, j) or s not in (200, 600)]
+            assert len(r) == (3 if 1 in (i, j) else 5)
+            assert cm.weights[i, j] == pytest.approx(abs(np.mean(r)), abs=1e-12)
+
     def test_negative_correlation_folds_to_one(self, rng):
         n = 2400
         ph = rng.uniform(-np.pi, np.pi, size=(2, n))

@@ -24,7 +24,6 @@ from fcdist.connectivity import ConnectivityMatrix
 from fcdist.forward import LeadField, MultichannelRecord, SourceActivity, SourceLibrary
 from fcdist.montages import BUILTIN_MONTAGES, Montage
 from fcdist.spectral import ALPHA, AnalyticRecord, CoherencyMatrix, CrossSpectrum
-from fcdist.weight_stats import WeightVector
 
 
 def small_library(n=12, samples=600, fs=200.0, seed=7):
@@ -333,7 +332,6 @@ def _containers():
         (CoherencyMatrix, dict(freqs=freqs, mats=mats)),
         (AnalyticRecord, dict(phase=rows / 8.0, envelope=rows, fs=1.0, band=ALPHA)),
         (ConnectivityMatrix, dict(metric="AEC", band=ALPHA, weights=np.eye(2))),
-        (WeightVector, dict(w=np.array([0.25, 0.5]))),
         (Montage, dict(label="x", names=names, positions=np.eye(2, 3))),
     ]
 

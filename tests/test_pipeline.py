@@ -161,47 +161,43 @@ class TestSimulation:
         with pytest.raises(ValueError):
             tiny_config(montages=(21,)).validate()
 
+    @staticmethod
+    def _rejected_before_any_cell(monkeypatch, match, **changes):
+        cfg = tiny_config(**changes)
+        with pytest.raises(ValueError, match=match):
+            cfg.validate()
+
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(pipeline, "cell_record", no_cell)
+        with pytest.raises(ValueError, match=match):
+            run_simulation_experiment(cfg, jobs=2)
+
     @pytest.mark.parametrize("window, match", [
         (WindowConfig(0.004, 0.0), "shorter than two samples"),  # 0.8 samples
         (WindowConfig(1.0, 0.998), "whole window"),  # overlap rounds to 200 of 200
     ], ids=["window-under-two-samples", "overlap-rounds-to-window"])
     def test_window_rejected_before_any_cell(self, monkeypatch, window, match):
-        cfg = tiny_config(window=window)
-        with pytest.raises(ValueError, match=match):
-            cfg.validate()
-
-        def no_cell(*args):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr(pipeline, "cell_record", no_cell)
-        with pytest.raises(ValueError, match=match):
-            run_simulation_experiment(cfg)
+        self._rejected_before_any_cell(monkeypatch, match, window=window)
 
     @pytest.mark.parametrize("segment_samples", [63, 2])
     def test_segment_samples_rejected_before_any_cell(self, monkeypatch, segment_samples):
-        cfg = tiny_config(segment_samples=segment_samples)
-        with pytest.raises(ValueError, match="segment_samples must be even and >= 4"):
-            cfg.validate()
-
-        def no_cell(*args):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr(pipeline, "cell_record", no_cell)
-        with pytest.raises(ValueError, match="segment_samples must be even and >= 4"):
-            run_simulation_experiment(cfg, jobs=2)
+        self._rejected_before_any_cell(monkeypatch, "segment_samples must be even and >= 4",
+                                       segment_samples=segment_samples)
 
     @pytest.mark.parametrize("field", ["source_mode", "leadfield_mode"])
     def test_mode_rejected_before_any_cell(self, monkeypatch, field):
-        cfg = tiny_config(**{field: "bogus"})
-        with pytest.raises(ValueError, match="mode must be"):
-            cfg.validate()
+        self._rejected_before_any_cell(monkeypatch, "mode must be", **{field: "bogus"})
 
-        def no_cell(*args):
-            raise AssertionError("a cell ran")
-
-        monkeypatch.setattr(pipeline, "cell_record", no_cell)
-        with pytest.raises(ValueError, match="mode must be"):
-            run_simulation_experiment(cfg, jobs=2)
+    @pytest.mark.parametrize("changes, match", [
+        # passes the window (2 samples) and segment (4) checks
+        (dict(n_samples=3, segment_samples=4, window=WindowConfig(0.01, 0.0)),
+         "n_samples must be >= 4"),
+        (dict(alpha_hz=150.0), r"alpha_hz=150.0 outside \(0, 100.0\)"),
+    ], ids=["n_samples-3", "alpha_hz-above-nyquist"])
+    def test_source_shape_rejected_before_any_cell(self, monkeypatch, changes, match):
+        self._rejected_before_any_cell(monkeypatch, match, **changes)
 
     def test_file_modes(self, tmp_path):
         from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
@@ -237,7 +233,8 @@ class TestSimulation:
             run_simulation_experiment(cfg)
 
     @pytest.mark.parametrize("mode", ["source_mode", "leadfield_mode"])
-    @pytest.mark.parametrize("case", ["missing", "directory", "sidecar-list", "sidecar-labels-int"])
+    @pytest.mark.parametrize("case", ["missing", "directory", "sidecar-list", "sidecar-labels-int",
+                                      "empty"])
     def test_unreadable_file_input_fails_each_cell(self, tmp_path, mode, case):
         from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
         if mode == "source_mode":
@@ -246,7 +243,9 @@ class TestSimulation:
         else:
             lf = generate_synthetic_leadfield("std19", 300, seed=6)
             path = matrix_io.write_leadfield(tmp_path / "in.csv", lf)
-        if case in ("missing", "directory"):
+        if case == "empty":
+            path.write_text("")
+        elif case in ("missing", "directory"):
             path.unlink()
             if case == "directory":
                 path.mkdir()

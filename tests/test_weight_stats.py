@@ -5,9 +5,8 @@ from hypothesis import strategies as st
 
 from oracles import naive_entropy, naive_kurtosis, naive_mean, naive_skewness
 
-from fcdist.errors import DegenerateDistribution, NotSymmetric, RangeViolation
+from fcdist.errors import DegenerateDistribution, FcdistError, InvalidData, NotSymmetric, RangeViolation
 from fcdist.weight_stats import (
-    WeightVector,
     kurtosis,
     shannon_entropy,
     skewness,
@@ -24,18 +23,19 @@ class TestUpperTriangle:
     def test_three_by_three_order(self):
         m = np.array([[0.0, 0.1, 0.2], [0.1, 0.0, 0.3], [0.2, 0.3, 0.0]])
         w = upper_triangle_weights(m)
-        assert np.array_equal(w.w, [0.1, 0.2, 0.3])
+        assert w.ndim == 1
+        assert np.array_equal(w, [0.1, 0.2, 0.3])
 
     @pytest.mark.parametrize("n,expected", [(19, 171), (128, 8128), (2, 1)])
     def test_pair_counts(self, n, expected, rng):
         m = rng.random((n, n))
         m = np.clip((m + m.T) / 2, 0, 1)
         np.fill_diagonal(m, 0.0)
-        assert upper_triangle_weights(m).n_pairs == expected
+        assert upper_triangle_weights(m).shape == (expected,)
 
     def test_two_by_two(self):
         m = np.array([[1.0, 0.4], [0.4, 1.0]])
-        assert np.array_equal(upper_triangle_weights(m).w, [0.4])
+        assert np.array_equal(upper_triangle_weights(m), [0.4])
 
     def test_not_symmetric(self):
         m = np.array([[0.0, 0.5], [0.2, 0.0]])
@@ -178,10 +178,20 @@ class TestSummarize:
     def test_weight_vector_input(self, rng):
         m = rng.random((6, 6))
         m = np.clip((m + m.T) / 2, 0, 1)
-        wv = upper_triangle_weights(m)
-        assert isinstance(wv, WeightVector)
-        s = summarize(wv)
+        s = summarize(upper_triangle_weights(m))
         assert s.n_pairs == 15
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("stat", [skewness, kurtosis, shannon_entropy, summarize,
+                                  upper_triangle_weights], ids=lambda f: f.__name__)
+def test_non_finite_is_invalid_data(stat, bad):
+    m = np.array([[1.0, 0.2, 0.4], [0.2, 1.0, 0.6], [0.4, 0.6, 1.0]])
+    m[0, 1] = m[1, 0] = bad
+    x = m if stat is upper_triangle_weights else m[np.triu_indices(3, k=1)]
+    with pytest.raises(InvalidData, match="finite") as exc:
+        stat(x)
+    assert isinstance(exc.value, FcdistError)
 
 
 class TestOracleEquivalence:
