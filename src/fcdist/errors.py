@@ -36,8 +36,12 @@ def checked_array(value, name: str, dtype=float, ndim: int | None = None) -> np.
 
 
 def frozen_field(obj, name: str, dtype=float, ndim: int | None = None) -> np.ndarray:
-    """Set field ``name`` of frozen dataclass ``obj`` to its read-only ``checked_array``."""
-    a = checked_array(getattr(obj, name), name, dtype, ndim)
+    """Set field ``name`` of frozen dataclass ``obj`` to its read-only ``checked_array``.
+
+    The field is a read-only view, so an input array that needed no copy
+    stays writable for its owner.
+    """
+    a = checked_array(getattr(obj, name), name, dtype, ndim).view()
     a.flags.writeable = False
     object.__setattr__(obj, name, a)
     return a
