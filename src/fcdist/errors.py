@@ -39,7 +39,9 @@ def frozen_field(obj, name: str, dtype=float, ndim: int | None = None) -> np.nda
     """Set field ``name`` of frozen dataclass ``obj`` to its read-only ``checked_array``.
 
     The field is a read-only view, so an input array that needed no copy
-    stays writable for its owner.
+    stays writable for its owner. Such a field shares memory with that
+    array: the finite and shape checks hold when the container is built,
+    and a later write to the caller's array bypasses them.
     """
     a = checked_array(getattr(obj, name), name, dtype, ndim).view()
     a.flags.writeable = False

@@ -31,11 +31,6 @@ from .montages import Montage, get_montage
 _GAIN_EPS = 0.7
 _GAIN_POWER = 3
 
-# Library rows synthesized per batched draw and irfft in
-# generate_synthetic_sources. A whole 200-row library at once would hold
-# tens of MB of temporaries; the random stream does not depend on it.
-_ROW_BLOCK = 25
-
 
 @dataclass(frozen=True)
 class SourceLibrary:
@@ -173,12 +168,8 @@ def _spectral_noise(rng: np.random.Generator, amplitude: np.ndarray, n_samples: 
     return x
 
 
-def _resonator_denominator(freqs: np.ndarray, f0, q) -> np.ndarray:
-    """Inverse squared magnitude of a second-order resonator centred on f0.
-
-    ``f0`` and ``q`` may be columns of per-row values against a row of
-    ``freqs``.
-    """
+def _resonator_denominator(freqs: np.ndarray, f0: float, q: float) -> np.ndarray:
+    """Inverse squared magnitude of a second-order resonator centred on f0."""
     ratio = freqs / f0
     return (1.0 - ratio**2) ** 2 + (ratio / q) ** 2
 
@@ -213,8 +204,7 @@ def generate_synthetic_sources(
     levels. A row's background and private rhythm are one spectral draw
     (one ``irfft``) whose power gives each its expected share of the row's
     unit variance; the network rhythm is sample-normalized, so its share is
-    exact. Rows are synthesized in fixed blocks, which leaves the random
-    stream as a row-by-row loop would draw it. Deterministic in ``seed``.
+    exact. Deterministic in ``seed``.
     """
     if n_sources < 1:
         raise EmptyRequest("n_sources must be >= 1")
@@ -266,7 +256,7 @@ def generate_synthetic_sources(
     q_private = np.exp(rng.uniform(np.log(6.0), np.log(20.0), size=n_sources))
     f_private = alpha_hz * rng.uniform(0.85, 1.22, size=n_sources)
 
-    # One spectral draw and irfft per row, _ROW_BLOCK rows at a time.
+    # One spectral draw and irfft per row for background plus private rhythm.
     # Expected irfft variance per unit power of coefficients sqrt(p) (a + ib),
     # a, b standard normal: 4/n^2 on interior bins, 1/n^2 on an even-n
     # Nyquist bin (real part only), 0 on the zeroed DC bin.
@@ -277,24 +267,15 @@ def generate_synthetic_sources(
         weights[-1] = 1.0 / n_samples**2
     background_scale = (1.0 - t) / np.sum(background_power * weights)
     data = np.empty((n_sources, n_samples))
-    coeff = np.empty((_ROW_BLOCK, n_bins), dtype=complex)
-    for start in range(0, n_sources, _ROW_BLOCK):
-        rows = slice(start, min(start + _ROW_BLOCK, n_sources))
-        b = rows.stop - start
-        z = rng.standard_normal((b, 2, n_bins))
-        private_power = 1.0 / _resonator_denominator(
-            freqs, f_private[rows, None], q_private[rows, None]
-        )
-        private_scale = (t[rows] - v[rows]) / np.sum(private_power * weights, axis=1)
-        amp = np.sqrt(background_scale[rows, None] * background_power
-                      + private_scale[:, None] * private_power)
-        block = coeff[:b]
-        np.multiply(amp, z[:, 0], out=block.real)
-        np.multiply(amp, z[:, 1], out=block.imag)
-        block[:, 0] = 0.0
-        np.fft.irfft(block, n=n_samples, axis=1, out=data[rows])
-        for k in range(start, rows.stop):
-            data[k] += np.sqrt(v[k]) * np.roll(networks[member[k]], int(lags[k]))
+    for k in range(n_sources):
+        z = rng.standard_normal((2, n_bins))
+        private_power = 1.0 / _resonator_denominator(freqs, f_private[k], q_private[k])
+        private_scale = (t[k] - v[k]) / np.sum(private_power * weights)
+        amp = np.sqrt(background_scale[k] * background_power + private_scale * private_power)
+        coeff = amp * (z[0] + 1j * z[1])
+        coeff[0] = 0.0
+        data[k] = np.fft.irfft(coeff, n=n_samples)
+        data[k] += np.sqrt(v[k]) * np.roll(networks[member[k]], int(lags[k]))
     return SourceLibrary(data=data, fs=fs, origin=f"synthetic(seed={seed})")
 
 

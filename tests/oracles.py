@@ -278,76 +278,6 @@ def count_windows(n_samples: int, win: int, step: int) -> int:
     return count
 
 
-def rowloop_synthetic_sources(
-    n_sources: int,
-    n_samples: int,
-    fs: float,
-    alpha_hz: float = 10.0,
-    seed: int = 0,
-) -> np.ndarray:
-    """Library rows of ``generate_synthetic_sources``, one row per draw.
-
-    The same random stream, synthesized row by row: per row one draw of
-    2 * n_bins normals (real parts, then imaginary parts), one ``irfft`` of
-    the combined background-plus-private spectrum scaled by the expected
-    variance of the transform, and the row's lagged network rhythm added.
-    Returns the (n_sources, n_samples) data.
-    """
-    rng = np.random.default_rng(seed)
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs)
-    n_bins = freqs.size
-
-    def resonator_denominator(f0, q):
-        ratio = freqs / f0
-        return (1.0 - ratio**2) ** 2 + (ratio / q) ** 2
-
-    def network_rhythm(f0):
-        amp = 1.0 / np.sqrt(resonator_denominator(f0, 16.0))
-        coeff = amp * (rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins))
-        coeff[0] = 0.0
-        x = np.fft.irfft(coeff, n=n_samples)
-        sd = x.std()
-        return x / sd if sd > 0 else x
-
-    rhythm_fraction = rng.uniform(0.03, 0.22)
-    n_networks = int(rng.integers(4, 11))
-    coupling = rng.uniform(0.2, 0.8)
-    networks = [network_rhythm(alpha_hz * rng.uniform(0.93, 1.17)) for _ in range(n_networks)]
-    n_rhythmic = max(1, int(round(rhythm_fraction * n_sources)))
-    rhythmic = np.arange(n_sources) < n_rhythmic
-    t = np.where(rhythmic, rng.uniform(0.75, 0.95, size=n_sources),
-                 rng.uniform(0.002, 0.05, size=n_sources))
-    v = np.where(rhythmic, coupling, 0.5) * t
-    member = rng.integers(0, n_networks, size=n_sources)
-    max_lag = max(int(round(0.5 * max(fs / alpha_hz, 2.0))), 1)
-    lags = rng.integers(-max_lag, max_lag + 1, size=n_sources)
-    q_private = np.exp(rng.uniform(np.log(6.0), np.log(20.0), size=n_sources))
-    f_private = alpha_hz * rng.uniform(0.85, 1.22, size=n_sources)
-
-    # Expected irfft variance per unit power: 4/n^2 on interior bins, 1/n^2
-    # on an even-n Nyquist bin (real part only), nothing on the zeroed DC.
-    weights = np.full(n_bins, 4.0 / n_samples**2)
-    weights[0] = 0.0
-    if n_samples % 2 == 0:
-        weights[-1] = 1.0 / n_samples**2
-    background_power = (freqs + 1.0) ** -1.7
-    background_scale = (1.0 - t) / np.sum(background_power * weights)
-
-    data = np.empty((n_sources, n_samples))
-    for k in range(n_sources):
-        z = rng.standard_normal(2 * n_bins)
-        private_power = 1.0 / resonator_denominator(f_private[k], q_private[k])
-        private_scale = (t[k] - v[k]) / np.sum(private_power * weights)
-        amp = np.sqrt(background_scale[k] * background_power + private_scale * private_power)
-        coeff = np.empty(n_bins, dtype=complex)
-        coeff.real = amp * z[:n_bins]
-        coeff.imag = amp * z[n_bins:]
-        coeff[0] = 0.0
-        data[k] = np.fft.irfft(coeff, n=n_samples)
-        data[k] += np.sqrt(v[k]) * np.roll(networks[member[k]], int(lags[k]))
-    return data
-
-
 def reference_source_activity(
     library,
     n_total: int,
