@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from . import forward, matrix_io, pipeline, weight_stats
+from . import forward, matrix_io, pipeline, spectral, weight_stats
 from .errors import ExperimentFailed, FcdistError
 
 EXIT_OK = 0
@@ -51,7 +51,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("normative", help="analyze stored cross-spectrum files")
     p.add_argument("--input", required=True, help="glob of cross-spectrum CSV files")
-    p.add_argument("--bands", default="delta,theta,alpha,beta",
+    p.add_argument("--bands", default=",".join(b.name for b in spectral.DEFAULT_BANDS),
                    help="comma list of names or name=lo-hi")
     p.add_argument("--out", type=Path, default=Path("results"))
     p.add_argument("--bins", type=int, default=defaults.n_bins)

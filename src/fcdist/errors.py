@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the checked-array helper.
+"""Exception types shared across the package, and the shared field checks.
 
 Every error raised by fcdist derives from :class:`FcdistError`, so callers
 can catch one base class at pipeline boundaries. Data that fails a check
@@ -6,6 +6,8 @@ can catch one base class at pipeline boundaries. Data that fails a check
 file or sidecar) raises :class:`InvalidData`, which pipelines record as a
 cell or subject failure; bad arguments and configs raise a plain ValueError.
 """
+
+from dataclasses import fields
 
 import numpy as np
 
@@ -47,6 +49,27 @@ def frozen_field(obj, name: str, dtype=float, ndim: int | None = None) -> np.nda
     a.flags.writeable = False
     object.__setattr__(obj, name, a)
     return a
+
+
+def check_rate(fs) -> None:
+    """Raise InvalidData unless the sampling rate ``fs`` is positive and finite."""
+    if not 0 < fs < np.inf:
+        raise InvalidData("fs must be positive and finite")
+
+
+# Annotation of a number field -> (accepted types, their name in messages).
+_NUMBER_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number")}
+
+
+def check_number_fields(obj) -> None:
+    """Raise ValueError naming the first int or float field of dataclass ``obj``
+    whose value has another type; a bool counts as neither.
+    """
+    for f in fields(obj):
+        kind = _NUMBER_TYPES.get(getattr(f.type, "__name__", f.type))
+        value = getattr(obj, f.name)
+        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
+            raise ValueError(f"{f.name} must be {kind[1]}, got {value!r}")
 
 
 # --- source assembly / forward model ---

@@ -22,6 +22,7 @@ from .errors import (
     InsufficientSamples,
     InvalidData,
     ShapeMismatch,
+    check_rate,
     frozen_field,
 )
 from .montages import Montage, get_montage
@@ -44,8 +45,7 @@ class SourceLibrary:
         data = frozen_field(self, "data", ndim=2)
         if data.shape[0] < 1 or data.shape[1] < 1:
             raise InvalidData("library must hold at least one row and one sample")
-        if not 0 < self.fs < np.inf:
-            raise InvalidData("fs must be positive and finite")
+        check_rate(self.fs)
 
     @property
     def n_library(self) -> int:
@@ -85,8 +85,7 @@ class SourceActivity:
             object.__setattr__(self, "n_sources", n_rows)
         if self.n_sources < 1 or data.shape[1] < 1:
             raise InvalidData("need at least one source and one sample")
-        if not 0 < self.fs < np.inf:
-            raise InvalidData("fs must be positive and finite")
+        check_rate(self.fs)
         if columns.size != n_rows:
             raise InvalidData("one gain column per explicit row required")
         if n_rows and (columns.min() < 0 or columns.max() >= self.n_sources
@@ -137,8 +136,7 @@ class MultichannelRecord:
 
     def __post_init__(self) -> None:
         data = frozen_field(self, "data", ndim=2)
-        if not 0 < self.fs < np.inf:
-            raise InvalidData("fs must be positive and finite")
+        check_rate(self.fs)
         if data.shape[0] != len(self.channel_names):
             raise InvalidData("one channel name per row required")
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
@@ -158,25 +156,16 @@ def _spectral_noise(rng: np.random.Generator, amplitude: np.ndarray, n_samples: 
     Synthesized in the frequency domain (random phases), so circular
     shifts of the result are statistically equivalent to the original.
     """
-    n_bins = amplitude.shape[0]
-    coeff = amplitude * (rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins))
+    z = rng.standard_normal((2, amplitude.shape[0]))
+    coeff = amplitude * (z[0] + 1j * z[1])
     coeff[0] = 0.0
-    x = np.fft.irfft(coeff, n=n_samples)
-    sd = x.std()
-    if sd > 0:
-        x /= sd
-    return x
+    return np.fft.irfft(coeff, n=n_samples)
 
 
 def _resonator_denominator(freqs: np.ndarray, f0: float, q: float) -> np.ndarray:
     """Inverse squared magnitude of a second-order resonator centred on f0."""
     ratio = freqs / f0
     return (1.0 - ratio**2) ** 2 + (ratio / q) ** 2
-
-
-def _resonator_amplitude(freqs: np.ndarray, f0: float, q: float) -> np.ndarray:
-    """Second-order resonator magnitude centred on f0."""
-    return 1.0 / np.sqrt(_resonator_denominator(freqs, f0, q))
 
 
 def generate_synthetic_sources(
@@ -227,13 +216,12 @@ def generate_synthetic_sources(
 
     # Network rhythms: narrowband, peaks placed well inside the band so
     # their energy stays within +/-25% of alpha_hz.
-    networks = [
-        _spectral_noise(
-            rng, _resonator_amplitude(freqs, alpha_hz * rng.uniform(0.93, 1.17), q=16.0),
-            n_samples,
-        )
-        for _ in range(n_networks)
-    ]
+    networks = []
+    for _ in range(n_networks):
+        f0 = alpha_hz * rng.uniform(0.93, 1.17)
+        x = _spectral_noise(rng, 1.0 / np.sqrt(_resonator_denominator(freqs, f0, 16.0)),
+                            n_samples)
+        networks.append(x / x.std())
 
     # Per-row mixture: rhythmic rows get most of their variance from the
     # rhythm, background rows almost none. The rhythmic rows form a leading
@@ -268,13 +256,10 @@ def generate_synthetic_sources(
     background_scale = (1.0 - t) / np.sum(background_power * weights)
     data = np.empty((n_sources, n_samples))
     for k in range(n_sources):
-        z = rng.standard_normal((2, n_bins))
         private_power = 1.0 / _resonator_denominator(freqs, f_private[k], q_private[k])
         private_scale = (t[k] - v[k]) / np.sum(private_power * weights)
         amp = np.sqrt(background_scale[k] * background_power + private_scale * private_power)
-        coeff = amp * (z[0] + 1j * z[1])
-        coeff[0] = 0.0
-        data[k] = np.fft.irfft(coeff, n=n_samples)
+        data[k] = _spectral_noise(rng, amp, n_samples)
         data[k] += np.sqrt(v[k]) * np.roll(networks[member[k]], int(lags[k]))
     return SourceLibrary(data=data, fs=fs, origin=f"synthetic(seed={seed})")
 

@@ -25,10 +25,12 @@ def sidecar_path(path: Path | str) -> Path:
     return Path(path).with_suffix(".meta.json")
 
 
-def _write_sidecar(path: Path, meta: dict) -> None:
-    with open(sidecar_path(path), "w", newline="\n") as f:
-        json.dump(meta, f, indent=2)
+def write_json(path: Path, obj) -> Path:
+    """Write ``obj`` as JSON indented by 2, with a final newline."""
+    with open(path, "w", newline="\n") as f:
+        json.dump(obj, f, indent=2)
         f.write("\n")
+    return path
 
 
 def _read_sidecar(path: Path, error: type[FcdistError], required: bool) -> dict:
@@ -63,7 +65,7 @@ def write_matrix(path: Path | str, data: np.ndarray, meta: dict) -> Path:
         for row in data:
             f.write(",".join(map(repr, row.tolist())))
             f.write("\n")
-    _write_sidecar(path, meta)
+    write_json(sidecar_path(path), meta)
     return path
 
 
@@ -151,7 +153,7 @@ def write_cross_spectrum(
                 f"{lead}{pair}{re!r},{im!r}\n"
                 for pair, re, im in zip(pairs, z.real.tolist(), z.imag.tolist())
             ))
-    _write_sidecar(path, {"labels": list(labels), "n_segments": cs.n_segments})
+    write_json(sidecar_path(path), {"labels": list(labels), "n_segments": cs.n_segments})
     return path
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import ctypes
-import json
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +23,15 @@ import warnings
 from . import forward, matrix_io, spectral, weight_stats
 from .connectivity import METRICS, WindowConfig, window_samples
 from .correlation import pearson_correlation
-from .errors import ExperimentFailed, FcdistError, InvalidData, NoData, ShapeMismatch
+from .errors import (
+    ExperimentFailed,
+    FcdistError,
+    InvalidData,
+    NoData,
+    ShapeMismatch,
+    check_number_fields,
+    check_rate,
+)
 from .montages import MONTAGE_BY_SIZE
 from .spectral import ALPHA, Band
 
@@ -59,13 +66,29 @@ class ExperimentConfig:
     noise_sigma: float = 0.01
     segment_samples: int = 512
     window: WindowConfig = field(default_factory=WindowConfig)
-    n_bins: int = 100
+    n_bins: int = weight_stats.DEFAULT_BINS
     master_seed: int = 0
     source_mode: str = "synthetic"
     leadfield_mode: str = "synthetic"
     alpha_hz: float = 10.0
 
+    def _validate_rows(self) -> None:
+        """The checks a normative run shares: number types, bins, one row per label.
+
+        A repeated montage, metric or band name would put two rows of one
+        trial into the same correlation and overstate its significance.
+        """
+        check_number_fields(self)
+        if self.n_bins < 2:
+            raise ValueError("n_bins must be >= 2")
+        for what, labels in (("montages", self.montages), ("metrics", self.metrics),
+                             ("band names", [b.name for b in self.bands])):
+            if len(set(labels)) != len(labels):
+                raise ValueError(f"duplicate {what} in {list(labels)}")
+
     def validate(self) -> None:
+        self._validate_rows()
+        check_rate(self.fs)
         if not self.montages:
             raise ValueError("at least one montage required")
         for m in self.montages:
@@ -81,7 +104,7 @@ class ExperimentConfig:
                 raise ValueError(f"band {b.name} exceeds Nyquist ({self.fs / 2.0} Hz)")
         if self.trials < 3:
             raise ValueError("need trials >= 3 for the correlation stage")
-        for name in ("n_sources", "n_active", "n_bins"):
+        for name in ("n_sources", "n_active"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.n_samples < 4:
@@ -90,10 +113,12 @@ class ExperimentConfig:
             raise ValueError("segment_samples must be even and >= 4")
         if self.n_active > self.n_sources:
             raise ValueError("n_active cannot exceed n_sources")
-        if self.fs <= 0 or self.noise_sigma < 0:
-            raise ValueError("fs must be positive and noise_sigma non-negative")
+        if not 0 <= self.noise_sigma < float("inf"):
+            raise ValueError("noise_sigma must be non-negative and finite")
         if self.source_mode == "synthetic" and not 0.0 < self.alpha_hz < self.fs / 2.0:
             raise ValueError(f"alpha_hz={self.alpha_hz} outside (0, {self.fs / 2.0})")
+        if not isinstance(self.window, WindowConfig):
+            raise ValueError(f"window must be a WindowConfig, got {self.window!r}")
         window_samples(self.fs, self.window)
         _mode_path(self.source_mode)
         _mode_path(self.leadfield_mode)
@@ -388,7 +413,7 @@ def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Experimen
 def run_normative_analysis(
     inputs: Iterable[Path | str],
     bands: tuple[Band, ...] = spectral.DEFAULT_BANDS,
-    n_bins: int = 100,
+    n_bins: int = weight_stats.DEFAULT_BINS,
 ) -> ExperimentResult:
     """Weight-distribution statistics for stored cross-spectra.
 
@@ -402,6 +427,7 @@ def run_normative_analysis(
         metrics=tuple(m for m, (kind, _) in METRICS.items() if kind == "coherency"),
         bands=tuple(bands), n_bins=n_bins,
     )
+    cfg._validate_rows()
     trial_rows: list[TrialRow] = []
     failures: list[CellFailure] = []
     used = 0
@@ -463,6 +489,15 @@ def band_from_spec(item) -> Band:
     raise ValueError(f"unknown band {name!r}; use a default name or 'name=lo-hi'")
 
 
+# Config keys whose JSON value needs building into the field's type.
+_CONVERTERS = {
+    "bands": lambda v: tuple(band_from_spec(b) for b in v),
+    "montages": lambda v: tuple(int(m) for m in v),
+    "metrics": lambda v: tuple(str(m) for m in v),
+    "window": lambda v: WindowConfig(**v) if isinstance(v, dict) else v,
+}
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Build a config from a nested mapping mirroring the field names."""
     known = set(ExperimentConfig.__dataclass_fields__)
@@ -470,14 +505,12 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     kwargs = dict(raw)
-    if "bands" in kwargs:
-        kwargs["bands"] = tuple(band_from_spec(b) for b in kwargs["bands"])
-    if "montages" in kwargs:
-        kwargs["montages"] = tuple(int(m) for m in kwargs["montages"])
-    if "metrics" in kwargs:
-        kwargs["metrics"] = tuple(str(m) for m in kwargs["metrics"])
-    if "window" in kwargs and isinstance(kwargs["window"], dict):
-        kwargs["window"] = WindowConfig(**kwargs["window"])
+    for key, convert in _CONVERTERS.items():
+        if key in kwargs:
+            try:
+                kwargs[key] = convert(kwargs[key])
+            except (KeyError, TypeError) as err:
+                raise ValueError(f"config key {key!r}: {type(err).__name__}: {err}") from err
     return ExperimentConfig(**kwargs)
 
 
@@ -516,11 +549,7 @@ def write_results(result: ExperimentResult, out_dir: Path | str) -> list[Path]:
         "failures": [asdict(fl) for fl in result.failures],
         "aggregates": aggregates,
     }
-    path = out_dir / "summary.json"
-    with open(path, "w", newline="\n") as f:
-        json.dump(summary, f, indent=2)
-        f.write("\n")
-    written.append(path)
+    written.append(matrix_io.write_json(out_dir / "summary.json", summary))
 
     for (montage, metric, band), rows in groups:
         for attr in ("skewness", "kurtosis", "entropy"):

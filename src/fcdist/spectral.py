@@ -20,6 +20,7 @@ from .errors import (
     InvalidData,
     TooFewSegments,
     ZeroPowerChannel,
+    check_rate,
     frozen_field,
 )
 from .forward import MultichannelRecord
@@ -30,13 +31,20 @@ RECOMMENDED_MIN_SEGMENTS = 20
 
 @dataclass(frozen=True)
 class Band:
-    """A named frequency band [lo, hi] in Hz."""
+    """A named frequency band [lo, hi] in Hz.
+
+    The name labels result rows and output file names, so it must be
+    non-empty and free of path separators.
+    """
 
     name: str
     lo: float
     hi: float
 
     def __post_init__(self) -> None:
+        if not self.name or "/" in self.name or "\\" in self.name:
+            raise ValueError(f"band name must be non-empty, without '/' or '\\', "
+                             f"got {self.name!r}")
         if not 0.0 < self.lo < self.hi:
             raise ValueError(f"need 0 < lo < hi, got ({self.lo}, {self.hi})")
 
@@ -52,6 +60,21 @@ DEFAULT_BANDS: tuple[Band, ...] = (
 ALPHA = DEFAULT_BANDS[2]
 
 
+def _frequency_stack(obj) -> np.ndarray:
+    """Freeze and check ``obj.freqs`` and ``obj.mats``, and return ``mats``: one
+    square matrix per frequency, frequencies strictly increasing.
+    """
+    freqs = frozen_field(obj, "freqs", ndim=1)
+    mats = frozen_field(obj, "mats", dtype=complex, ndim=3)
+    if mats.shape[1] != mats.shape[2]:
+        raise InvalidData("mats must be (n_freqs, n, n)")
+    if freqs.shape != (mats.shape[0],):
+        raise InvalidData("freqs length must match mats")
+    if np.any(freqs[1:] <= freqs[:-1]):
+        raise InvalidData("freqs must be strictly increasing")
+    return mats
+
+
 @dataclass(frozen=True)
 class CrossSpectrum:
     """Per-frequency Hermitian channel x channel matrices."""
@@ -61,14 +84,7 @@ class CrossSpectrum:
     n_segments: int
 
     def __post_init__(self) -> None:
-        freqs = frozen_field(self, "freqs", ndim=1)
-        mats = frozen_field(self, "mats", dtype=complex, ndim=3)
-        if mats.shape[1] != mats.shape[2]:
-            raise InvalidData("mats must be (n_freqs, n, n)")
-        if freqs.shape != (mats.shape[0],):
-            raise InvalidData("freqs length must match mats")
-        if np.any(freqs[1:] <= freqs[:-1]):
-            raise InvalidData("freqs must be strictly increasing")
+        mats = _frequency_stack(self)
         # One bin at a time keeps the temporaries small.
         herm = np.max([np.max(np.abs(m - m.conj().T)) for m in mats]) if mats.size else 0.0
         if herm > 1e-10:
@@ -92,8 +108,7 @@ class CoherencyMatrix:
     mats: np.ndarray = field(repr=False)  # (n_freqs, n, n) complex
 
     def __post_init__(self) -> None:
-        frozen_field(self, "freqs", ndim=1)
-        mats = frozen_field(self, "mats", dtype=complex, ndim=3)
+        mats = _frequency_stack(self)
         if np.max(np.abs(mats), initial=0.0) > 1.0 + 1e-9:
             raise InvalidData("coherency magnitudes exceed 1")
 
@@ -114,6 +129,7 @@ class AnalyticRecord:
     def __post_init__(self) -> None:
         phase = frozen_field(self, "phase", ndim=2)
         envelope = frozen_field(self, "envelope", ndim=2)
+        check_rate(self.fs)
         if phase.shape != envelope.shape:
             raise InvalidData("phase and envelope shapes must match")
         if np.any(envelope < 0):

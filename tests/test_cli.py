@@ -113,6 +113,20 @@ class TestSimulate:
                        "--out", str(tmp_path / "r")) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("payload", [
+        {"trials": "3"}, {"fs": "200"}, {"master_seed": 1.5}, {"n_samples": 4000.5},
+        {"window": {"window_seconds": "6", "overlap_seconds": 0.5}},
+    ], ids=["trials", "fs", "master_seed", "n_samples", "window_seconds"])
+    def test_mistyped_config_is_data_error(self, tmp_path, capsys, payload):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))
+        # An uncaught error would propagate out of main() instead of returning.
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "r")) == 2
+        key = "window_seconds" if "window" in payload else next(iter(payload))
+        assert f"error: {key} must be" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_experiment_failure_exit_code(self, tmp_path):
         cfg = {
             "montages": [19], "metrics": ["COH"], "bands": ["alpha"],

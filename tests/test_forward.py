@@ -373,11 +373,19 @@ class TestCheckedArrays:
     @pytest.mark.parametrize("fs", [0.0, -1.0, np.nan, np.inf])
     @pytest.mark.parametrize("cls, kwargs", [
         pytest.param(cls, kwargs, id=cls.__name__) for cls, kwargs in _containers()
-        if cls.__module__ == "fcdist.forward" and "fs" in kwargs
+        if "fs" in kwargs
     ])
     def test_fs_positive_and_finite(self, cls, kwargs, fs):
         with pytest.raises(InvalidData, match="fs"):
             cls(**{**kwargs, "fs": fs})
+
+    @pytest.mark.parametrize("cls, kwargs", [
+        pytest.param(cls, kwargs, id=cls.__name__) for cls, kwargs in _containers()
+        if "freqs" in kwargs
+    ])
+    def test_freqs_length_must_match_mats(self, cls, kwargs):
+        with pytest.raises(InvalidData, match="freqs length must match mats"):
+            cls(**{**kwargs, "freqs": np.array([1.0, 2.0, 3.0])})
 
     def test_contiguous_input_not_copied(self, rng):
         data = rng.standard_normal((3, 16))

@@ -161,6 +161,22 @@ class TestSimulation:
         with pytest.raises(ValueError):
             tiny_config(montages=(21,)).validate()
 
+    @pytest.mark.parametrize("changes, match", [
+        (dict(n_bins=1), "n_bins must be >= 2"),
+        (dict(montages=(19, 19)), "duplicate montages"),
+        (dict(metrics=("COH", "COH")), "duplicate metrics"),
+        (dict(bands=(ALPHA, Band("alpha", 9.0, 12.0))), "duplicate band names"),
+        (dict(trials="3"), "trials must be an int"),
+        (dict(trials=True), "trials must be an int"),
+        (dict(master_seed=1.5), "master_seed must be an int"),
+        (dict(n_samples=4000.5), "n_samples must be an int"),
+        (dict(fs="200"), "fs must be a number"),
+        (dict(fs=float("inf")), "fs must be positive and finite"),
+    ], ids=["n_bins-1", "duplicate-montage", "duplicate-metric", "duplicate-band-name",
+            "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "inf-fs"])
+    def test_config_rejected_before_any_cell(self, monkeypatch, changes, match):
+        self._rejected_before_any_cell(monkeypatch, match, **changes)
+
     @staticmethod
     def _rejected_before_any_cell(monkeypatch, match, **changes):
         cfg = tiny_config(**changes)
@@ -392,6 +408,15 @@ class TestNormative:
         cs = quiet_cross_spectrum(rec, 512)
         labels = list(rec.channel_names)
         return matrix_io.write_cross_spectrum(tmp_path / name, cs, labels)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        (dict(n_bins=1), "n_bins must be >= 2"),
+        (dict(bands=(ALPHA, ALPHA)), "duplicate band names"),
+    ], ids=["n_bins-1", "duplicate-band"])
+    def test_rejected_before_any_file(self, tmp_path, kwargs, match):
+        # The file does not exist: reading it would record a failure and raise NoData.
+        with pytest.raises(ValueError, match=match):
+            run_normative_analysis([tmp_path / "unread.csv"], **kwargs)
 
     def test_cardinality_one_subject_four_bands(self, tmp_path, rng):
         path = self.write_subject(tmp_path, "s1.csv", rng)

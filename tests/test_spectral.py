@@ -308,3 +308,8 @@ class TestBandSlice:
     def test_band_validation(self):
         with pytest.raises(ValueError):
             Band("bad", 5.0, 3.0)
+
+    @pytest.mark.parametrize("name", ["", "a/b", "a\\b"])
+    def test_band_name_is_a_file_name_part(self, name):
+        with pytest.raises(ValueError, match="band name"):
+            Band(name, 8.0, 13.0)
