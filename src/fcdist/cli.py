@@ -45,9 +45,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=int, help="override master_seed")
     p.add_argument("--jobs", type=int, default=1, help="worker processes")
     p.add_argument("--trials", type=int, help="override trial count")
-    p.add_argument("--montages", help="comma list, e.g. 19,64")
-    p.add_argument("--metrics", help="comma list, e.g. COH,PLV")
-    p.add_argument("--bands", help="comma list of names or name=lo-hi")
+    p.add_argument("--montages", type=_channel_counts, help="comma list, e.g. 19,64")
+    p.add_argument("--metrics", type=_tokens, help="comma list, e.g. COH,PLV")
+    p.add_argument("--bands", type=_tokens, help="comma list of names or name=lo-hi")
 
     p = sub.add_parser("normative", help="analyze stored cross-spectrum files")
     p.add_argument("--input", required=True, help="glob of cross-spectrum CSV files")
@@ -83,6 +83,15 @@ def _tokens(spec: str) -> list[str]:
     return [tok.strip() for tok in spec.split(",") if tok.strip()]
 
 
+def _channel_counts(spec: str) -> list[int]:
+    """The items of a comma list of channel counts; a non-integer is a usage error."""
+    try:
+        return [int(tok) for tok in _tokens(spec)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of channel counts, got {spec!r}") from None
+
+
 def _cmd_simulate(args) -> int:
     raw = {}
     if args.config is not None:
@@ -90,12 +99,11 @@ def _cmd_simulate(args) -> int:
             raw = json.load(f)
         if not isinstance(raw, dict):
             raise ValueError(f"{args.config}: config must be a JSON object")
-    for key, value in (("master_seed", args.seed), ("trials", args.trials)):
+    for key, value in (("master_seed", args.seed), ("trials", args.trials),
+                       ("montages", args.montages), ("metrics", args.metrics),
+                       ("bands", args.bands)):
         if value is not None:
             raw[key] = value
-    for key in ("montages", "metrics", "bands"):
-        if getattr(args, key):
-            raw[key] = _tokens(getattr(args, key))
     result = pipeline.run_simulation_experiment(pipeline.config_from_dict(raw),
                                                 jobs=max(args.jobs, 1))
     written = pipeline.write_results(result, args.out)

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import itertools
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
@@ -300,36 +302,65 @@ def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
     return _unit_results(cfg, cs.n_channels, subject, lambda band: {"coherency": coh})
 
 
-def _one_blas_thread() -> None:
-    """Limit OpenBLAS to one thread in this process.
+@lru_cache(maxsize=1)
+def _openblas_thread_calls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The (get, set) thread-count functions of each OpenBLAS in this process.
 
-    OpenBLAS is looked up among the libraries mapped into the process
-    (Linux); where it is not found, the process keeps its default. The
-    grid's output does not change with it: the jobs tests compare pooled
-    and in-process runs byte for byte.
+    OpenBLAS is looked up once among the libraries mapped into the process
+    (Linux), after fcdist's imports have mapped numpy's and scipy's copies;
+    where none is found, the tuple is empty and BLAS keeps its default.
     """
     try:
         with open("/proc/self/maps") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
     except OSError:
-        return
+        return ()
+    calls = []
     for path in paths:
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads", "openblas_set_num_threads"):
-            if hasattr(lib, name):
-                getattr(lib, name)(1)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                calls.append((getattr(lib, name.format("get")), getattr(lib, name.format("set"))))
                 break
+    return tuple(calls)
 
 
-# Forked children are the grid's pool workers (this module's pool, or any
-# other that forks workers over these functions). The workers are the
-# parallelism; BLAS threads on top of them oversubscribe the cores and spin,
-# which cost a 2-worker grid on a 2-core x86 VM about half its throughput.
-os.register_at_fork(after_in_child=_one_blas_thread)
+def _blas_threads() -> list[int]:
+    """The thread count of each OpenBLAS in this process."""
+    return [get() for get, _ in _openblas_thread_calls()]
+
+
+def _set_blas_threads(counts: Iterable[int]) -> None:
+    for (_, set_threads), n in zip(_openblas_thread_calls(), counts):
+        set_threads(n)
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with one OpenBLAS thread, then restore each library's count.
+
+    The grid's output does not change with it: the jobs tests compare pooled
+    and in-process runs byte for byte.
+    """
+    before = _blas_threads()
+    _set_blas_threads([1] * len(before))
+    try:
+        yield
+    finally:
+        _set_blas_threads(before)
+
+
+# A grid cell makes many small BLAS calls; between them a second BLAS thread
+# only spins. On a 2-vCPU x86 VM it doubled the CPU of a 128-channel cell
+# and did not shorten it, so every grid runs with one BLAS thread per process.
+# Forked children (this module's pool workers, or any other pool that forks
+# workers over these functions) get one BLAS thread too: the workers are the
+# parallelism, and BLAS threads on top of them oversubscribe the cores.
+os.register_at_fork(after_in_child=lambda: _set_blas_threads(itertools.repeat(1)))
 
 
 def _sort_key(cfg: ExperimentConfig):
@@ -380,11 +411,12 @@ def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Experimen
     cells = [(cfg, montage, trial)
              for montage in cfg.montages for trial in range(cfg.trials)]
 
-    if jobs <= 1:
-        outcomes = [simulate_cell(*c) for c in cells]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(simulate_cell, *zip(*cells), chunksize=1))
+    with _one_blas_thread():
+        if jobs <= 1:
+            outcomes = [simulate_cell(*c) for c in cells]
+        else:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
+                outcomes = list(pool.map(simulate_cell, *zip(*cells), chunksize=1))
 
     trial_rows: list[TrialRow] = []
     failures: list[CellFailure] = []
@@ -489,10 +521,16 @@ def band_from_spec(item) -> Band:
     raise ValueError(f"unknown band {name!r}; use a default name or 'name=lo-hi'")
 
 
+def _channel_count(m) -> int:
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise TypeError(f"montage {m!r} is not an integer channel count")
+    return m
+
+
 # Config keys whose JSON value needs building into the field's type.
 _CONVERTERS = {
     "bands": lambda v: tuple(band_from_spec(b) for b in v),
-    "montages": lambda v: tuple(int(m) for m in v),
+    "montages": lambda v: tuple(map(_channel_count, v)),
     "metrics": lambda v: tuple(str(m) for m in v),
     "window": lambda v: WindowConfig(**v) if isinstance(v, dict) else v,
 }

@@ -87,6 +87,15 @@ class TestSimulate:
         lines = (out / "trials.csv").read_text().splitlines()
         assert len(lines) == 1 + 3
 
+    def test_montage_list_override(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"n_samples": 2000, "n_sources": 300, "n_active": 40}))
+        out = tmp_path / "r"
+        assert run_cli("simulate", "--config", str(cfg_path), "--out", str(out),
+                       "--trials", "3", "--montages", "19,64", "--metrics", "COH") == 0
+        lines = (out / "trials.csv").read_text().splitlines()
+        assert sorted({line.split(",")[0] for line in lines[1:]}) == ["19", "64"]
+
     def test_jobs_byte_identical(self, tmp_path):
         argsets = [("--jobs", "1", "--out", str(tmp_path / "j1")),
                    ("--jobs", "2", "--out", str(tmp_path / "j2"))]
@@ -183,6 +192,14 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["gen-sources"])  # --out is required
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize("spec", ["19.5", "19,x"])
+    def test_non_integer_montage_exit_one(self, tmp_path, capsys, spec):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--montages", spec, "--out", str(tmp_path / "r")])
+        assert exc.value.code == 1
+        assert "channel counts" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
 
     def test_no_subcommand_exit_one(self):
         with pytest.raises(SystemExit) as exc:

@@ -1,4 +1,3 @@
-import ctypes
 import dataclasses
 import json
 import math
@@ -39,19 +38,6 @@ from fcdist.pipeline import (
     write_results,
 )
 from fcdist.spectral import ALPHA, DEFAULT_BANDS, Band, coherency
-
-
-def _openblas_threads():
-    """OpenBLAS thread count of this process, or None where it is not found."""
-    with open("/proc/self/maps") as maps:
-        paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                return getattr(lib, name)()
-    return None
 
 
 def tiny_config(**overrides):
@@ -107,10 +93,36 @@ class TestSimulation:
     def test_pool_workers_use_one_blas_thread(self):
         # forked after fcdist.pipeline was imported, as every grid worker is
         with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            threads = pool.submit(_openblas_threads).result()
-        if threads is None:
+            threads = pool.submit(pipeline._blas_threads).result()
+        if not threads:
             pytest.skip("no OpenBLAS mapped into the worker")
-        assert threads == 1
+        assert threads == [1] * len(threads)
+
+    def test_in_process_cells_use_one_blas_thread(self, monkeypatch):
+        before = pipeline._blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS mapped into this process")
+        seen = []
+
+        def recording_cell(cfg, montage, trial):
+            seen.append(pipeline._blas_threads())
+            if cfg.master_seed == 13:
+                raise RuntimeError("cell crashed")
+            return simulate_cell(cfg, montage, trial)
+
+        monkeypatch.setattr(pipeline, "simulate_cell", recording_cell)
+        # a caller count other than 1, so that restoring it is seen
+        pipeline._set_blas_threads([2] * len(before))
+        try:
+            run_simulation_experiment(tiny_config(metrics=("COH",)), jobs=1)
+            assert seen == [[1] * len(before)] * 3
+            assert pipeline._blas_threads() == [2] * len(before)
+            with pytest.raises(RuntimeError, match="cell crashed"):
+                run_simulation_experiment(tiny_config(master_seed=13), jobs=1)
+            assert seen[-1] == [1] * len(before)
+            assert pipeline._blas_threads() == [2] * len(before)
+        finally:
+            pipeline._set_blas_threads(before)
 
     def test_seed_isolation_trial_extension(self):
         short = run_simulation_experiment(tiny_config(trials=3))
@@ -603,6 +615,11 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             config_from_dict({"montage": [19]})
+
+    @pytest.mark.parametrize("montages", [[19.9, "64"], [19.0], ["19"], [True]])
+    def test_montages_must_be_ints(self, montages):
+        with pytest.raises(ValueError, match="'montages'.*integer channel count"):
+            config_from_dict({"montages": montages})
 
     def test_band_from_spec(self):
         assert band_from_spec("alpha") == ALPHA
