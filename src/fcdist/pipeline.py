@@ -348,7 +348,7 @@ def _one_blas_thread():
     byte-identical with one BLAS thread and with two.
     """
     before = _blas_threads()
-    _set_blas_threads([1] * len(before))
+    _set_blas_threads(itertools.repeat(1))
     try:
         yield
     finally:
@@ -356,8 +356,9 @@ def _one_blas_thread():
 
 
 # A grid cell makes many small BLAS calls; between them a second BLAS thread
-# only spins. On a 2-vCPU x86 VM it doubled the CPU of a 128-channel cell
-# and did not shorten it, so every grid runs with one BLAS thread per process.
+# only spins. On a 2-vCPU x86 VM it nearly doubled the CPU of a 128-channel
+# cell and did not measurably shorten it, so every grid runs with one BLAS
+# thread per process.
 # Forked children (this module's pool workers, or any other pool that forks
 # workers over these functions) get one BLAS thread too: the workers are the
 # parallelism, and BLAS threads on top of them oversubscribe the cores, which
