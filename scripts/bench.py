@@ -30,11 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "change")
 
 
-def git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True,
-                          text=True).stdout.strip()
-
-
 def export(rev: str, dest: Path) -> None:
     """The committed files of ``rev``, written under ``dest``."""
     dest.mkdir(parents=True)
@@ -98,7 +93,9 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    revs = {side: git("rev-parse", "--verify", getattr(args, side) + "^{commit}")
+    revs = {side: subprocess.run(
+                ["git", "rev-parse", "--verify", getattr(args, side) + "^{commit}"],
+                cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
             for side in SIDES}
     plan = [(name, int(pairs or 5)) for name, _, pairs in
             (spec.partition("=") for spec in args.workload)]
