@@ -184,10 +184,10 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
         raise CrossSpectrumFormatError(f"{sidecar_path(path)}: bad sidecar ({e})") from e
 
     n = len(labels)
-    # Row of ``mats`` per frequency, in order of first appearance. ``mats`` is
-    # NaN-filled and doubled in place when full, then trimmed in place, so
-    # the result is never held twice.
-    index: dict[float, int] = {}
+    # Frequencies in order of first appearance, which the format makes increasing,
+    # and their matrices. ``mats`` is NaN-filled, grown in place to the next power
+    # of two when full and trimmed in place, so the result is never held twice.
+    freqs = np.empty(0)
     mats = np.full((1, n, n), np.nan, dtype=complex)
     n_rows = 0
     try:
@@ -200,7 +200,7 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
             lineno = 2
             while lines := list(itertools.islice(f, _CS_CHUNK_LINES)):
                 rows = _parse_rows(path, lines, lineno)
-                i, j = rows["i"], rows["j"]
+                i, j, freq = rows["i"], rows["j"], rows["freq"]
                 bad = np.flatnonzero((i < 0) | (i > j) | (j >= n))
                 if bad.size:
                     k = bad[0]
@@ -209,37 +209,35 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
                         f"{path}:{data_lines[k]}: channel pair ({i[k]}, {j[k]}) "
                         f"outside 0..{n - 1} or i > j"
                     )
+                # A row brings a new frequency when it lies above every one before it.
+                ceiling = np.maximum.accumulate(np.r_[freqs[-1] if freqs.size else -np.inf, freq])
+                freqs = np.concatenate((freqs, freq[freq > ceiling[:-1]]))
+                slots = np.searchsorted(freqs, freq)
+                # A frequency missing from ``freqs`` first came after a higher one, or is NaN.
+                if np.any(np.searchsorted(freqs, freq, side="right") == slots):
+                    raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
+                if freqs.size > len(mats):
+                    full = len(mats)
+                    # No view of ``mats`` is alive here, so the buffer may move.
+                    mats.resize((1 << (freqs.size - 1).bit_length(), n, n), refcheck=False)
+                    mats[full:] = np.nan
                 # Built from parts, not re + 1j * im, so -0.0 and inf come through exactly.
                 z = np.empty(rows.size, dtype=complex)
                 z.real, z.imag = rows["re"], rows["im"]
-                uniq, first, inv = np.unique(rows["freq"], return_index=True, return_inverse=True)
-                # Row numbers grouped by frequency, in file order within each group.
-                by_freq = np.argsort(inv, kind="stable")
-                ends = np.cumsum(np.bincount(inv)).tolist()
-                for u in np.argsort(first).tolist():
-                    slot = index.setdefault(float(uniq[u]), len(index))
-                    if slot == len(mats):
-                        # No view of ``mats`` is alive here, so the buffer may move.
-                        mats.resize((2 * slot, n, n), refcheck=False)
-                        mats[slot:] = np.nan
-                    sel = by_freq[ends[u - 1] if u else 0:ends[u]]
-                    # Upper entry, then its conjugate: a diagonal entry ends up conjugated.
-                    mats[slot, i[sel], j[sel]] = z[sel]
-                    mats[slot, j[sel], i[sel]] = z[sel].conj()
+                # Upper entries, then their conjugates: a diagonal entry ends up conjugated.
+                mats[slots, i, j] = z
+                mats[slots, j, i] = z.conj()
                 n_rows += rows.size
                 lineno += len(lines)
     except (OSError, UnicodeDecodeError) as e:
         raise CrossSpectrumFormatError(f"{path}: {e}") from e
 
-    if not index:
+    if not freqs.size:
         raise CrossSpectrumFormatError(f"{path}: no data rows")
     # More rows than upper-triangle entries means some (freq, i, j) repeats.
-    if n_rows > len(index) * n * (n + 1) // 2:
+    if n_rows > freqs.size * n * (n + 1) // 2:
         raise CrossSpectrumFormatError(f"{path}: duplicate (freq_hz, ch_i, ch_j) rows")
-    freqs = np.array(list(index))
-    if np.any(freqs[1:] <= freqs[:-1]):
-        raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
-    mats.resize((len(index), n, n), refcheck=False)
+    mats.resize((freqs.size, n, n), refcheck=False)
     if np.any(np.isnan(mats)):
         raise CrossSpectrumFormatError(f"{path}: incomplete upper triangle")
     try:

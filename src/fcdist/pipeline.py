@@ -169,7 +169,7 @@ class ExperimentResult:
 
 @lru_cache(maxsize=16)
 def _read_file(reader, path: str):
-    """``reader(path)``, read once per process and path."""
+    """``reader(path)``, read once per process and path; each simulation run starts empty."""
     return reader(path)
 
 
@@ -348,7 +348,7 @@ def _one_blas_thread():
     byte-identical with one BLAS thread and with two.
     """
     before = _blas_threads()
-    _set_blas_threads(itertools.repeat(1))
+    _one_blas_thread_per_process()
     try:
         yield
     finally:
@@ -358,23 +358,24 @@ def _one_blas_thread():
 # A grid cell makes many small BLAS calls; between them a second BLAS thread
 # only spins. On a 2-vCPU x86 VM it nearly doubled the CPU of a 128-channel
 # cell and did not measurably shorten it, so every grid runs with one BLAS
-# thread per process.
-# Forked children (this module's pool workers, or any other pool that forks
-# workers over these functions) get one BLAS thread too: the workers are the
-# parallelism, and BLAS threads on top of them oversubscribe the cores, which
-# cost a 2-worker grid on the same VM about half its throughput.
-os.register_at_fork(after_in_child=lambda: _set_blas_threads(itertools.repeat(1)))
+# thread per process. In a pool the workers are the parallelism, and BLAS
+# threads on top of them oversubscribe the cores, which cost a 2-worker grid
+# on the same VM about half its throughput.
+def _one_blas_thread_per_process() -> None:
+    """Set every OpenBLAS in this process to one thread: the grid pool's worker setup."""
+    _set_blas_threads(itertools.repeat(1))
+
+
+# Children that other pools fork get one BLAS thread too. Only the benchmark
+# tracer's pool (perfbench/tracer.py) needs this, until it runs its cells through
+# the pipeline (ROADMAP item 2); without it, traced grid_desk overhead doubled.
+os.register_at_fork(after_in_child=_one_blas_thread_per_process)
 
 
 def _sort_key(cfg: ExperimentConfig):
     metric_rank = {m: i for i, m in enumerate(METRICS)}
     band_rank = {b.name: i for i, b in enumerate(cfg.bands)}
-
-    def key(row):
-        return (row.montage, metric_rank.get(row.metric, 99),
-                band_rank.get(row.band, 99), row.trial)
-
-    return key
+    return lambda row: (row.montage, metric_rank[row.metric], band_rank[row.band], row.trial)
 
 
 def _groups(rows: Iterable[TrialRow]) -> dict[tuple[int, str, str], list[TrialRow]]:
@@ -411,6 +412,7 @@ def correlate_rows(trial_rows: list[TrialRow], cfg: ExperimentConfig
 def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
     """Run the full seeded grid; deterministic for fixed cfg at any jobs."""
     cfg.validate()
+    _read_file.cache_clear()
     cells = [(cfg, montage, trial)
              for montage in cfg.montages for trial in range(cfg.trials)]
 
@@ -418,7 +420,7 @@ def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Experimen
         if jobs <= 1:
             outcomes = [simulate_cell(*c) for c in cells]
         else:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
+            with ProcessPoolExecutor(jobs, initializer=_one_blas_thread_per_process) as pool:
                 outcomes = list(pool.map(simulate_cell, *zip(*cells), chunksize=1))
 
     trial_rows: list[TrialRow] = []
@@ -494,15 +496,11 @@ def run_normative_analysis(
 
 
 def band_to_dict(b: Band) -> dict:
-    return {"name": b.name, "lo": b.lo, "hi": b.hi}
+    return asdict(b)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    d = asdict(cfg)
-    d["bands"] = [band_to_dict(b) for b in cfg.bands]
-    d["montages"] = list(cfg.montages)
-    d["metrics"] = list(cfg.metrics)
-    return d
+    return asdict(cfg)
 
 
 _BUILTIN_BANDS = {b.name: b for b in spectral.DEFAULT_BANDS}

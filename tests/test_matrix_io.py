@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -327,12 +327,14 @@ class TestCrossSpectrumAgainstRowLoop:
                 assert got.n_segments == want.n_segments
 
     @given(cross_spectra(), st.randoms(use_true_random=False),
-           st.sampled_from(["shuffle", "drop", "repeat", "blank"]),
+           st.sampled_from(["shuffle", "drop", "repeat", "blank", "nonfinite", "late_first"]),
            st.sampled_from([1, 3, 1 << 16]))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     def test_same_verdict_as_oracle(self, cs, rnd, edit, chunk):
-        """Any reordering, a dropped or repeated row, or blank lines: the two
-        readers accept the same files, with equal matrices, and reject the rest."""
+        """Any reordering, a dropped or repeated row, blank lines, a non-finite
+        frequency, or a frequency that first appears after a higher one at the
+        start of a chunk: the two readers accept the same files, with equal
+        matrices, and reject the rest."""
         labels = [f"E{k}" for k in range(cs.n_channels)]
         with tempfile.TemporaryDirectory() as tmp, \
                 mock.patch.object(matrix_io, "_CS_CHUNK_LINES", chunk):
@@ -345,8 +347,19 @@ class TestCrossSpectrumAgainstRowLoop:
                 del rows[k]
             elif edit == "repeat":
                 rows.insert(rnd.randint(0, len(rows)), rows[k])
-            else:
+            elif edit == "blank":
                 rows.insert(k, rnd.choice(["\n", "  \n", "\t\n"]))
+            elif edit == "nonfinite":
+                rows[k] = rnd.choice(["nan", "inf", "-inf"]) + rows[k][rows[k].index(","):]
+            else:
+                # A row of bin b + 1 moved ahead of bin b, and blank lines so that
+                # bin b's first row, now after a higher frequency, starts a chunk.
+                assume(len(cs.freqs) > 1)
+                n_pairs = len(rows) // len(cs.freqs)
+                b = rnd.randrange(len(cs.freqs) - 1)
+                higher = rows.pop((b + 1) * n_pairs + rnd.randrange(n_pairs))
+                head, tail = rows[:b * n_pairs], rows[b * n_pairs:]
+                rows = head + ["\n"] * (-(len(head) + 1) % chunk) + [higher] + tail
             path.write_text(header + "".join(rows))
             outcomes = []
             for read in (matrix_io.read_cross_spectrum, rowloop_read_cross_spectrum):

@@ -98,6 +98,27 @@ class TestSimulation:
             pytest.skip("no OpenBLAS mapped into the worker")
         assert threads == [1] * len(threads)
 
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_pool_workers_of_any_start_method_use_one_blas_thread(self, monkeypatch, method):
+        # a default other than 1 for the workers to keep, even on a 1-CPU host
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        seen = []
+
+        def pool(*args, **kwargs):
+            """The grid's pool, with its workers started by ``method``."""
+            executor = ProcessPoolExecutor(
+                *args, mp_context=multiprocessing.get_context(method), **kwargs)
+            seen.append(executor.submit(pipeline._blas_threads).result())
+            return executor
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", pool)
+        cfg = tiny_config(metrics=("COH",))
+        assert (run_simulation_experiment(cfg, jobs=2).trial_rows
+                == run_simulation_experiment(cfg, jobs=1).trial_rows)
+        if not seen[0]:
+            pytest.skip("no OpenBLAS mapped into the worker")
+        assert seen == [[1] * len(seen[0])]
+
     def test_in_process_cells_use_one_blas_thread(self, monkeypatch):
         before = pipeline._blas_threads()
         if not before:
@@ -240,6 +261,23 @@ class TestSimulation:
         res = run_simulation_experiment(cfg)
         assert len(res.trial_rows) == 6
         assert not res.failures
+
+    def test_file_inputs_are_read_again_by_each_run(self, tmp_path, monkeypatch):
+        from fcdist.forward import generate_synthetic_sources
+        path = tmp_path / "lib.csv"
+        cfg = tiny_config(metrics=("COH",), source_mode=f"file:{path}")
+        read, reads = matrix_io.read_source_library, []
+        monkeypatch.setattr(matrix_io, "read_source_library",
+                            lambda p: reads.append(p) or read(p))
+        runs = []
+        for seed in (5, 6):
+            lib = generate_synthetic_sources(40, 4000, 200.0, 10.0, seed=seed)
+            matrix_io.write_source_library(path, lib)
+            runs.append(run_simulation_experiment(cfg).trial_rows)
+        assert runs[0] != runs[1]
+        assert reads == [str(path)] * 2  # once per run, not once per cell
+        pipeline._read_file.cache_clear()
+        assert run_simulation_experiment(cfg).trial_rows == runs[1]
 
     def test_file_leadfield_channel_count(self, tmp_path):
         from fcdist.forward import generate_synthetic_leadfield
