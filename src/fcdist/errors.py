@@ -61,15 +61,21 @@ def check_rate(fs) -> None:
 _NUMBER_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number")}
 
 
+def check_number(name: str, value, kind: str):
+    """``value`` if it is of ``kind``, else ValueError naming ``name``: "int" takes
+    an int, "float" an int or a float, and a bool counts as neither."""
+    types, what = _NUMBER_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+    return value
+
+
 def check_number_fields(obj) -> None:
-    """Raise ValueError naming the first int or float field of dataclass ``obj``
-    whose value has another type; a bool counts as neither.
-    """
+    """``check_number`` on each int or float field of dataclass ``obj``, in field order."""
     for f in fields(obj):
-        kind = _NUMBER_TYPES.get(getattr(f.type, "__name__", f.type))
-        value = getattr(obj, f.name)
-        if kind and (isinstance(value, bool) or not isinstance(value, kind[0])):
-            raise ValueError(f"{f.name} must be {kind[1]}, got {value!r}")
+        kind = getattr(f.type, "__name__", f.type)
+        if kind in _NUMBER_TYPES:
+            check_number(f.name, getattr(obj, f.name), kind)
 
 
 # --- source assembly / forward model ---

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CrossSpectrumFormatError, FcdistError, InvalidData
+from .errors import CrossSpectrumFormatError, FcdistError, InvalidData, check_number
 from .forward import LeadField, SourceLibrary
 from .spectral import CrossSpectrum
 
@@ -105,8 +105,8 @@ def _read_kind(path: Path | str, kind: str) -> tuple[np.ndarray, dict]:
 def read_source_library(path: Path | str) -> SourceLibrary:
     data, meta = _read_kind(path, "sources")
     try:
-        fs = float(meta["fs"])
-    except (KeyError, TypeError, ValueError) as e:
+        fs = float(check_number("fs", meta.get("fs"), "float"))
+    except ValueError as e:
         raise InvalidData(f"{path}: sidecar must carry a numeric fs") from e
     return SourceLibrary(data=data, fs=fs, origin=meta.get("origin", str(path)))
 
@@ -179,8 +179,8 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
     path = Path(path)
     meta = _read_sidecar(path, CrossSpectrumFormatError, required=True)
     try:
-        labels, n_segments = meta["labels"], int(meta["n_segments"])
-    except (KeyError, TypeError, ValueError) as e:
+        labels, n_segments = meta["labels"], check_number("n_segments", meta["n_segments"], "int")
+    except (KeyError, ValueError) as e:
         raise CrossSpectrumFormatError(f"{sidecar_path(path)}: bad sidecar ({e})") from e
 
     n = len(labels)
@@ -209,11 +209,13 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
                         f"{path}:{data_lines[k]}: channel pair ({i[k]}, {j[k]}) "
                         f"outside 0..{n - 1} or i > j"
                     )
+                if not np.isfinite(freq).all():
+                    raise CrossSpectrumFormatError(f"{path}: freqs must be finite")
                 # A row brings a new frequency when it lies above every one before it.
                 ceiling = np.maximum.accumulate(np.r_[freqs[-1] if freqs.size else -np.inf, freq])
                 freqs = np.concatenate((freqs, freq[freq > ceiling[:-1]]))
                 slots = np.searchsorted(freqs, freq)
-                # A frequency missing from ``freqs`` first came after a higher one, or is NaN.
+                # A frequency missing from ``freqs`` first came after a higher one.
                 if np.any(np.searchsorted(freqs, freq, side="right") == slots):
                     raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
                 if freqs.size > len(mats):

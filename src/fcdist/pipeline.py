@@ -15,7 +15,6 @@ import itertools
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
@@ -31,6 +30,7 @@ from .errors import (
     InvalidData,
     NoData,
     ShapeMismatch,
+    check_number,
     check_number_fields,
     check_rate,
 )
@@ -294,10 +294,14 @@ def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
                       ) -> tuple[list[TrialRow], list[CellFailure]]:
     """Run one stored-spectrum subject: the coherency metrics of ``cfg`` on each band.
 
-    The subject's montage is its channel count. Raises the FcdistError of a
-    file that cannot be read; unusable spectra fail every (metric, band).
+    The subject's montage is its channel count. A file that cannot be read
+    is one failure of montage 0, metric and band "-"; unusable spectra fail
+    every (metric, band).
     """
-    cs, _ = matrix_io.read_cross_spectrum(path)
+    try:
+        cs, _ = matrix_io.read_cross_spectrum(path)
+    except FcdistError as err:
+        return [], [CellFailure(0, "-", "-", subject, f"{Path(path).name}: {_failure_text(err)}")]
     coh = _attempt(spectral.coherency, cs)
     return _unit_results(cfg, cs.n_channels, subject, lambda band: {"coherency": coh})
 
@@ -340,29 +344,14 @@ def _set_blas_threads(counts: Iterable[int]) -> None:
         set_threads(n)
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run the block with one OpenBLAS thread, then restore each library's count.
-
-    The grid's output does not change with it: its result files came out
-    byte-identical with one BLAS thread and with two.
-    """
-    before = _blas_threads()
-    _one_blas_thread_per_process()
-    try:
-        yield
-    finally:
-        _set_blas_threads(before)
-
-
 # A grid cell makes many small BLAS calls; between them a second BLAS thread
 # only spins. On a 2-vCPU x86 VM it nearly doubled the CPU of a 128-channel
-# cell and did not measurably shorten it, so every grid runs with one BLAS
-# thread per process. In a pool the workers are the parallelism, and BLAS
-# threads on top of them oversubscribe the cores, which cost a 2-worker grid
-# on the same VM about half its throughput.
+# cell and did not measurably shorten it, so all units, grid cells and
+# normative subjects, run with one BLAS thread per process. In a pool the
+# workers are the parallelism, and BLAS threads on top of them oversubscribe
+# the cores, which cost a 2-worker grid on the same VM about half its throughput.
 def _one_blas_thread_per_process() -> None:
-    """Set every OpenBLAS in this process to one thread: the grid pool's worker setup."""
+    """Set every OpenBLAS in this process to one thread: the unit pool's worker setup."""
     _set_blas_threads(itertools.repeat(1))
 
 
@@ -370,6 +359,25 @@ def _one_blas_thread_per_process() -> None:
 # tracer's pool (perfbench/tracer.py) needs this, until it runs its cells through
 # the pipeline (ROADMAP item 2); without it, traced grid_desk overhead doubled.
 os.register_at_fork(after_in_child=_one_blas_thread_per_process)
+
+
+def _run_units(unit: Callable, keys: list[tuple], jobs: int = 1
+               ) -> tuple[list[TrialRow], list[CellFailure]]:
+    """``unit(*key)`` for each key: in this process when ``jobs <= 1``, else in a pool of
+    ``jobs`` workers, with one OpenBLAS thread per process and each library's count
+    restored after; returns the rows and failures, concatenated in key order."""
+    before = _blas_threads()
+    _one_blas_thread_per_process()
+    try:
+        if jobs <= 1:
+            outcomes = [unit(*key) for key in keys]
+        else:
+            with ProcessPoolExecutor(jobs, initializer=_one_blas_thread_per_process) as pool:
+                outcomes = list(pool.map(unit, *zip(*keys), chunksize=1))
+    finally:
+        _set_blas_threads(before)
+    return ([row for rows, _ in outcomes for row in rows],
+            [fail for _, fails in outcomes for fail in fails])
 
 
 def _sort_key(cfg: ExperimentConfig):
@@ -413,21 +421,8 @@ def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Experimen
     """Run the full seeded grid; deterministic for fixed cfg at any jobs."""
     cfg.validate()
     _read_file.cache_clear()
-    cells = [(cfg, montage, trial)
-             for montage in cfg.montages for trial in range(cfg.trials)]
-
-    with _one_blas_thread():
-        if jobs <= 1:
-            outcomes = [simulate_cell(*c) for c in cells]
-        else:
-            with ProcessPoolExecutor(jobs, initializer=_one_blas_thread_per_process) as pool:
-                outcomes = list(pool.map(simulate_cell, *zip(*cells), chunksize=1))
-
-    trial_rows: list[TrialRow] = []
-    failures: list[CellFailure] = []
-    for rows, fails in outcomes:
-        trial_rows.extend(rows)
-        failures.extend(fails)
+    cells = [(cfg, montage, trial) for montage in cfg.montages for trial in range(cfg.trials)]
+    trial_rows, failures = _run_units(simulate_cell, cells, jobs)
     trial_rows.sort(key=_sort_key(cfg))
 
     total_cells = len(cfg.montages) * len(cfg.metrics) * len(cfg.bands) * cfg.trials
@@ -458,27 +453,20 @@ def run_normative_analysis(
     (metric, band); only the spectral metrics apply since no raw record
     is available. Malformed files are skipped with a logged failure, and a
     subject whose spectra are unusable (e.g. a zero-power channel) records
-    one failure per (metric, band).
+    one failure per (metric, band). A file listed twice, by any path, would
+    overstate significance and is a ValueError.
     """
     cfg = ExperimentConfig(
         metrics=tuple(m for m, (kind, _) in METRICS.items() if kind == "coherency"),
         bands=tuple(bands), n_bins=n_bins,
     )
     cfg._validate_rows()
-    trial_rows: list[TrialRow] = []
-    failures: list[CellFailure] = []
-    used = 0
     paths = sorted(str(p) for p in inputs)
-    for subject, path in enumerate(paths):
-        try:
-            rows, fails = normative_subject(cfg, path, subject)
-        except FcdistError as err:
-            failures.append(CellFailure(0, "-", "-", subject,
-                                        f"{Path(path).name}: {_failure_text(err)}"))
-            continue
-        used += 1
-        trial_rows += rows
-        failures += fails
+    if len({os.path.realpath(p) for p in paths}) < len(paths):
+        raise ValueError(f"a file is listed twice in {paths}")
+    trial_rows, failures = _run_units(
+        normative_subject, [(cfg, path, subject) for subject, path in enumerate(paths)])
+    used = len(paths) - sum(f.metric == "-" for f in failures)
     if used == 0:
         raise NoData("no usable cross-spectrum files")
 
@@ -507,11 +495,12 @@ _BUILTIN_BANDS = {b.name: b for b in spectral.DEFAULT_BANDS}
 
 
 def band_from_spec(item) -> Band:
-    """Band from a default-band name, 'name=lo-hi' string, or mapping."""
+    """Band from a default-band name, 'name=lo-hi' string, or mapping with number edges."""
     if isinstance(item, Band):
         return item
     if isinstance(item, dict):
-        return Band(str(item["name"]), float(item["lo"]), float(item["hi"]))
+        lo, hi = (float(check_number(edge, item[edge], "float")) for edge in ("lo", "hi"))
+        return Band(str(item["name"]), lo, hi)
     name = str(item).strip()
     if "=" in name:
         label, _, rng = name.partition("=")

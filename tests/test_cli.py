@@ -122,17 +122,19 @@ class TestSimulate:
                        "--out", str(tmp_path / "r")) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("payload", [
-        {"trials": "3"}, {"fs": "200"}, {"master_seed": 1.5}, {"n_samples": 4000.5},
-        {"window": {"window_seconds": "6", "overlap_seconds": 0.5}},
-    ], ids=["trials", "fs", "master_seed", "n_samples", "window_seconds"])
-    def test_mistyped_config_is_data_error(self, tmp_path, capsys, payload):
+    @pytest.mark.parametrize("key, payload", [
+        ("trials", {"trials": "3"}), ("fs", {"fs": "200"}), ("master_seed", {"master_seed": 1.5}),
+        ("n_samples", {"n_samples": 4000.5}),
+        ("window_seconds", {"window": {"window_seconds": "6", "overlap_seconds": 0.5}}),
+        ("lo", {"bands": [{"name": "mu", "lo": True, "hi": "11"}]}),
+        ("hi", {"bands": [{"name": "mu", "lo": 9, "hi": "11"}]}),
+    ], ids=["trials", "fs", "master_seed", "n_samples", "window_seconds", "band_lo", "band_hi"])
+    def test_mistyped_config_is_data_error(self, tmp_path, capsys, key, payload):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))
         # An uncaught error would propagate out of main() instead of returning.
         assert run_cli("simulate", "--config", str(cfg_path),
                        "--out", str(tmp_path / "r")) == 2
-        key = "window_seconds" if "window" in payload else next(iter(payload))
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 

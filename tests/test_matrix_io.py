@@ -60,7 +60,7 @@ class TestMatrixRoundTrip:
         path = matrix_io.write_source_library(tmp_path / "lib.csv", lib)
         side = matrix_io.sidecar_path(path)
         meta = json.loads(side.read_text())
-        for fs in (None, "abc", [128.0]):
+        for fs in (None, "abc", [128.0], "200", True):
             side.write_text(json.dumps({**meta, "fs": fs}))
             with pytest.raises(InvalidData, match="numeric fs"):
                 matrix_io.read_source_library(path)
@@ -227,7 +227,8 @@ class TestCrossSpectrumRejects:
 
     @pytest.mark.parametrize("case", [
         "not-utf8-header", "not-utf8-row", "directory", "sidecar-list",
-        "sidecar-labels-numbers", "sidecar-without-labels"])
+        "sidecar-labels-numbers", "sidecar-without-labels", "sidecar-segments-float",
+        "sidecar-segments-true", "sidecar-segments-str"])
     def test_unreadable_file_is_format_error(self, tmp_path, case):
         path = _write_raw(tmp_path, _bin_rows(1.0))
         side = matrix_io.sidecar_path(path)
@@ -244,8 +245,17 @@ class TestCrossSpectrumRejects:
                 "sidecar-list": [1, 2],
                 "sidecar-labels-numbers": {"labels": [0, 1], "n_segments": 4},
                 "sidecar-without-labels": {"n_segments": 4},
+                "sidecar-segments-float": {"labels": ["A", "B"], "n_segments": 2.7},
+                "sidecar-segments-true": {"labels": ["A", "B"], "n_segments": True},
+                "sidecar-segments-str": {"labels": ["A", "B"], "n_segments": "3"},
             }[case]))
         with pytest.raises(CrossSpectrumFormatError):
+            matrix_io.read_cross_spectrum(path)
+
+    @pytest.mark.parametrize("freq", ["nan", "inf", "-inf"])
+    def test_non_finite_frequency_named(self, tmp_path, freq):
+        path = _write_raw(tmp_path, _bin_rows(1.0) + _bin_rows(freq))
+        with pytest.raises(CrossSpectrumFormatError, match="must be finite"):
             matrix_io.read_cross_spectrum(path)
 
     def test_blank_lines_between_rows_accepted(self, tmp_path):

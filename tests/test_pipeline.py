@@ -32,6 +32,7 @@ from fcdist.pipeline import (
     config_from_dict,
     config_to_dict,
     mix64,
+    normative_subject,
     run_normative_analysis,
     run_simulation_experiment,
     simulate_cell,
@@ -512,6 +513,53 @@ class TestNormative:
         res = run_normative_analysis([good, bad], bands=(ALPHA,))
         assert res.config["subjects_used"] == 1
         assert len(res.failures) == 1
+
+    def test_unreadable_subject_is_one_failure(self, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("nope\n")
+        cfg = ExperimentConfig(metrics=("COH", "iCOH"), bands=(ALPHA,))
+        text = f"bad.csv: CrossSpectrumFormatError: {bad}: missing sidecar bad.meta.json"
+        assert normative_subject(cfg, bad, 4) == ([], [pipeline.CellFailure(0, "-", "-", 4, text)])
+
+    def test_input_listed_twice_rejected_before_any_file(self, tmp_path, rng, monkeypatch):
+        # Counted twice, one subject would add a second point to every correlation.
+        paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=8) for i in range(3)]
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "link.csv").symlink_to(paths[0])
+        read = []
+        monkeypatch.setattr(matrix_io, "read_cross_spectrum", read.append)
+        for again in (paths[0], tmp_path / "sub" / ".." / "s0.csv", tmp_path / "link.csv"):
+            with pytest.raises(ValueError, match="listed twice"):
+                run_normative_analysis([paths[0], again, *paths[1:]], bands=(ALPHA,))
+        assert read == []
+
+    def test_symlink_loop_is_a_subject_failure(self, tmp_path, rng):
+        good = self.write_subject(tmp_path, "good.csv", rng)
+        (tmp_path / "loop.csv").symlink_to(tmp_path / "loop.csv")
+        res = run_normative_analysis([good, tmp_path / "loop.csv"], bands=(ALPHA,))
+        assert res.config["subjects_used"] == 1
+        assert [(f.metric, f.trial) for f in res.failures] == [("-", 1)]
+
+    def test_caller_blas_threads_restored(self, tmp_path, rng, monkeypatch):
+        before = pipeline._blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS mapped into this process")
+        seen = []
+
+        def recording_subject(cfg, path, subject):
+            seen.append(pipeline._blas_threads())
+            return normative_subject(cfg, path, subject)
+
+        monkeypatch.setattr(pipeline, "normative_subject", recording_subject)
+        paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=8) for i in range(3)]
+        # a caller count other than 1, so that restoring it is seen
+        pipeline._set_blas_threads([2] * len(before))
+        try:
+            assert len(run_normative_analysis(paths, bands=(ALPHA,)).trial_rows) == 6
+            assert seen == [[1] * len(before)] * 3
+            assert pipeline._blas_threads() == [2] * len(before)
+        finally:
+            pipeline._set_blas_threads(before)
 
     def test_no_data(self, tmp_path):
         bad = tmp_path / "bad.csv"
