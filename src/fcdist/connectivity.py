@@ -59,12 +59,12 @@ class ConnectivityMatrix:
         return self.weights.shape[0]
 
 
-def _mirror(upper: np.ndarray, diagonal: float) -> np.ndarray:
-    """Symmetric matrix from its strict upper triangle plus a diagonal."""
-    w = np.triu(upper, 1)
+def _finish(metric: str, band: Band, upper: np.ndarray, diagonal: float) -> ConnectivityMatrix:
+    """The matrix of ``upper`` clipped to [0, 1], strict upper triangle mirrored."""
+    w = np.triu(np.clip(upper, 0.0, 1.0), 1)
     w = w + w.T
     np.fill_diagonal(w, diagonal)
-    return w
+    return ConnectivityMatrix(metric=metric, band=band, weights=w)
 
 
 def window_samples(fs: float, w: WindowConfig) -> tuple[int, int]:
@@ -90,9 +90,7 @@ def window_starts(n_samples: int, fs: float, w: WindowConfig) -> tuple[np.ndarra
 def coherence_matrix(c: CoherencyMatrix, band: Band) -> ConnectivityMatrix:
     """Squared coherency magnitude averaged over the band bins."""
     idx = band_slice(c.freqs, band)
-    w = (np.abs(c.mats[idx]) ** 2).mean(axis=0)
-    w = _mirror(np.clip(w, 0.0, 1.0), diagonal=1.0)
-    return ConnectivityMatrix(metric="COH", band=band, weights=w)
+    return _finish("COH", band, (np.abs(c.mats[idx]) ** 2).mean(axis=0), diagonal=1.0)
 
 
 def icoh_matrix(c: CoherencyMatrix, band: Band) -> ConnectivityMatrix:
@@ -102,9 +100,7 @@ def icoh_matrix(c: CoherencyMatrix, band: Band) -> ConnectivityMatrix:
     once.
     """
     idx = band_slice(c.freqs, band)
-    signed = c.mats[idx].imag.mean(axis=0)
-    w = _mirror(np.clip(np.abs(signed), 0.0, 1.0), diagonal=0.0)
-    return ConnectivityMatrix(metric="iCOH", band=band, weights=w)
+    return _finish("iCOH", band, np.abs(c.mats[idx].imag.mean(axis=0)), diagonal=0.0)
 
 
 def plv_matrix(a: AnalyticRecord, w: WindowConfig = PLV_WINDOW) -> ConnectivityMatrix:
@@ -118,8 +114,7 @@ def plv_matrix(a: AnalyticRecord, w: WindowConfig = PLV_WINDOW) -> ConnectivityM
     for s in starts:
         u = np.exp(1j * a.phase[:, s : s + win])
         acc += np.abs(u @ u.conj().T) / win
-    weights = _mirror(np.clip(acc / len(starts), 0.0, 1.0), diagonal=1.0)
-    return ConnectivityMatrix(metric="PLV", band=a.band, weights=weights)
+    return _finish("PLV", a.band, acc / len(starts), diagonal=1.0)
 
 
 def _wrap_phase(d: np.ndarray) -> np.ndarray:
@@ -185,8 +180,7 @@ def pli_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> Connectiv
                 net[tied] = (np.count_nonzero(d > _PHASE_TIE, axis=1)
                              - np.count_nonzero(d < -_PHASE_TIE, axis=1))
             acc[i, i + 1 :] += np.abs(net / win)
-    weights = _mirror(np.clip(acc / len(starts), 0.0, 1.0), diagonal=0.0)
-    return ConnectivityMatrix(metric="PLI", band=a.band, weights=weights)
+    return _finish("PLI", a.band, acc / len(starts), diagonal=0.0)
 
 
 def aec_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> ConnectivityMatrix:
@@ -216,8 +210,7 @@ def aec_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> Connectiv
         raise DegenerateEnvelope(
             f"channel pair ({i}, {j}) had a constant envelope in every window"
         )
-    weights = _mirror(np.clip(np.abs(acc / count), 0.0, 1.0), diagonal=1.0)
-    return ConnectivityMatrix(metric="AEC", band=a.band, weights=weights)
+    return _finish("AEC", a.band, np.abs(acc / count), diagonal=1.0)
 
 
 # The metric table, in reporting order: name -> (input, call). The input is

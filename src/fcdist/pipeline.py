@@ -37,7 +37,8 @@ from .errors import (
 from .montages import MONTAGE_BY_SIZE
 from .spectral import ALPHA, Band
 
-CORRELATION_PAIRS = ("mcw_skewness", "mcw_kurtosis", "mcw_entropy")
+_SHAPES = ("skewness", "kurtosis", "entropy")
+CORRELATION_PAIRS = tuple(f"mcw_{shape}" for shape in _SHAPES)
 
 _MASK64 = (1 << 64) - 1
 
@@ -75,7 +76,7 @@ class ExperimentConfig:
     alpha_hz: float = 10.0
 
     def _validate_rows(self) -> None:
-        """The checks a normative run shares: number types, bins, one row per label.
+        """The checks a normative run shares: number and band types, bins, one row per label.
 
         A repeated montage, metric or band name would put two rows of one
         trial into the same correlation and overstate its significance.
@@ -83,6 +84,11 @@ class ExperimentConfig:
         check_number_fields(self)
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
+        for m in self.montages:
+            check_number("montages", m, "int")
+        for b in self.bands:
+            if not isinstance(b, Band):
+                raise ValueError(f"bands must be Band objects, got {b!r}")
         for what, labels in (("montages", self.montages), ("metrics", self.metrics),
                              ("band names", [b.name for b in self.bands])):
             if len(set(labels)) != len(labels):
@@ -394,6 +400,11 @@ def _groups(rows: Iterable[TrialRow]) -> dict[tuple[int, str, str], list[TrialRo
     return groups
 
 
+def _points(rows: Iterable[TrialRow], attr: str) -> list[tuple[float, float]]:
+    """The (MCW, ``attr``) points of ``rows``, skipping rows where ``attr`` is None."""
+    return [(r.mcw, getattr(r, attr)) for r in rows if getattr(r, attr) is not None]
+
+
 def correlate_rows(trial_rows: list[TrialRow], cfg: ExperimentConfig
                    ) -> tuple[list[CorrelationRow], list[CellFailure]]:
     """Pearson correlations of MCW against the three shape statistics."""
@@ -401,9 +412,8 @@ def correlate_rows(trial_rows: list[TrialRow], cfg: ExperimentConfig
     failures: list[CellFailure] = []
     groups = _groups(sorted(trial_rows, key=_sort_key(cfg)))
     for (montage, metric, band), rows in groups.items():
-        for pair, attr in zip(CORRELATION_PAIRS, ("skewness", "kurtosis", "entropy")):
-            points = [(r.mcw, getattr(r, attr)) for r in rows
-                      if getattr(r, attr) is not None]
+        for pair, attr in zip(CORRELATION_PAIRS, _SHAPES):
+            points = _points(rows, attr)
             try:
                 res = pearson_correlation([p[0] for p in points], [p[1] for p in points])
             except FcdistError as err:
@@ -451,10 +461,11 @@ def run_normative_analysis(
 
     Each input file is one subject and yields one scatter point per
     (metric, band); only the spectral metrics apply since no raw record
-    is available. Malformed files are skipped with a logged failure, and a
-    subject whose spectra are unusable (e.g. a zero-power channel) records
-    one failure per (metric, band). A file listed twice, by any path, would
-    overstate significance and is a ValueError.
+    is available. Malformed files are skipped with a logged failure (NoData
+    when no file could be read), and a subject whose spectra are unusable
+    (e.g. a zero-power channel) records one failure per (metric, band) and
+    is not used; correlations need three used subjects. A file listed twice,
+    by any path, would overstate significance and is a ValueError.
     """
     cfg = ExperimentConfig(
         metrics=tuple(m for m, (kind, _) in METRICS.items() if kind == "coherency"),
@@ -466,9 +477,9 @@ def run_normative_analysis(
         raise ValueError(f"a file is listed twice in {paths}")
     trial_rows, failures = _run_units(
         normative_subject, [(cfg, path, subject) for subject, path in enumerate(paths)])
-    used = len(paths) - sum(f.metric == "-" for f in failures)
-    if used == 0:
-        raise NoData("no usable cross-spectrum files")
+    if sum(f.metric == "-" for f in failures) == len(paths):
+        raise NoData("no cross-spectrum file could be read")
+    used = len({row.trial for row in trial_rows})
 
     corr_rows: list[CorrelationRow] = []
     if used >= 3:
@@ -511,16 +522,10 @@ def band_from_spec(item) -> Band:
     raise ValueError(f"unknown band {name!r}; use a default name or 'name=lo-hi'")
 
 
-def _channel_count(m) -> int:
-    if isinstance(m, bool) or not isinstance(m, int):
-        raise TypeError(f"montage {m!r} is not an integer channel count")
-    return m
-
-
 # Config keys whose JSON value needs building into the field's type.
 _CONVERTERS = {
     "bands": lambda v: tuple(band_from_spec(b) for b in v),
-    "montages": lambda v: tuple(map(_channel_count, v)),
+    "montages": tuple,
     "metrics": lambda v: tuple(str(m) for m in v),
     "window": lambda v: WindowConfig(**v) if isinstance(v, dict) else v,
 }
@@ -563,7 +568,7 @@ def write_results(result: ExperimentResult, out_dir: Path | str) -> list[Path]:
     aggregates: dict[str, dict] = {}
     for (montage, metric, band), rows in groups:
         vals = {}
-        for attr in ("mcw", "skewness", "kurtosis", "entropy"):
+        for attr in ("mcw", *_SHAPES):
             xs = sorted(getattr(r, attr) for r in rows if getattr(r, attr) is not None)
             vals[f"median_{attr}"] = statistics.median(xs) if xs else None
             vals[f"mean_{attr}"] = sum(xs) / len(xs) if xs else None
@@ -580,11 +585,10 @@ def write_results(result: ExperimentResult, out_dir: Path | str) -> list[Path]:
     written.append(matrix_io.write_json(out_dir / "summary.json", summary))
 
     for (montage, metric, band), rows in groups:
-        for attr in ("skewness", "kurtosis", "entropy"):
+        for attr in _SHAPES:
             written.append(_write_csv(
                 out_dir / f"scatter_{montage}_{metric}_{band}_{attr}.csv", ["mcw", attr],
-                [(r.mcw, getattr(r, attr)) for r in rows if getattr(r, attr) is not None],
-            ))
+                _points(rows, attr)))
     return written
 
 

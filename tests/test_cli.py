@@ -128,7 +128,9 @@ class TestSimulate:
         ("window_seconds", {"window": {"window_seconds": "6", "overlap_seconds": 0.5}}),
         ("lo", {"bands": [{"name": "mu", "lo": True, "hi": "11"}]}),
         ("hi", {"bands": [{"name": "mu", "lo": 9, "hi": "11"}]}),
-    ], ids=["trials", "fs", "master_seed", "n_samples", "window_seconds", "band_lo", "band_hi"])
+        ("montages", {"montages": [19.0]}),
+    ], ids=["trials", "fs", "master_seed", "n_samples", "window_seconds", "band_lo", "band_hi",
+            "montages"])
     def test_mistyped_config_is_data_error(self, tmp_path, capsys, key, payload):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))

@@ -206,8 +206,12 @@ class TestSimulation:
         (dict(n_samples=4000.5), "n_samples must be an int"),
         (dict(fs="200"), "fs must be a number"),
         (dict(fs=float("inf")), "fs must be positive and finite"),
+        (dict(montages=(19.0,)), r"montages must be an int, got 19\.0"),
+        (dict(montages=("19",)), "montages must be an int, got '19'"),
+        (dict(bands=("alpha",)), "bands must be Band objects, got 'alpha'"),
     ], ids=["n_bins-1", "duplicate-montage", "duplicate-metric", "duplicate-band-name",
-            "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "inf-fs"])
+            "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "inf-fs",
+            "float-montage", "str-montage", "str-band"])
     def test_config_rejected_before_any_cell(self, monkeypatch, changes, match):
         self._rejected_before_any_cell(monkeypatch, match, **changes)
 
@@ -463,7 +467,8 @@ class TestNormative:
     @pytest.mark.parametrize("kwargs, match", [
         (dict(n_bins=1), "n_bins must be >= 2"),
         (dict(bands=(ALPHA, ALPHA)), "duplicate band names"),
-    ], ids=["n_bins-1", "duplicate-band"])
+        (dict(bands=("alpha",)), "bands must be Band objects, got 'alpha'"),
+    ], ids=["n_bins-1", "duplicate-band", "str-band"])
     def test_rejected_before_any_file(self, tmp_path, kwargs, match):
         # The file does not exist: reading it would record a failure and raise NoData.
         with pytest.raises(ValueError, match=match):
@@ -594,6 +599,18 @@ class TestNormative:
         assert len(res.correlation_rows) == 6
         assert all(r.n == 3 for r in res.correlation_rows)
 
+    def test_subject_without_rows_not_used(self, tmp_path, rng):
+        # Readable but unusable, the silent subject must not make a third
+        # point for the correlations, which two subjects cannot have.
+        paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=8, zero_channel=i == 2)
+                 for i in range(3)]
+        res = run_normative_analysis(paths, bands=(ALPHA,))
+        assert res.config["subjects_used"] == 2
+        assert {r.trial for r in res.trial_rows} == {0, 1}
+        assert res.correlation_rows == []
+        assert [(f.metric, f.trial) for f in res.failures] == [("COH", 2), ("iCOH", 2)]
+        assert all(f.error.startswith("ZeroPowerChannel: ") for f in res.failures)
+
     def test_non_finite_subject_recorded_not_fatal(self, tmp_path, rng):
         paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=8) for i in range(4)]
         poison_alpha_entry(paths[1])
@@ -704,8 +721,8 @@ class TestConfig:
 
     @pytest.mark.parametrize("montages", [[19.9, "64"], [19.0], ["19"], [True]])
     def test_montages_must_be_ints(self, montages):
-        with pytest.raises(ValueError, match="'montages'.*integer channel count"):
-            config_from_dict({"montages": montages})
+        with pytest.raises(ValueError, match="montages must be an int, got "):
+            config_from_dict({"montages": montages}).validate()
 
     def test_band_from_spec(self):
         assert band_from_spec("alpha") == ALPHA
