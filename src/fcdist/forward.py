@@ -89,7 +89,7 @@ class SourceActivity:
         if columns.size != n_rows:
             raise InvalidData("one gain column per explicit row required")
         if n_rows and (columns.min() < 0 or columns.max() >= self.n_sources
-                       or np.unique(columns).size != n_rows):
+                       or np.bincount(columns).max() > 1):
             raise InvalidData("columns must be distinct and lie in [0, n_sources)")
         if not 0 <= self.noise_sigma < np.inf:
             raise InvalidData("noise_sigma must be non-negative and finite")

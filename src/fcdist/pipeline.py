@@ -76,7 +76,7 @@ class ExperimentConfig:
     alpha_hz: float = 10.0
 
     def _validate_rows(self) -> None:
-        """The checks a normative run shares: number and band types, bins, one row per label.
+        """The checks a normative run shares: field types, bins, one row per label.
 
         A repeated montage, metric or band name would put two rows of one
         trial into the same correlation and overstate its significance.
@@ -84,8 +84,14 @@ class ExperimentConfig:
         check_number_fields(self)
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
+        for name in ("montages", "metrics", "bands"):
+            if not isinstance(getattr(self, name), (tuple, list)):
+                raise ValueError(f"{name} must be a tuple or list, got {getattr(self, name)!r}")
         for m in self.montages:
             check_number("montages", m, "int")
+        for m in self.metrics:
+            if not isinstance(m, str):
+                raise ValueError(f"metrics must be str labels, got {m!r}")
         for b in self.bands:
             if not isinstance(b, Band):
                 raise ValueError(f"bands must be Band objects, got {b!r}")
@@ -317,8 +323,8 @@ def _openblas_thread_calls() -> tuple[tuple[Callable[[], int], Callable[[int], N
     """The (get, set) thread-count functions of each OpenBLAS in this process.
 
     OpenBLAS is looked up once among the libraries mapped into the process
-    (Linux), after fcdist's imports have mapped numpy's and scipy's copies;
-    where none is found, the tuple is empty and BLAS keeps its default.
+    (Linux), after fcdist's imports have mapped numpy's copy; where none is
+    found, the tuple is empty and BLAS keeps its default.
     """
     try:
         with open("/proc/self/maps") as maps:
@@ -456,8 +462,9 @@ def run_normative_analysis(
     inputs: Iterable[Path | str],
     bands: tuple[Band, ...] = spectral.DEFAULT_BANDS,
     n_bins: int = weight_stats.DEFAULT_BINS,
+    jobs: int = 1,
 ) -> ExperimentResult:
-    """Weight-distribution statistics for stored cross-spectra.
+    """Weight-distribution statistics for stored cross-spectra; the same at any ``jobs``.
 
     Each input file is one subject and yields one scatter point per
     (metric, band); only the spectral metrics apply since no raw record
@@ -476,7 +483,7 @@ def run_normative_analysis(
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ValueError(f"a file is listed twice in {paths}")
     trial_rows, failures = _run_units(
-        normative_subject, [(cfg, path, subject) for subject, path in enumerate(paths)])
+        normative_subject, [(cfg, path, subject) for subject, path in enumerate(paths)], jobs)
     if sum(f.metric == "-" for f in failures) == len(paths):
         raise NoData("no cross-spectrum file could be read")
     used = len({row.trial for row in trial_rows})

@@ -1,9 +1,15 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from oracles import exact_permutation_pvalue, mc_permutation_pvalue
 
-from fcdist.correlation import pearson_correlation, significance_stars
+from fcdist.correlation import pearson_correlation, pearson_p, significance_stars
 from fcdist.errors import ConstantSeries, FcdistError, InvalidData, TooFewPoints
 
 
@@ -110,6 +116,46 @@ class TestPearson:
         assert 0.0 <= res.p <= 1.0
         assert res.n == 30
         assert res.stars == significance_stars(res.p)
+
+
+class TestPValue:
+    @pytest.mark.parametrize("r", [1e-4, 0.05, 0.3, 0.7, 0.99, -0.999999, 0.999999])
+    def test_closed_form_t_tails(self, r):
+        # the two-sided t tail in closed form at 1 and 2 degrees of freedom
+        for n, tail in ((3, lambda t: 2.0 / math.pi * math.atan(1.0 / t)),
+                        (4, lambda t: 2.0 / (math.sqrt(2.0 + t * t)
+                                             * (math.sqrt(2.0 + t * t) + t)))):
+            t = abs(r) * math.sqrt((n - 2) / (1.0 - r * r))
+            assert pearson_p(r, n) == pytest.approx(tail(t), rel=1e-12, abs=0.0)
+
+    # scipy.special.betainc(df / 2, 0.5, df / (df + t^2)), t^2 = df r^2 / (1 - r^2)
+    @pytest.mark.parametrize("n, r, p", [
+        (1000, 0.001, 0.9748044146275611),
+        (1000, 0.05, 0.11407259555107685),
+        (1000, 0.1, 0.001544116107401087),
+        (1000, 0.3, 3.037483380351177e-22),
+        (5000, 0.001, 0.943642079284815),
+        (5000, 0.05, 0.00040491100765617093),
+        (5000, 0.1, 1.3698133649235042e-12),
+        (5000, 0.3, 1.6556347079538108e-104),
+    ])
+    def test_large_n_reference_values(self, n, r, p):
+        assert pearson_p(r, n) == pytest.approx(p, rel=1e-10, abs=0.0)
+        assert pearson_p(-r, n) == pearson_p(r, n)
+
+    def test_bounds(self):
+        assert pearson_p(0.0, 10) == 1.0
+        assert pearson_p(1.0, 10) == pearson_p(-1.0, 10) == 0.0
+
+    def test_import_loads_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = ("import sys, fcdist; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestStars:

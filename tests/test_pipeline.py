@@ -209,9 +209,14 @@ class TestSimulation:
         (dict(montages=(19.0,)), r"montages must be an int, got 19\.0"),
         (dict(montages=("19",)), "montages must be an int, got '19'"),
         (dict(bands=("alpha",)), "bands must be Band objects, got 'alpha'"),
+        (dict(montages=19), "montages must be a tuple or list, got 19"),
+        (dict(bands=None), "bands must be a tuple or list, got None"),
+        (dict(metrics="COH"), "metrics must be a tuple or list, got 'COH'"),
+        (dict(metrics=(["COH"],)), r"metrics must be str labels, got \['COH'\]"),
     ], ids=["n_bins-1", "duplicate-montage", "duplicate-metric", "duplicate-band-name",
             "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "inf-fs",
-            "float-montage", "str-montage", "str-band"])
+            "float-montage", "str-montage", "str-band", "int-montages", "none-bands",
+            "str-metrics", "list-metric"])
     def test_config_rejected_before_any_cell(self, monkeypatch, changes, match):
         self._rejected_before_any_cell(monkeypatch, match, **changes)
 
