@@ -55,7 +55,6 @@ def _build_parser() -> _Parser:
                    help="comma list of names or name=lo-hi")
     p.add_argument("--out", type=Path, default=Path("results"))
     p.add_argument("--bins", type=int, default=defaults.n_bins)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
 
     p = sub.add_parser("gen-sources", help="generate a synthetic source library")
     p.add_argument("--n", type=int, default=defaults.n_active, help="number of source rows")
@@ -118,7 +117,7 @@ def _cmd_normative(args) -> int:
         print(f"no files match {args.input!r}", file=sys.stderr)
         return EXIT_DATA
     bands = tuple(map(pipeline.band_from_spec, _tokens(args.bands)))
-    result = pipeline.run_normative_analysis(paths, bands, args.bins, jobs=max(args.jobs, 1))
+    result = pipeline.run_normative_analysis(paths, bands, args.bins)
     written = pipeline.write_results(result, args.out)
     print(f"analyzed {result.config['subjects_used']} subject(s); "
           f"wrote {len(written)} files to {args.out}")

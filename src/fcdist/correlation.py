@@ -10,7 +10,9 @@ import numpy as np
 from .errors import ConstantSeries, TooFewPoints, checked_array
 
 _TINY = 1e-300  # keeps the Lentz recurrences off zero denominators
-_EPS = 1e-16
+# About 3 * 2**-53, as in Cephes; a bound below the spacing of doubles at 1.0
+# is met only when c * d rounds to exactly 1.0.
+_EPS = 3e-16
 _MAX_TERMS = 10_000  # a = b = 1e6 needs about 530 at x = 1/2
 
 

@@ -462,9 +462,8 @@ def run_normative_analysis(
     inputs: Iterable[Path | str],
     bands: tuple[Band, ...] = spectral.DEFAULT_BANDS,
     n_bins: int = weight_stats.DEFAULT_BINS,
-    jobs: int = 1,
 ) -> ExperimentResult:
-    """Weight-distribution statistics for stored cross-spectra; the same at any ``jobs``.
+    """Weight-distribution statistics for stored cross-spectra.
 
     Each input file is one subject and yields one scatter point per
     (metric, band); only the spectral metrics apply since no raw record
@@ -483,7 +482,7 @@ def run_normative_analysis(
     if len({os.path.realpath(p) for p in paths}) < len(paths):
         raise ValueError(f"a file is listed twice in {paths}")
     trial_rows, failures = _run_units(
-        normative_subject, [(cfg, path, subject) for subject, path in enumerate(paths)], jobs)
+        normative_subject, [(cfg, path, subject) for subject, path in enumerate(paths)])
     if sum(f.metric == "-" for f in failures) == len(paths):
         raise NoData("no cross-spectrum file could be read")
     used = len({row.trial for row in trial_rows})

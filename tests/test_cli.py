@@ -181,22 +181,6 @@ class TestNormativeCommand:
         assert summary["failures"][0]["error"].startswith("s2.csv: ")
         assert summary["failures"][0]["error"].startswith("s2.csv: CrossSpectrumFormatError: ")
 
-    def test_jobs_byte_identical(self, tmp_path, rng):
-        for i in range(4):
-            rec = make_record(rng.standard_normal((4, 512 * 4)), fs=200.0)
-            cs = quiet_cross_spectrum(rec, 512)
-            matrix_io.write_cross_spectrum(tmp_path / f"s{i}.csv", cs,
-                                           list(rec.channel_names))
-        poison_alpha_entry(tmp_path / "s3.csv")
-        for jobs in ("1", "2"):
-            assert run_cli("normative", "--input", str(tmp_path / "s*.csv"),
-                           "--bands", "alpha,beta", "--jobs", jobs,
-                           "--out", str(tmp_path / f"j{jobs}")) == 0
-        for name in ("trials.csv", "correlations.csv", "summary.json"):
-            assert (tmp_path / "j1" / name).read_bytes() == \
-                (tmp_path / "j2" / name).read_bytes()
-        assert len((tmp_path / "j1" / "correlations.csv").read_text().splitlines()) > 1
-
     def test_no_match_is_data_error(self, tmp_path, capsys):
         assert run_cli("normative", "--input", str(tmp_path / "*.csv"),
                        "--out", str(tmp_path / "o")) == 2
