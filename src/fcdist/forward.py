@@ -32,6 +32,16 @@ from .montages import Montage, get_montage
 _GAIN_EPS = 0.7
 _GAIN_POWER = 3
 
+# Size of one row block. Whole-record steps that work a block of rows at a
+# time hold temporaries of this size, not of the whole record.
+_BLOCK_BYTES = 2 << 20
+
+
+def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive row slices covering ``n_rows`` rows, each about ``_BLOCK_BYTES``."""
+    step = max(1, _BLOCK_BYTES // row_bytes)
+    return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
 
 @dataclass(frozen=True)
 class SourceLibrary:
@@ -304,13 +314,12 @@ def assemble_source_activity(
     order = rng.permutation(n_total)
     noise_seed = int(rng.integers(2**63))
 
-    # Indexing already copies. The second copy stays: without it, glibc's dynamic mmap
-    # threshold left a worker that runs a 19- then a 64-channel cell 7 MB larger at peak.
-    active = library.data[chosen, :n_samples].copy()
-    sd = active.std(axis=1, keepdims=True)
-    if np.any(sd == 0):
-        raise InvalidData("selected library rows include a constant row")
-    active /= sd
+    active = library.data[chosen, :n_samples]  # indexing copies
+    for rows in _row_blocks(n_active, 8 * n_samples):
+        sd = active[rows].std(axis=1, keepdims=True)
+        if np.any(sd == 0):
+            raise InvalidData("selected library rows include a constant row")
+        active[rows] /= sd
     return SourceActivity(data=active, fs=library.fs, columns=order[:n_active],
                           n_sources=n_total, noise_sigma=noise_sigma, noise_seed=noise_seed)
 
@@ -372,13 +381,19 @@ def project_to_scalp(lf: LeadField, src: SourceActivity) -> MultichannelRecord:
         raise ShapeMismatch(
             f"lead field has {lf.n_sources} sources, activity has {src.n_sources}"
         )
-    data = lf.gain[:, src.columns] @ src.data
+    explicit = lf.gain[:, src.columns]
     if src.noise_sigma > 0 and src.columns.size < src.n_sources:
         fill = np.delete(lf.gain, src.columns, axis=1)
         w, v = np.linalg.eigh(fill @ fill.T)
         root = (v * (src.noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
         z = np.random.default_rng(src.noise_seed).standard_normal((lf.n_channels, src.n_samples))
-        data += root @ z
+        # The fill first, so that z is freed before the explicit rows' product
+        # exists; addition commutes, so the sum has the same bits either way.
+        data = root @ z
+        del z
+        data += explicit @ src.data
+    else:
+        data = explicit @ src.data
     return MultichannelRecord(
         data=data,
         fs=src.fs,

@@ -224,10 +224,10 @@ def cell_record(cfg: ExperimentConfig, montage: int, trial: int
                 ) -> forward.MultichannelRecord:
     """The scalp record of one (montage, trial) cell."""
     lf = _cell_leadfield(cfg, montage)
-    lib = _cell_library(cfg, montage, trial)
+    # The library is passed, not bound, so it is freed before the projection.
     src = forward.assemble_source_activity(
-        lib, cfg.n_sources, cfg.n_active, cfg.noise_sigma, cfg.n_samples,
-        seed=mix64(cfg.master_seed, trial, montage, 2),
+        _cell_library(cfg, montage, trial), cfg.n_sources, cfg.n_active, cfg.noise_sigma,
+        cfg.n_samples, seed=mix64(cfg.master_seed, trial, montage, 2),
     )
     return forward.project_to_scalp(lf, src)
 
@@ -475,7 +475,7 @@ def run_normative_analysis(
     """
     cfg = ExperimentConfig(
         metrics=tuple(m for m, (kind, _) in METRICS.items() if kind == "coherency"),
-        bands=tuple(bands), n_bins=n_bins,
+        bands=bands, n_bins=n_bins,
     )
     cfg._validate_rows()
     paths = sorted(str(p) for p in inputs)

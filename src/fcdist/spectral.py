@@ -23,7 +23,7 @@ from .errors import (
     check_rate,
     frozen_field,
 )
-from .forward import MultichannelRecord
+from .forward import MultichannelRecord, _row_blocks
 
 # Averaging fewer segments than this is allowed but flagged as a diagnostic.
 RECOMMENDED_MIN_SEGMENTS = 20
@@ -243,8 +243,7 @@ def bandpass_analytic(rec: MultichannelRecord, band: Band) -> AnalyticRecord:
     nyquist = rec.fs / 2.0
     if not 0.0 < band.lo < band.hi < nyquist:
         raise BandOutOfRange(f"band ({band.lo}, {band.hi}) outside (0, {nyquist})")
-    n = rec.n_samples
-    spec = np.fft.fft(rec.data, axis=1)
+    n_ch, n = rec.data.shape
     freqs = np.fft.fftfreq(n, d=1.0 / rec.fs)
     gain = _butterworth_bandpass_gain(freqs, band)
 
@@ -257,13 +256,21 @@ def bandpass_analytic(rec: MultichannelRecord, band: Band) -> AnalyticRecord:
         h[n // 2] = 1.0
     else:
         h[1 : (n + 1) // 2] = 2.0
+    gain *= h
 
-    analytic = np.fft.ifft(spec * (gain * h), axis=1)
-    phase = np.angle(analytic)
+    # Each row's transforms are independent of the others', so blocks of rows
+    # give the whole record's bits while no whole-record complex array exists.
+    phase = np.empty((n_ch, n))
+    envelope = np.empty((n_ch, n))
+    for rows in _row_blocks(n_ch, 16 * n):
+        spec = np.fft.fft(rec.data[rows], axis=1)
+        spec *= gain
+        analytic = np.fft.ifft(spec, axis=1)
+        # np.angle's definition, written into the block of ``phase``.
+        np.arctan2(analytic.imag, analytic.real, out=phase[rows])
+        np.abs(analytic, out=envelope[rows])
     np.copyto(phase, np.pi, where=phase == -np.pi)
-    return AnalyticRecord(
-        phase=phase, envelope=np.abs(analytic), fs=rec.fs, band=band
-    )
+    return AnalyticRecord(phase=phase, envelope=envelope, fs=rec.fs, band=band)
 
 
 def band_slice(freqs: np.ndarray, band: Band) -> np.ndarray:

@@ -22,8 +22,8 @@ from fcdist.errors import (
     InsufficientSamples,
     InvalidData,
 )
-from fcdist.forward import SourceActivity
-from fcdist.spectral import CoherencyMatrix, CrossSpectrum
+from fcdist.forward import MultichannelRecord, SourceActivity
+from fcdist.spectral import AnalyticRecord, CoherencyMatrix, CrossSpectrum
 
 # Chunk size (rows) for streaming noise-source generation. Fixed so the
 # random stream, and therefore the output, never depends on memory layout.
@@ -328,6 +328,49 @@ def reference_source_activity(
         data[rows] = noise_sigma * rng.standard_normal((rows.size, n_samples))
 
     return SourceActivity(data=data, fs=library.fs)
+
+
+def explicit_first_projection(lf, src: SourceActivity) -> MultichannelRecord:
+    """Forward projection that forms the explicit rows' product before the fill.
+
+    The earlier operation order: gain[:, columns] @ data, then the fill
+    root @ z added to it, with the fill drawn as ``project_to_scalp`` draws it.
+    """
+    data = lf.gain[:, src.columns] @ src.data
+    if src.noise_sigma > 0 and src.columns.size < src.n_sources:
+        fill = np.delete(lf.gain, src.columns, axis=1)
+        w, v = np.linalg.eigh(fill @ fill.T)
+        root = (v * (src.noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
+        z = np.random.default_rng(src.noise_seed).standard_normal((lf.n_channels, src.n_samples))
+        data += root @ z
+    return MultichannelRecord(data=data, fs=src.fs, channel_names=lf.channel_names)
+
+
+def oneshot_bandpass_analytic(rec, band) -> AnalyticRecord:
+    """Band-pass analytic signal of the whole record in one transform pair.
+
+    The earlier form: ifft(fft(x) * (gain * h)) over all rows at once, with
+    the order-4 forward-backward Butterworth gain and the analytic-signal
+    multiplier h, then np.angle with -pi mapped to pi, and the magnitude.
+    """
+    n = rec.n_samples
+    spec = np.fft.fft(rec.data, axis=1)
+    f = np.abs(np.fft.fftfreq(n, d=1.0 / rec.fs))
+    gain = np.zeros_like(f)
+    nz = f > 0
+    xi = (f[nz] ** 2 - band.lo * band.hi) / (f[nz] * (band.hi - band.lo))
+    gain[nz] = 1.0 / (1.0 + xi ** 8)
+    h = np.zeros(n)
+    h[0] = 1.0
+    if n % 2 == 0:
+        h[1 : n // 2] = 2.0
+        h[n // 2] = 1.0
+    else:
+        h[1 : (n + 1) // 2] = 2.0
+    analytic = np.fft.ifft(spec * (gain * h), axis=1)
+    phase = np.angle(analytic)
+    phase[phase == -np.pi] = np.pi
+    return AnalyticRecord(phase=phase, envelope=np.abs(analytic), fs=rec.fs, band=band)
 
 
 def fullstack_coherency(mats):

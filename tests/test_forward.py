@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_record, quiet_cross_spectrum
-from oracles import naive_matmul, reference_source_activity
+from oracles import explicit_first_projection, naive_matmul, reference_source_activity
 
 from fcdist import (
     assemble_source_activity,
@@ -85,6 +85,14 @@ class TestAssemble:
         lib = small_library()
         src = assemble_source_activity(lib, 30, 10, 0.05, 500, seed=42)
         ref = reference_source_activity(lib, 30, 10, 0.05, 500, seed=42)
+        assert np.array_equal(src.data, ref.data[src.columns])
+
+    def test_active_rows_match_reference_across_blocks(self):
+        # 200 rows of 10,000 samples span several row blocks of the
+        # normalisation, the last one partial.
+        lib = small_library(200, 10000)
+        src = assemble_source_activity(lib, 300, 200, 0.05, 10000, seed=42)
+        ref = reference_source_activity(lib, 300, 200, 0.05, 10000, seed=42)
         assert np.array_equal(src.data, ref.data[src.columns])
 
     def test_insufficient_library(self):
@@ -245,6 +253,15 @@ class TestChannelSpaceFill:
         ref = reference_source_activity(lib, 3002, 200, 0.0, 2000, seed=4)
         rec = project_to_scalp(lf, src)
         assert np.max(np.abs(rec.data - lf.gain @ ref.data)) < 1e-12
+
+    @pytest.mark.parametrize("montage, noise_sigma", [("std19", 0.01), ("egi128", 0.01),
+                                                      ("egi64", 0.0)])
+    def test_fill_first_equals_explicit_first(self, montage, noise_sigma):
+        lib = generate_synthetic_sources(200, 2000, 200.0, 10.0, seed=3)
+        lf = generate_synthetic_leadfield(montage, 3002, seed=1)
+        src = assemble_source_activity(lib, 3002, 200, noise_sigma, 2000, seed=4)
+        assert np.array_equal(project_to_scalp(lf, src).data,
+                              explicit_first_projection(lf, src).data)
 
     def test_fill_covariance(self):
         # Fill only (no active rows), sigma = 1: the empirical channel

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import make_record, quiet_cross_spectrum
-from oracles import fullstack_coherency, naive_cross_spectrum, segment_loop_cross_spectrum
+from oracles import (
+    fullstack_coherency,
+    naive_cross_spectrum,
+    oneshot_bandpass_analytic,
+    segment_loop_cross_spectrum,
+)
+
+from fcdist import forward
 
 from fcdist.errors import (
     BandOutOfRange,
@@ -208,6 +215,19 @@ class TestCoherency:
 
 
 class TestBandpassAnalytic:
+    @pytest.mark.parametrize("n_samples", [4000, 4001], ids=["even", "odd"])
+    @pytest.mark.parametrize("n_ch", [lambda block: 1, lambda block: block - 1,
+                                      lambda block: block, lambda block: block + 1,
+                                      lambda block: 128],
+                             ids=["1", "block-1", "block", "block+1", "128"])
+    def test_blocks_equal_oneshot_exactly(self, rng, n_ch, n_samples):
+        block = forward._BLOCK_BYTES // (16 * n_samples)
+        rec = make_record(rng.standard_normal((n_ch(block), n_samples)))
+        a = bandpass_analytic(rec, ALPHA)
+        ref = oneshot_bandpass_analytic(rec, ALPHA)
+        assert np.array_equal(a.phase, ref.phase)
+        assert np.array_equal(a.envelope, ref.envelope)
+
     def test_sinusoid_envelope_flat(self):
         fs, n = 200.0, 2000
         t = np.arange(n) / fs
