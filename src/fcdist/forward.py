@@ -7,6 +7,11 @@ sources reaches the scalp as G_n @ Z, which is Gaussian with channel
 covariance sigma^2 G_n G_n^T and white in time, so it is drawn in channel
 space at projection instead of source by source. Generators here are pure
 functions of their arguments: same arguments, bit-identical output.
+
+A synthetic cell's sources come from ``synthetic_source_activity``, which
+equals ``assemble_source_activity(generate_synthetic_sources(...))`` bit for
+bit without holding the library: the two paths share one row synthesis, one
+set of assembly draws and one normalisation.
 """
 
 from __future__ import annotations
@@ -178,33 +183,9 @@ def _resonator_denominator(freqs: np.ndarray, f0: float, q: float) -> np.ndarray
     return (1.0 - ratio**2) ** 2 + (ratio / q) ** 2
 
 
-def generate_synthetic_sources(
-    n_sources: int,
-    n_samples: int,
-    fs: float,
-    alpha_hz: float = 10.0,
-    seed: int = 0,
-) -> SourceLibrary:
-    """Build a library of rhythm-bearing source time courses.
-
-    The model imitates resting cortical activity. Every row carries a steep
-    1/f-like background and a narrowband rhythm near ``alpha_hz``: strong
-    in a sparse, per-call random fraction of rows, weak in the rest. Part of
-    each row's rhythm is its own (individual peak frequency and bandwidth
-    per row); the rest is the rhythm of one of a few independent networks
-    (4 to 10 per call, each row joining one at random), delayed by a
-    per-row circular time lag of up to half a cycle. Rows of one network
-    are therefore lag-coupled and rows of different networks independent,
-    so lagged coupling raises the weights of the channel pairs that span a
-    network instead of lifting every pair as one global rhythm would. The
-    rhythmic fraction and the coupling strength (the share of a rhythmic
-    row's rhythm that comes from its network; half for the other rows) are
-    drawn per call, so different seeds span a range of overall coupling
-    levels. A row's background and private rhythm are one spectral draw
-    (one ``irfft``) whose power gives each its expected share of the row's
-    unit variance; the network rhythm is sample-normalized, so its share is
-    exact. Deterministic in ``seed``.
-    """
+def _check_synthetic(n_sources: int, n_samples: int, fs: float, alpha_hz: float) -> None:
+    """The arguments of ``generate_synthetic_sources``, checked in order."""
+    check_rate(fs)
     if n_sources < 1:
         raise EmptyRequest("n_sources must be >= 1")
     if n_samples < 4:
@@ -212,6 +193,18 @@ def generate_synthetic_sources(
     if not 0.0 < alpha_hz < fs / 2.0:
         raise BandOutOfRange(f"alpha_hz={alpha_hz} outside (0, {fs / 2.0})")
 
+
+def _synthesize_rows(out: np.ndarray, slots: np.ndarray, fs: float, alpha_hz: float,
+                     seed: int) -> None:
+    """Write row k of the synthetic library into ``out[slots[k]]``.
+
+    The library, and its model, is ``generate_synthetic_sources(slots.size,
+    out.shape[1], fs, alpha_hz, seed)``, whose arguments the caller has
+    checked with ``_check_synthetic``. Rows are synthesized a block at a
+    time, each temporary about a quarter of ``_BLOCK_BYTES``; the random
+    stream, and so every bit, is that of one row at a time.
+    """
+    n_sources, n_samples = slots.size, out.shape[1]
     rng = np.random.default_rng(seed)
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs)
 
@@ -264,14 +257,97 @@ def generate_synthetic_sources(
     if n_samples % 2 == 0:
         weights[-1] = 1.0 / n_samples**2
     background_scale = (1.0 - t) / np.sum(background_power * weights)
+    # The largest per-row temporary is the complex spectrum, 16 bytes a bin.
+    for rows in _row_blocks(n_sources, 4 * 16 * n_bins):
+        private_power = 1.0 / _resonator_denominator(freqs, f_private[rows, None],
+                                                      q_private[rows, None])
+        private_scale = (t[rows] - v[rows]) / np.sum(private_power * weights, axis=1)
+        amp = np.sqrt(background_scale[rows, None] * background_power
+                      + private_scale[:, None] * private_power)
+        del private_power
+        # Row by row, the same stream as _spectral_noise's (2, n_bins) draws;
+        # amp * z equals amp * (z0 + 1j z1) part by part for amp > 0.
+        z = rng.standard_normal((amp.shape[0], 2, n_bins))
+        coeff = np.empty(amp.shape, dtype=complex)
+        np.multiply(amp, z[:, 0], out=coeff.real)
+        np.multiply(amp, z[:, 1], out=coeff.imag)
+        coeff[:, 0] = 0.0
+        del amp, z
+        block = np.fft.irfft(coeff, n=n_samples)
+        del coeff
+        # The network part, circularly delayed: np.roll as two slice adds.
+        for row, k in zip(block, range(*rows.indices(n_sources))):
+            shift = int(lags[k]) % n_samples
+            part = np.sqrt(v[k])
+            network = networks[member[k]]
+            row[shift:] += part * network[:n_samples - shift]
+            row[:shift] += part * network[n_samples - shift:]
+        out[slots[rows]] = block
+
+
+def generate_synthetic_sources(
+    n_sources: int,
+    n_samples: int,
+    fs: float,
+    alpha_hz: float = 10.0,
+    seed: int = 0,
+) -> SourceLibrary:
+    """Build a library of rhythm-bearing source time courses.
+
+    The model imitates resting cortical activity. Every row carries a steep
+    1/f-like background and a narrowband rhythm near ``alpha_hz``: strong
+    in a sparse, per-call random fraction of rows, weak in the rest. Part of
+    each row's rhythm is its own (individual peak frequency and bandwidth
+    per row); the rest is the rhythm of one of a few independent networks
+    (4 to 10 per call, each row joining one at random), delayed by a
+    per-row circular time lag of up to half a cycle. Rows of one network
+    are therefore lag-coupled and rows of different networks independent,
+    so lagged coupling raises the weights of the channel pairs that span a
+    network instead of lifting every pair as one global rhythm would. The
+    rhythmic fraction and the coupling strength (the share of a rhythmic
+    row's rhythm that comes from its network; half for the other rows) are
+    drawn per call, so different seeds span a range of overall coupling
+    levels. A row's background and private rhythm are one spectral draw
+    (one ``irfft``) whose power gives each its expected share of the row's
+    unit variance; the network rhythm is sample-normalized, so its share is
+    exact. Deterministic in ``seed``.
+    """
+    _check_synthetic(n_sources, n_samples, fs, alpha_hz)
     data = np.empty((n_sources, n_samples))
-    for k in range(n_sources):
-        private_power = 1.0 / _resonator_denominator(freqs, f_private[k], q_private[k])
-        private_scale = (t[k] - v[k]) / np.sum(private_power * weights)
-        amp = np.sqrt(background_scale[k] * background_power + private_scale * private_power)
-        data[k] = _spectral_noise(rng, amp, n_samples)
-        data[k] += np.sqrt(v[k]) * np.roll(networks[member[k]], int(lags[k]))
+    _synthesize_rows(data, np.arange(n_sources), fs, alpha_hz, seed)
     return SourceLibrary(data=data, fs=fs, origin=f"synthetic(seed={seed})")
+
+
+def _assembly_draws(n_library: int, n_total: int, n_active: int, noise_sigma: float,
+                    seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Check the assembly's counts; draw its chosen rows, source order and fill seed."""
+    if n_total < 1:
+        raise ValueError("n_total must be >= 1")
+    if not 0 <= n_active <= n_total:
+        raise ValueError("need 0 <= n_active <= n_total")
+    if noise_sigma < 0:
+        raise ValueError("noise_sigma must be >= 0")
+    if n_active > n_library:
+        raise InsufficientLibrary(
+            f"requested {n_active} active sources from a {n_library}-row library"
+        )
+    rng = np.random.default_rng(seed)
+    chosen = rng.choice(n_library, size=n_active, replace=False)
+    order = rng.permutation(n_total)
+    noise_seed = int(rng.integers(2**63))
+    return chosen, order, noise_seed
+
+
+def _normalised_activity(active: np.ndarray, fs: float, order: np.ndarray, n_total: int,
+                         noise_sigma: float, noise_seed: int) -> SourceActivity:
+    """Scale the active rows to unit sample variance in place, a row block at a time."""
+    for rows in _row_blocks(active.shape[0], 8 * active.shape[1]):
+        sd = active[rows].std(axis=1, keepdims=True)
+        if np.any(sd == 0):
+            raise InvalidData("selected library rows include a constant row")
+        active[rows] /= sd
+    return SourceActivity(data=active, fs=fs, columns=order[:active.shape[0]],
+                          n_sources=n_total, noise_sigma=noise_sigma, noise_seed=noise_seed)
 
 
 def assemble_source_activity(
@@ -292,36 +368,42 @@ def assemble_source_activity(
     not drawn here but at projection, in channel space, with covariance
     noise_sigma^2 G_n G_n^T and a seed taken from the same stream.
     """
-    if n_total < 1:
-        raise ValueError("n_total must be >= 1")
-    if not 0 <= n_active <= n_total:
-        raise ValueError("need 0 <= n_active <= n_total")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
-    if n_active > library.n_library:
-        raise InsufficientLibrary(
-            f"requested {n_active} active sources from a {library.n_library}-row library"
-        )
+    chosen, order, noise_seed = _assembly_draws(library.n_library, n_total, n_active,
+                                                noise_sigma, seed)
     if n_samples > library.n_samples:
         raise InsufficientSamples(
             f"requested {n_samples} samples; library rows hold {library.n_samples}"
         )
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-
-    rng = np.random.default_rng(seed)
-    chosen = rng.choice(library.n_library, size=n_active, replace=False)
-    order = rng.permutation(n_total)
-    noise_seed = int(rng.integers(2**63))
-
     active = library.data[chosen, :n_samples]  # indexing copies
-    for rows in _row_blocks(n_active, 8 * n_samples):
-        sd = active[rows].std(axis=1, keepdims=True)
-        if np.any(sd == 0):
-            raise InvalidData("selected library rows include a constant row")
-        active[rows] /= sd
-    return SourceActivity(data=active, fs=library.fs, columns=order[:n_active],
-                          n_sources=n_total, noise_sigma=noise_sigma, noise_seed=noise_seed)
+    return _normalised_activity(active, library.fs, order, n_total, noise_sigma, noise_seed)
+
+
+def synthetic_source_activity(
+    n_total: int,
+    n_active: int,
+    noise_sigma: float,
+    n_samples: int,
+    fs: float,
+    alpha_hz: float = 10.0,
+    library_seed: int = 0,
+    seed: int = 0,
+) -> SourceActivity:
+    """``assemble_source_activity`` of an ``n_active``-row synthetic library, bit for bit.
+
+    Equal to ``assemble_source_activity(generate_synthetic_sources(n_active,
+    n_samples, fs, alpha_hz, library_seed), n_total, n_active, noise_sigma,
+    n_samples, seed)``, but no library is held: the assembly's draws come
+    first, and each library row is written straight to the row the assembly
+    would copy it to.
+    """
+    _check_synthetic(n_active, n_samples, fs, alpha_hz)
+    chosen, order, noise_seed = _assembly_draws(n_active, n_total, n_active, noise_sigma, seed)
+    # Every library row is chosen; library row chosen[i] becomes row i.
+    active = np.empty((n_active, n_samples))
+    _synthesize_rows(active, np.argsort(chosen), fs, alpha_hz, library_seed)
+    return _normalised_activity(active, fs, order, n_total, noise_sigma, noise_seed)
 
 
 def generate_synthetic_leadfield(

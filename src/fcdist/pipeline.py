@@ -206,29 +206,31 @@ def _cell_leadfield(cfg: ExperimentConfig, montage: int) -> forward.LeadField:
     return lf
 
 
-def _cell_library(cfg: ExperimentConfig, montage: int, trial: int) -> forward.SourceLibrary:
-    path = _mode_path(cfg.source_mode)
-    if path is not None:
-        lib = _read_file(matrix_io.read_source_library, path)
-        if lib.fs != cfg.fs:
-            raise InvalidData(f"source library {path} is sampled at {lib.fs} Hz, "
-                              f"not the config's fs {cfg.fs} Hz")
-        return lib
-    return forward.generate_synthetic_sources(
-        cfg.n_active, cfg.n_samples, cfg.fs, cfg.alpha_hz,
-        seed=mix64(cfg.master_seed, trial, montage, 1),
-    )
+def _cell_library(cfg: ExperimentConfig, path: str) -> forward.SourceLibrary:
+    lib = _read_file(matrix_io.read_source_library, path)
+    if lib.fs != cfg.fs:
+        raise InvalidData(f"source library {path} is sampled at {lib.fs} Hz, "
+                          f"not the config's fs {cfg.fs} Hz")
+    return lib
 
 
 def cell_record(cfg: ExperimentConfig, montage: int, trial: int
                 ) -> forward.MultichannelRecord:
     """The scalp record of one (montage, trial) cell."""
     lf = _cell_leadfield(cfg, montage)
-    # The library is passed, not bound, so it is freed before the projection.
-    src = forward.assemble_source_activity(
-        _cell_library(cfg, montage, trial), cfg.n_sources, cfg.n_active, cfg.noise_sigma,
-        cfg.n_samples, seed=mix64(cfg.master_seed, trial, montage, 2),
-    )
+    seed = mix64(cfg.master_seed, trial, montage, 2)
+    path = _mode_path(cfg.source_mode)
+    if path is None:
+        # The synthetic library's rows are written straight into the activity.
+        src = forward.synthetic_source_activity(
+            cfg.n_sources, cfg.n_active, cfg.noise_sigma, cfg.n_samples, cfg.fs,
+            cfg.alpha_hz, library_seed=mix64(cfg.master_seed, trial, montage, 1), seed=seed,
+        )
+    else:
+        src = forward.assemble_source_activity(
+            _cell_library(cfg, path), cfg.n_sources, cfg.n_active, cfg.noise_sigma,
+            cfg.n_samples, seed=seed,
+        )
     return forward.project_to_scalp(lf, src)
 
 

@@ -278,6 +278,77 @@ def count_windows(n_samples: int, win: int, step: int) -> int:
     return count
 
 
+def rowloop_synthetic_sources(
+    n_sources: int,
+    n_samples: int,
+    fs: float,
+    alpha_hz: float = 10.0,
+    seed: int = 0,
+) -> np.ndarray:
+    """The synthetic source library's rows, synthesized one row at a time.
+
+    The generator as it was before its rows were synthesized in blocks and
+    written straight into the assembled activity: one ``(2, n_bins)`` draw,
+    one ``irfft`` and one ``np.roll`` of the network rhythm per row.
+    """
+    if n_sources < 1:
+        raise ValueError("n_sources must be >= 1")
+    if n_samples < 4:
+        raise ValueError("n_samples must be >= 4")
+    if not 0.0 < alpha_hz < fs / 2.0:
+        raise ValueError(f"alpha_hz={alpha_hz} outside (0, {fs / 2.0})")
+
+    def spectral_noise(amplitude):
+        z = rng.standard_normal((2, amplitude.shape[0]))
+        coeff = amplitude * (z[0] + 1j * z[1])
+        coeff[0] = 0.0
+        return np.fft.irfft(coeff, n=n_samples)
+
+    def resonator_denominator(f0, q):
+        ratio = freqs / f0
+        return (1.0 - ratio**2) ** 2 + (ratio / q) ** 2
+
+    rng = np.random.default_rng(seed)
+    freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs)
+    background_power = (freqs + 1.0) ** -1.7
+    rhythm_fraction = rng.uniform(0.03, 0.22)
+    n_networks = int(rng.integers(4, 11))
+    coupling = rng.uniform(0.2, 0.8)
+    networks = []
+    for _ in range(n_networks):
+        f0 = alpha_hz * rng.uniform(0.93, 1.17)
+        x = spectral_noise(1.0 / np.sqrt(resonator_denominator(f0, 16.0)))
+        networks.append(x / x.std())
+    n_rhythmic = max(1, int(round(rhythm_fraction * n_sources)))
+    rhythmic = np.arange(n_sources) < n_rhythmic
+    t = np.where(
+        rhythmic,
+        rng.uniform(0.75, 0.95, size=n_sources),
+        rng.uniform(0.002, 0.05, size=n_sources),
+    )
+    v = np.where(rhythmic, coupling, 0.5) * t
+    member = rng.integers(0, n_networks, size=n_sources)
+    cycle = max(fs / alpha_hz, 2.0)
+    max_lag = max(int(round(0.5 * cycle)), 1)
+    lags = rng.integers(-max_lag, max_lag + 1, size=n_sources)
+    q_private = np.exp(rng.uniform(np.log(6.0), np.log(20.0), size=n_sources))
+    f_private = alpha_hz * rng.uniform(0.85, 1.22, size=n_sources)
+    n_bins = freqs.shape[0]
+    weights = np.full(n_bins, 4.0 / n_samples**2)
+    weights[0] = 0.0
+    if n_samples % 2 == 0:
+        weights[-1] = 1.0 / n_samples**2
+    background_scale = (1.0 - t) / np.sum(background_power * weights)
+    data = np.empty((n_sources, n_samples))
+    for k in range(n_sources):
+        private_power = 1.0 / resonator_denominator(f_private[k], q_private[k])
+        private_scale = (t[k] - v[k]) / np.sum(private_power * weights)
+        amp = np.sqrt(background_scale[k] * background_power + private_scale * private_power)
+        data[k] = spectral_noise(amp)
+        data[k] += np.sqrt(v[k]) * np.roll(networks[member[k]], int(lags[k]))
+    return data
+
+
 def reference_source_activity(
     library,
     n_total: int,

@@ -26,6 +26,11 @@ class TestGenerators:
         assert lib.data.shape == (5, 400)
         assert "source library" in capsys.readouterr().out
 
+    def test_gen_sources_infinite_rate_is_data_error(self, tmp_path, capsys):
+        assert run_cli("gen-sources", "--n", "5", "--samples", "400", "--fs", "inf",
+                       "--out", str(tmp_path / "lib.csv")) == 2
+        assert "fs must be positive and finite" in capsys.readouterr().err
+
     def test_gen_leadfield(self, tmp_path):
         out = tmp_path / "lf.csv"
         assert run_cli("gen-leadfield", "--montage", "egi32", "--n-sources", "50",

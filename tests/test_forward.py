@@ -2,10 +2,16 @@ import numpy as np
 import pytest
 
 from conftest import make_record, quiet_cross_spectrum
-from oracles import explicit_first_projection, naive_matmul, reference_source_activity
+from oracles import (
+    explicit_first_projection,
+    naive_matmul,
+    reference_source_activity,
+    rowloop_synthetic_sources,
+)
 
 from fcdist import (
     assemble_source_activity,
+    forward,
     generate_synthetic_leadfield,
     generate_synthetic_sources,
     project_to_scalp,
@@ -152,6 +158,58 @@ class TestSyntheticSources:
         # 1 - v, the network rhythm to exactly v
         lib = generate_synthetic_sources(200, n_samples, 200.0, 10.0, seed=1)
         assert abs(lib.data.var(axis=1).mean() - 1.0) < 0.05
+
+
+# Rows of 10,000 samples per block of the generator's row synthesis.
+_BLOCK_ROWS = forward._BLOCK_BYTES // (4 * 16 * 5001)
+
+
+class TestBlockedSynthesis:
+    @pytest.mark.parametrize("n, samples, fs, alpha, seed", [
+        (1, 10000, 200.0, 10.0, 3),
+        (_BLOCK_ROWS - 1, 10000, 200.0, 10.0, 11),
+        (_BLOCK_ROWS, 10000, 200.0, 10.0, 11),
+        (_BLOCK_ROWS + 1, 10000, 200.0, 10.0, 11),
+        (200, 10000, 200.0, 10.0, 1),
+        (37, 801, 200.0, 10.0, 5),
+        (3, 4, 200.0, 10.0, 2),
+        (50, 4001, 250.0, 40.0, 123),
+    ])
+    def test_rows_equal_row_loop(self, n, samples, fs, alpha, seed):
+        lib = generate_synthetic_sources(n, samples, fs, alpha, seed=seed)
+        assert np.array_equal(lib.data, rowloop_synthetic_sources(n, samples, fs, alpha, seed))
+
+    @pytest.mark.parametrize("n_total, n_active, samples, fs, alpha", [
+        (3002, 200, 10000, 200.0, 10.0),
+        (30, 1, 500, 200.0, 10.0),
+        (7, 7, 333, 250.0, 40.0),
+        (40, 12, 4, 200.0, 10.0),
+    ])
+    def test_fused_equals_generate_then_assemble(self, n_total, n_active, samples, fs, alpha):
+        fused = forward.synthetic_source_activity(n_total, n_active, 0.05, samples, fs, alpha,
+                                                  library_seed=4, seed=9)
+        lib = generate_synthetic_sources(n_active, samples, fs, alpha, seed=4)
+        two_step = assemble_source_activity(lib, n_total, n_active, 0.05, samples, seed=9)
+        assert np.array_equal(fused.data, two_step.data)
+        assert np.array_equal(fused.columns, two_step.columns)
+        assert fused.noise_seed == two_step.noise_seed
+        assert fused.n_sources == two_step.n_sources == n_total
+
+    @pytest.mark.parametrize("args, error", [
+        ((30, 0, 0.05, 500, 200.0, 10.0), EmptyRequest),
+        ((30, 10, 0.05, 500, float("inf"), 10.0), InvalidData),
+        ((30, 10, 0.05, 500, 200.0, 120.0), BandOutOfRange),
+        ((5, 10, 0.05, 500, 200.0, 10.0), ValueError),
+        ((30, 10, -1.0, 500, 200.0, 10.0), ValueError),
+    ])
+    def test_fused_rejects_as_two_step(self, args, error):
+        n_total, n_active, sigma, samples, fs, alpha = args
+        with pytest.raises(error) as two_step:
+            lib = generate_synthetic_sources(n_active, samples, fs, alpha)
+            assemble_source_activity(lib, n_total, n_active, sigma, samples)
+        with pytest.raises(error) as fused:
+            forward.synthetic_source_activity(*args)
+        assert str(fused.value) == str(two_step.value)
 
 
 class TestSyntheticLeadfield:
