@@ -8,7 +8,7 @@ on even pairs and the change first on odd ones, so that drift of the machine
 falls on both sides. Run from the root of the repository:
 
     python3 scripts/bench.py --base HEAD~1 --change HEAD --tag blas_threads \\
-        --workload grid_dense=5 --workload grid_desk=3 --workload normative_rt=3
+        --workload grid_dense --workload grid_desk --workload normative_rt
 
 The file holds each run's end-to-end metrics, digests and ``manifest`` line
 (nproc, BLAS, thread environment) and, per workload and metric, the median
@@ -84,7 +84,7 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--change", default="HEAD", help="commit under test")
     parser.add_argument("--tag", required=True, help="output is BENCH_<tag>.json")
     parser.add_argument("--workload", action="append", required=True, metavar="NAME[=PAIRS]",
-                        help="workload of BENCHMARK.json and its pair count (default 5)")
+                        help="workload of BENCHMARK.json and its pair count (default 10)")
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of the JSON file")
@@ -97,7 +97,7 @@ def main(argv=None) -> int:
                 ["git", "rev-parse", "--verify", getattr(args, side) + "^{commit}"],
                 cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
             for side in SIDES}
-    plan = [(name, int(pairs or 5)) for name, _, pairs in
+    plan = [(name, int(pairs or 10)) for name, _, pairs in
             (spec.partition("=") for spec in args.workload)]
     work = Path(tempfile.mkdtemp(prefix="fcdist-bench-"))
     try:

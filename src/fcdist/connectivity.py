@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateEnvelope, InvalidData, TooShort, check_number_fields, frozen_field
+from .errors import DegenerateEnvelope, InvalidData, TooShort, check_field_types, frozen_field
 from .spectral import AnalyticRecord, Band, CoherencyMatrix, band_slice
 
 
@@ -26,7 +26,9 @@ class WindowConfig:
     overlap_seconds: float = 0.5
 
     def __post_init__(self) -> None:
-        check_number_fields(self)
+        check_field_types(self)
+        if not self.window_seconds < float("inf"):
+            raise ValueError(f"window_seconds must be finite, got {self.window_seconds}")
         if not 0.0 <= self.overlap_seconds < self.window_seconds:
             raise ValueError("need 0 <= overlap_seconds < window_seconds")
 

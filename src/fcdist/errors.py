@@ -4,7 +4,7 @@ Every error raised by fcdist derives from :class:`FcdistError`, so callers
 can catch one base class at pipeline boundaries. Data that fails a check
 (NaN, inf, a bad shape or range, a constant library row, a malformed matrix
 file or sidecar) raises :class:`InvalidData`, which pipelines record as a
-cell or subject failure; bad arguments and configs raise a plain ValueError.
+cell or subject failure; bad arguments and configs raise a ValueError.
 """
 
 from dataclasses import fields
@@ -57,24 +57,25 @@ def check_rate(fs) -> None:
         raise InvalidData("fs must be positive and finite")
 
 
-# Annotation of a number field -> (accepted types, their name in messages).
-_NUMBER_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number")}
+# Annotation of a scalar field -> (accepted types, their name in messages).
+_FIELD_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number"),
+                "str": (str, "a string")}
 
 
 def check_number(name: str, value, kind: str):
     """``value`` if it is of ``kind``, else ValueError naming ``name``: "int" takes
-    an int, "float" an int or a float, and a bool counts as neither."""
-    types, what = _NUMBER_TYPES[kind]
+    an int, "float" an int or a float, "str" a str, and a bool counts as no number."""
+    types, what = _FIELD_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise ValueError(f"{name} must be {what}, got {value!r}")
     return value
 
 
-def check_number_fields(obj) -> None:
-    """``check_number`` on each int or float field of dataclass ``obj``, in field order."""
+def check_field_types(obj) -> None:
+    """``check_number`` on each int, float or str field of dataclass ``obj``, in field order."""
     for f in fields(obj):
         kind = getattr(f.type, "__name__", f.type)
-        if kind in _NUMBER_TYPES:
+        if kind in _FIELD_TYPES:
             check_number(f.name, getattr(obj, f.name), kind)
 
 
@@ -96,7 +97,7 @@ class BandOutOfRange(FcdistError):
     """A frequency or band lies outside (0, Nyquist)."""
 
 
-class UnknownMontage(FcdistError):
+class UnknownMontage(FcdistError, ValueError):
     """Montage label not among the built-in layouts."""
 
 

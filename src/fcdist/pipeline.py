@@ -31,10 +31,10 @@ from .errors import (
     NoData,
     ShapeMismatch,
     check_number,
-    check_number_fields,
+    check_field_types,
     check_rate,
 )
-from .montages import MONTAGE_BY_SIZE
+from .montages import get_montage
 from .spectral import ALPHA, Band
 
 _SHAPES = ("skewness", "kurtosis", "entropy")
@@ -76,17 +76,20 @@ class ExperimentConfig:
     alpha_hz: float = 10.0
 
     def _validate_rows(self) -> None:
-        """The checks a normative run shares: field types, bins, one row per label.
+        """The checks a normative run shares: field types, bins, labels, one row per label.
 
         A repeated montage, metric or band name would put two rows of one
         trial into the same correlation and overstate its significance.
         """
-        check_number_fields(self)
+        check_field_types(self)
         if self.n_bins < 2:
             raise ValueError("n_bins must be >= 2")
         for name in ("montages", "metrics", "bands"):
-            if not isinstance(getattr(self, name), (tuple, list)):
-                raise ValueError(f"{name} must be a tuple or list, got {getattr(self, name)!r}")
+            labels = getattr(self, name)
+            if not isinstance(labels, (tuple, list)):
+                raise ValueError(f"{name} must be a tuple or list, got {labels!r}")
+            if not labels:
+                raise ValueError(f"at least one {name[:-1]} required")
         for m in self.montages:
             check_number("montages", m, "int")
         for m in self.metrics:
@@ -103,16 +106,12 @@ class ExperimentConfig:
     def validate(self) -> None:
         self._validate_rows()
         check_rate(self.fs)
-        if not self.montages:
-            raise ValueError("at least one montage required")
         for m in self.montages:
-            if m not in MONTAGE_BY_SIZE and self.leadfield_mode == "synthetic":
-                raise ValueError(f"no built-in montage with {m} channels")
+            if self.leadfield_mode == "synthetic":
+                get_montage(m)
         bad = [m for m in self.metrics if m not in METRICS]
-        if bad or not self.metrics:
+        if bad:
             raise ValueError(f"unknown metrics {bad}; choose from {tuple(METRICS)}")
-        if not self.bands:
-            raise ValueError("at least one band required")
         for b in self.bands:
             if b.hi >= self.fs / 2.0:
                 raise ValueError(f"band {b.name} exceeds Nyquist ({self.fs / 2.0} Hz)")
@@ -197,7 +196,7 @@ def _cell_leadfield(cfg: ExperimentConfig, montage: int) -> forward.LeadField:
     path = _mode_path(cfg.leadfield_mode)
     if path is None:
         return forward.generate_synthetic_leadfield(
-            MONTAGE_BY_SIZE[montage], cfg.n_sources, seed=mix64(cfg.master_seed, montage, 3)
+            montage, cfg.n_sources, seed=mix64(cfg.master_seed, montage, 3)
         )
     lf = _read_file(matrix_io.read_leadfield, path)
     if lf.n_channels != montage:
@@ -515,11 +514,9 @@ _BUILTIN_BANDS = {b.name: b for b in spectral.DEFAULT_BANDS}
 
 def band_from_spec(item) -> Band:
     """Band from a default-band name, 'name=lo-hi' string, or mapping with number edges."""
-    if isinstance(item, Band):
-        return item
     if isinstance(item, dict):
-        lo, hi = (float(check_number(edge, item[edge], "float")) for edge in ("lo", "hi"))
-        return Band(str(item["name"]), lo, hi)
+        lo, hi = (float(check_number(edge, item.get(edge), "float")) for edge in ("lo", "hi"))
+        return Band(item.get("name"), lo, hi)
     name = str(item).strip()
     if "=" in name:
         label, _, rng = name.partition("=")
@@ -530,29 +527,26 @@ def band_from_spec(item) -> Band:
     raise ValueError(f"unknown band {name!r}; use a default name or 'name=lo-hi'")
 
 
-# Config keys whose JSON value needs building into the field's type.
-_CONVERTERS = {
-    "bands": lambda v: tuple(band_from_spec(b) for b in v),
-    "montages": tuple,
-    "metrics": lambda v: tuple(str(m) for m in v),
-    "window": lambda v: WindowConfig(**v) if isinstance(v, dict) else v,
-}
+def _from_fields(cls, raw: dict):
+    """``cls(**raw)``, or ValueError naming the keys of ``raw`` that are no field of ``cls``."""
+    unknown = set(raw) - set(cls.__dataclass_fields__)
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return cls(**raw)
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config from a nested mapping mirroring the field names."""
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(raw)
-    for key, convert in _CONVERTERS.items():
-        if key in kwargs:
-            try:
-                kwargs[key] = convert(kwargs[key])
-            except (KeyError, TypeError) as err:
-                raise ValueError(f"config key {key!r}: {type(err).__name__}: {err}") from err
-    return ExperimentConfig(**kwargs)
+    """Build a config from a nested mapping mirroring the field names.
+
+    Only structure is built (arrays become tuples, ``bands`` items Bands, a
+    ``window`` mapping a WindowConfig); ``validate`` checks the values as given.
+    """
+    kwargs = {key: tuple(v) if isinstance(v, (list, tuple)) else v for key, v in raw.items()}
+    if isinstance(kwargs.get("bands"), tuple):
+        kwargs["bands"] = tuple(map(band_from_spec, kwargs["bands"]))
+    if isinstance(kwargs.get("window"), dict):
+        kwargs["window"] = _from_fields(WindowConfig, kwargs["window"])
+    return _from_fields(ExperimentConfig, kwargs)
 
 
 def _write_csv(path: Path, header: list[str], rows: Iterable) -> Path:

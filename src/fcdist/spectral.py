@@ -20,6 +20,7 @@ from .errors import (
     InvalidData,
     TooFewSegments,
     ZeroPowerChannel,
+    check_field_types,
     check_rate,
     frozen_field,
 )
@@ -33,8 +34,8 @@ RECOMMENDED_MIN_SEGMENTS = 20
 class Band:
     """A named frequency band [lo, hi] in Hz.
 
-    The name labels result rows and output file names, so it must be
-    non-empty and free of path separators.
+    The name labels result rows and output file names, so it must be a
+    non-empty string free of path separators.
     """
 
     name: str
@@ -42,6 +43,7 @@ class Band:
     hi: float
 
     def __post_init__(self) -> None:
+        check_field_types(self)
         if not self.name or "/" in self.name or "\\" in self.name:
             raise ValueError(f"band name must be non-empty, without '/' or '\\', "
                              f"got {self.name!r}")

@@ -134,8 +134,15 @@ class TestSimulate:
         ("lo", {"bands": [{"name": "mu", "lo": True, "hi": "11"}]}),
         ("hi", {"bands": [{"name": "mu", "lo": 9, "hi": "11"}]}),
         ("montages", {"montages": [19.0]}),
+        # Values that a coercion ahead of validate used to split, stringify or crash on.
+        ("metrics", {"metrics": "COH"}), ("bands", {"bands": "alpha"}),
+        ("montages", {"montages": 19}), ("metrics", {"metrics": [1]}),
+        ("source_mode", {"source_mode": 5}), ("leadfield_mode", {"leadfield_mode": None}),
+        ("window_seconds", {"window": {"window_seconds": float("inf")}}),
+        ("name", {"bands": [{"name": 3, "lo": 8, "hi": 13}]}),
     ], ids=["trials", "fs", "master_seed", "n_samples", "window_seconds", "band_lo", "band_hi",
-            "montages"])
+            "montages", "str-metrics", "str-bands", "int-montages", "int-metric",
+            "int-source_mode", "null-leadfield_mode", "infinite-window", "int-band-name"])
     def test_mistyped_config_is_data_error(self, tmp_path, capsys, key, payload):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))
@@ -189,6 +196,15 @@ class TestNormativeCommand:
     def test_no_match_is_data_error(self, tmp_path, capsys):
         assert run_cli("normative", "--input", str(tmp_path / "*.csv"),
                        "--out", str(tmp_path / "o")) == 2
+
+    def test_no_bands_is_data_error(self, tmp_path, capsys, rng):
+        rec = make_record(rng.standard_normal((4, 512 * 4)), fs=200.0)
+        matrix_io.write_cross_spectrum(tmp_path / "s0.csv", quiet_cross_spectrum(rec, 512),
+                                       list(rec.channel_names))
+        assert run_cli("normative", "--input", str(tmp_path / "s*.csv"), "--bands", "",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "error: at least one band required" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestUsageErrors:

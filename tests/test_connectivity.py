@@ -371,6 +371,8 @@ class TestWindows:
             WindowConfig(6.0, 6.0)
         with pytest.raises(ValueError):
             WindowConfig(6.0, -1.0)
+        with pytest.raises(ValueError, match="window_seconds must be finite"):
+            WindowConfig(float("inf"), 0.5)
 
     def test_default_sliding_overlap(self):
         assert SLIDING_WINDOW.window_seconds == 6.0

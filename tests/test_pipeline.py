@@ -214,10 +214,12 @@ class TestSimulation:
         (dict(bands=None), "bands must be a tuple or list, got None"),
         (dict(metrics="COH"), "metrics must be a tuple or list, got 'COH'"),
         (dict(metrics=(["COH"],)), r"metrics must be str labels, got \['COH'\]"),
+        (dict(source_mode=5), "source_mode must be a string, got 5"),
+        (dict(leadfield_mode=None), "leadfield_mode must be a string, got None"),
     ], ids=["n_bins-1", "duplicate-montage", "duplicate-metric", "duplicate-band-name",
             "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "inf-fs",
             "float-montage", "str-montage", "str-band", "int-montages", "none-bands",
-            "str-metrics", "list-metric"])
+            "str-metrics", "list-metric", "int-source_mode", "none-leadfield_mode"])
     def test_config_rejected_before_any_cell(self, monkeypatch, changes, match):
         self._rejected_before_any_cell(monkeypatch, match, **changes)
 
@@ -494,7 +496,8 @@ class TestNormative:
         (dict(bands=("alpha",)), "bands must be Band objects, got 'alpha'"),
         (dict(bands=None), "bands must be a tuple or list, got None"),
         (dict(bands="alpha"), "bands must be a tuple or list, got 'alpha'"),
-    ], ids=["n_bins-1", "duplicate-band", "str-band", "none-bands", "str-bands"])
+        (dict(bands=()), "at least one band required"),
+    ], ids=["n_bins-1", "duplicate-band", "str-band", "none-bands", "str-bands", "no-bands"])
     def test_rejected_before_any_file(self, tmp_path, kwargs, match):
         # The file does not exist: reading it would record a failure and raise NoData.
         with pytest.raises(ValueError, match=match):
@@ -740,6 +743,7 @@ class TestConfig:
         d = config_to_dict(cfg)
         back = config_from_dict(d)
         assert back == cfg
+        assert config_from_dict(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):

@@ -333,3 +333,7 @@ class TestBandSlice:
     def test_band_name_is_a_file_name_part(self, name):
         with pytest.raises(ValueError, match="band name"):
             Band(name, 8.0, 13.0)
+
+    def test_band_name_must_be_a_string(self):
+        with pytest.raises(ValueError, match="name must be a string, got 3"):
+            Band(3, 8.0, 13.0)
