@@ -106,8 +106,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         self._validate_rows()
         check_rate(self.fs)
-        for m in self.montages:
-            if self.leadfield_mode == "synthetic":
+        if self.leadfield_mode == "synthetic":
+            for m in self.montages:
                 get_montage(m)
         bad = [m for m in self.metrics if m not in METRICS]
         if bad:
