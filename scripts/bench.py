@@ -12,7 +12,9 @@ falls on both sides. Run from the root of the repository:
 
 The file holds each run's end-to-end metrics, digests and ``manifest`` line
 (nproc, BLAS, thread environment) and, per workload and metric, the median
-and quartiles of each side, the median change and the pairs the change won.
+and quartiles of each side, the base's spread ((q3 - q1) / median), the median
+change, the pairs the change won and a verdict against the metric's bound
+(``unresolved``, ``worse``, ``better`` or ``no worse``; see ``verdict``).
 """
 
 from __future__ import annotations
@@ -62,19 +64,45 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per metric: quartiles of each side, median change, pairs won by the change."""
+def verdict(row: dict, values: dict[str, list[float]], sign: int, bound: float) -> str:
+    """The change against the base on one metric, by the first rule that holds.
+
+    ``unresolved``: the base's spread exceeds ``bound`` and not every change
+    run beats every base run; ``worse``: the change's median is worse by more
+    than ``bound``; ``better``: the change wins at least nine tenths of the
+    pairs and its median is better by more than the base's q3 - q1; else
+    ``no worse``.
+    """
+    base = row["base"]
+    gain = sign * (row["change"]["median"] - base["median"])
+    if (row["base_spread"] > bound
+            and not min(sign * c for c in values["change"]) > max(sign * b for b in values["base"])):
+        return "unresolved"
+    if gain < -bound * base["median"]:
+        return "worse"
+    if row["change_better_pairs"] >= 0.9 * len(values["base"]) and gain > base["q3"] - base["q1"]:
+        return "better"
+    return "no worse"
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """Per metric of ``end_to_end`` (BENCHMARK.json entries): quartiles of each side,
+    the base's spread, the median change, the pairs won by the change and the verdict."""
     out = {}
-    for name, direction in better.items():
-        values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
+    for metric in end_to_end:
+        values = {side: [p[side]["metrics"][metric["name"]] for p in pairs] for side in SIDES}
         stats = {side: quartiles(values[side]) for side in SIDES}
-        sign = 1 if direction == "higher" else -1
-        out[name] = {
+        base = stats["base"]
+        sign = 1 if metric["better"] == "higher" else -1
+        row = {
             **stats,
-            "median_change": stats["change"]["median"] / stats["base"]["median"] - 1,
+            "base_spread": (base["q3"] - base["q1"]) / base["median"],
+            "median_change": stats["change"]["median"] / base["median"] - 1,
             "change_better_pairs": sum(sign * (c - b) > 0
                                        for b, c in zip(values["base"], values["change"])),
         }
+        row["verdict"] = verdict(row, values, sign, metric["bound"])
+        out[metric["name"]] = row
     return out
 
 
@@ -104,7 +132,6 @@ def main(argv=None) -> int:
         for side in SIDES:
             export(revs[side], work / side)
         spec = json.loads((work / "change" / "BENCHMARK.json").read_text())
-        better = {m["name"]: m["better"] for m in spec["end_to_end"]}
         result = {"tag": args.tag, "revs": revs, "seed": args.seed,
                   "seconds": args.seconds, "workloads": {}}
         for name, n_pairs in plan:
@@ -116,11 +143,16 @@ def main(argv=None) -> int:
                     pair[side] = run_once(work / side, name, args.seed, args.seconds)
                     print(name, i, side, json.dumps(pair[side]["metrics"]), flush=True)
                 pairs.append(pair)
+            summary = summarize(pairs, spec["end_to_end"])
+            for metric, row in summary.items():
+                print(name, metric, row["verdict"], f"median {row['median_change']:+.1%},",
+                      f"won {row['change_better_pairs']}/{n_pairs},",
+                      f"base spread {row['base_spread']:.0%}", flush=True)
             result["workloads"][name] = {
                 "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
                 "same_digests": len({json.dumps(p[s].get("digests"), sort_keys=True)
                                      for p in pairs for s in SIDES}) == 1,
-                "summary": summarize(pairs, better),
+                "summary": summary,
                 "pairs": pairs,
             }
     finally:

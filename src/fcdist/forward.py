@@ -165,15 +165,21 @@ class MultichannelRecord:
         return self.data.shape[1]
 
 
-def _spectral_noise(rng: np.random.Generator, amplitude: np.ndarray, n_samples: int) -> np.ndarray:
-    """Stationary Gaussian noise with the given one-sided amplitude shape.
+def _spectral_rows(rng: np.random.Generator, amp: np.ndarray, n_samples: int) -> np.ndarray:
+    """Stationary Gaussian noise rows; row k has one-sided amplitude shape ``amp[k]`` > 0.
 
-    Synthesized in the frequency domain (random phases), so circular
-    shifts of the result are statistically equivalent to the original.
+    Coefficients amp * (a + ib), a and b standard normal, DC zeroed, so
+    circular shifts of a row are statistically equivalent to the row. One
+    (rows, 2, n_bins) draw, real then imaginary parts row by row: the
+    stream of one row at a time.
     """
-    z = rng.standard_normal((2, amplitude.shape[0]))
-    coeff = amplitude * (z[0] + 1j * z[1])
-    coeff[0] = 0.0
+    z = rng.standard_normal((amp.shape[0], 2, amp.shape[1]))
+    coeff = np.empty(amp.shape, dtype=complex)
+    np.multiply(amp, z[:, 0], out=coeff.real)
+    np.multiply(amp, z[:, 1], out=coeff.imag)
+    coeff[:, 0] = 0.0
+    # Frees amp before the irfft's output exists, when the caller passed a temporary.
+    del amp, z
     return np.fft.irfft(coeff, n=n_samples)
 
 
@@ -222,8 +228,8 @@ def _synthesize_rows(out: np.ndarray, slots: np.ndarray, fs: float, alpha_hz: fl
     networks = []
     for _ in range(n_networks):
         f0 = alpha_hz * rng.uniform(0.93, 1.17)
-        x = _spectral_noise(rng, 1.0 / np.sqrt(_resonator_denominator(freqs, f0, 16.0)),
-                            n_samples)
+        x = _spectral_rows(rng, 1.0 / np.sqrt(_resonator_denominator(freqs[None], f0, 16.0)),
+                           n_samples)[0]
         networks.append(x / x.std())
 
     # Per-row mixture: rhythmic rows get most of their variance from the
@@ -257,24 +263,17 @@ def _synthesize_rows(out: np.ndarray, slots: np.ndarray, fs: float, alpha_hz: fl
     if n_samples % 2 == 0:
         weights[-1] = 1.0 / n_samples**2
     background_scale = (1.0 - t) / np.sum(background_power * weights)
-    # The largest per-row temporary is the complex spectrum, 16 bytes a bin.
-    for rows in _row_blocks(n_sources, 4 * 16 * n_bins):
+
+    def amplitude(rows: slice) -> np.ndarray:
         private_power = 1.0 / _resonator_denominator(freqs, f_private[rows, None],
                                                       q_private[rows, None])
         private_scale = (t[rows] - v[rows]) / np.sum(private_power * weights, axis=1)
-        amp = np.sqrt(background_scale[rows, None] * background_power
-                      + private_scale[:, None] * private_power)
-        del private_power
-        # Row by row, the same stream as _spectral_noise's (2, n_bins) draws;
-        # amp * z equals amp * (z0 + 1j z1) part by part for amp > 0.
-        z = rng.standard_normal((amp.shape[0], 2, n_bins))
-        coeff = np.empty(amp.shape, dtype=complex)
-        np.multiply(amp, z[:, 0], out=coeff.real)
-        np.multiply(amp, z[:, 1], out=coeff.imag)
-        coeff[:, 0] = 0.0
-        del amp, z
-        block = np.fft.irfft(coeff, n=n_samples)
-        del coeff
+        return np.sqrt(background_scale[rows, None] * background_power
+                       + private_scale[:, None] * private_power)
+
+    # The largest per-row temporary is the complex spectrum, 16 bytes a bin.
+    for rows in _row_blocks(n_sources, 4 * 16 * n_bins):
+        block = _spectral_rows(rng, amplitude(rows), n_samples)
         # The network part, circularly delayed: np.roll as two slice adds.
         for row, k in zip(block, range(*rows.indices(n_sources))):
             shift = int(lags[k]) % n_samples

@@ -376,16 +376,17 @@ os.register_at_fork(after_in_child=_one_blas_thread_per_process)
 
 def _run_units(unit: Callable, keys: list[tuple], jobs: int = 1
                ) -> tuple[list[TrialRow], list[CellFailure]]:
-    """``unit(*key)`` for each key: in this process when ``jobs <= 1``, else in a pool of
-    ``jobs`` workers, with one OpenBLAS thread per process and each library's count
-    restored after; returns the rows and failures, concatenated in key order."""
+    """``unit(*key)`` for each key: in this process when ``min(jobs, len(keys)) <= 1``, else
+    in a pool of that many workers, with one OpenBLAS thread per process and each library's
+    count restored after; returns the rows and failures, concatenated in key order."""
+    workers = min(jobs, len(keys))
     before = _blas_threads()
     _one_blas_thread_per_process()
     try:
-        if jobs <= 1:
+        if workers <= 1:
             outcomes = [unit(*key) for key in keys]
         else:
-            with ProcessPoolExecutor(jobs, initializer=_one_blas_thread_per_process) as pool:
+            with ProcessPoolExecutor(workers, initializer=_one_blas_thread_per_process) as pool:
                 outcomes = list(pool.map(unit, *zip(*keys), chunksize=1))
     finally:
         _set_blas_threads(before)
@@ -519,9 +520,12 @@ def band_from_spec(item) -> Band:
         return Band(item.get("name"), lo, hi)
     name = str(item).strip()
     if "=" in name:
-        label, _, rng = name.partition("=")
-        lo, _, hi = rng.partition("-")
-        return Band(label.strip(), float(lo), float(hi))
+        label, _, edges = name.partition("=")
+        try:
+            lo, hi = map(float, edges.split("-"))
+        except ValueError:
+            raise ValueError(f"band {name!r}: range must be two numbers, 'lo-hi'") from None
+        return Band(label.strip(), lo, hi)
     if name in _BUILTIN_BANDS:
         return _BUILTIN_BANDS[name]
     raise ValueError(f"unknown band {name!r}; use a default name or 'name=lo-hi'")

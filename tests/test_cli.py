@@ -152,6 +152,27 @@ class TestSimulate:
         assert f"error: {key} must be" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"window": {"window_seconds": 1e307}},
+         "window of 1e+307 s at 200.0 Hz has too many samples"),
+        ({"fs": 1e308}, "window of 6.0 s at 1e+308 Hz has too many samples"),
+        ({"bands": ["mu=9-11-12"]}, "band 'mu=9-11-12': range must be two numbers"),
+    ], ids=["huge-window", "huge-fs", "three-edge-band"])
+    def test_unusable_config_is_data_error(self, tmp_path, capsys, payload, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "r")) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("spec", ["mu=9-11-12", "mu=9", "mu=a-b"])
+    def test_malformed_band_flag_is_data_error(self, tmp_path, capsys, spec):
+        assert run_cli("simulate", "--trials", "3", "--montages", "19", "--bands", spec,
+                       "--out", str(tmp_path / "r")) == 2
+        assert f"error: band '{spec}': range must be two numbers" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_experiment_failure_exit_code(self, tmp_path):
         cfg = {
             "montages": [19], "metrics": ["COH"], "bands": ["alpha"],

@@ -121,6 +121,30 @@ class TestSimulation:
             pytest.skip("no OpenBLAS mapped into the worker")
         assert seen == [[1] * len(seen[0])]
 
+    @pytest.mark.parametrize("jobs, units, workers", [(50, 3, [3]), (2, 3, [2]), (5, 1, [])])
+    def test_pool_never_outnumbers_units(self, monkeypatch, jobs, units, workers):
+        seen = []
+
+        class RecordingPool:
+            """Records its worker count and runs the units in this process."""
+
+            def __init__(self, max_workers, **kwargs):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables, chunksize=1):
+                return [fn(*args) for args in zip(*iterables)]
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        rows, _ = pipeline._run_units(lambda unit: ([unit], []), [(u,) for u in range(units)], jobs)
+        assert seen == workers
+        assert rows == list(range(units))
+
     def test_in_process_cells_use_one_blas_thread(self, monkeypatch):
         before = pipeline._blas_threads()
         if not before:
@@ -236,12 +260,15 @@ class TestSimulation:
         with pytest.raises(ValueError, match=match):
             run_simulation_experiment(cfg, jobs=2)
 
-    @pytest.mark.parametrize("window, match", [
-        (WindowConfig(0.004, 0.0), "shorter than two samples"),  # 0.8 samples
-        (WindowConfig(1.0, 0.998), "whole window"),  # overlap rounds to 200 of 200
-    ], ids=["window-under-two-samples", "overlap-rounds-to-window"])
-    def test_window_rejected_before_any_cell(self, monkeypatch, window, match):
-        self._rejected_before_any_cell(monkeypatch, match, window=window)
+    @pytest.mark.parametrize("changes, match", [
+        (dict(window=WindowConfig(0.004, 0.0)), "shorter than two samples"),  # 0.8 samples
+        (dict(window=WindowConfig(1.0, 0.998)), "whole window"),  # overlap rounds to 200 of 200
+        # 2e309 and 6e308 samples: past the largest float, so no int can hold them
+        (dict(window=WindowConfig(1e307, 0.0)), "window of 1e.307 s .* too many samples"),
+        (dict(fs=1e308), "window of 6.0 s .* too many samples"),
+    ], ids=["window-under-two-samples", "overlap-rounds-to-window", "huge-window", "huge-fs"])
+    def test_window_rejected_before_any_cell(self, monkeypatch, changes, match):
+        self._rejected_before_any_cell(monkeypatch, match, **changes)
 
     @pytest.mark.parametrize("segment_samples", [63, 2])
     def test_segment_samples_rejected_before_any_cell(self, monkeypatch, segment_samples):
@@ -760,6 +787,11 @@ class TestConfig:
         assert (b.name, b.lo, b.hi) == ("mu", 9.0, 11.0)
         with pytest.raises(ValueError):
             band_from_spec("nonsense")
+
+    @pytest.mark.parametrize("spec", ["mu=9-11-12", "mu=9", "mu=a-b"])
+    def test_malformed_band_spec_is_named(self, spec):
+        with pytest.raises(ValueError, match=f"band '{spec}': range must be two numbers"):
+            band_from_spec(spec)
 
     def test_defaults_mirror_scale(self):
         cfg = ExperimentConfig()
