@@ -2,10 +2,11 @@
 """Compare two commits on the benchmark in alternating pairs; write BENCH_<tag>.json.
 
 Each commit's committed files are exported (``git archive``) into a fresh
-directory, as the benchmark is run on a clean checkout. Every pair runs the
-unchanged ``perfbench/run.py --trace 0`` once in each export, the base first
-on even pairs and the change first on odd ones, so that drift of the machine
-falls on both sides. Run from the root of the repository:
+directory, as the benchmark is run on a clean checkout; the two paths have one
+length, since the heap layout, and with it ``peak_rss_mb``, follows the path.
+Every pair runs the unchanged ``perfbench/run.py --trace 0`` once in each
+export, the base first on even pairs and the change first on odd ones, so that
+drift of the machine falls on both sides. Run from the root of the repository:
 
     python3 scripts/bench.py --base HEAD~1 --change HEAD --tag blas_threads \\
         --workload grid_dense --workload grid_desk --workload normative_rt
@@ -128,10 +129,13 @@ def main(argv=None) -> int:
     plan = [(name, int(pairs or 10)) for name, _, pairs in
             (spec.partition("=") for spec in args.workload)]
     work = Path(tempfile.mkdtemp(prefix="fcdist-bench-"))
+    # Paths of one length: on 2 vCPU, exports of one commit to .../base and .../change
+    # read grid_desk peak_rss_mb 116.9 and 119.3 MB (10 pairs), to .../0 and .../1 the same.
+    checkouts = {side: work / str(i) for i, side in enumerate(SIDES)}
     try:
         for side in SIDES:
-            export(revs[side], work / side)
-        spec = json.loads((work / "change" / "BENCHMARK.json").read_text())
+            export(revs[side], checkouts[side])
+        spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         result = {"tag": args.tag, "revs": revs, "seed": args.seed,
                   "seconds": args.seconds, "workloads": {}}
         for name, n_pairs in plan:
@@ -140,7 +144,7 @@ def main(argv=None) -> int:
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 pair = {"order": list(order)}
                 for side in order:
-                    pair[side] = run_once(work / side, name, args.seed, args.seconds)
+                    pair[side] = run_once(checkouts[side], name, args.seed, args.seconds)
                     print(name, i, side, json.dumps(pair[side]["metrics"]), flush=True)
                 pairs.append(pair)
             summary = summarize(pairs, spec["end_to_end"])

@@ -71,7 +71,7 @@ def _finish(metric: str, band: Band, upper: np.ndarray, diagonal: float) -> Conn
 
 def window_samples(fs: float, w: WindowConfig) -> tuple[int, int]:
     """Window length and step in samples at ``fs``; ValueError if unusable."""
-    if not w.window_seconds * fs < float("inf"):  # the overlap is shorter
+    if not w.window_seconds * fs < float("inf"):  # then the shorter overlap fits too
         raise ValueError(f"window of {w.window_seconds} s at {fs} Hz has too many samples")
     win = int(round(w.window_seconds * fs))
     step = win - int(round(w.overlap_seconds * fs))

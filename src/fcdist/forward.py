@@ -178,8 +178,7 @@ def _spectral_rows(rng: np.random.Generator, amp: np.ndarray, n_samples: int) ->
     np.multiply(amp, z[:, 0], out=coeff.real)
     np.multiply(amp, z[:, 1], out=coeff.imag)
     coeff[:, 0] = 0.0
-    # Frees amp before the irfft's output exists, when the caller passed a temporary.
-    del amp, z
+    del amp, z  # callers pass amp as a temporary, so CPython 3.11+ frees it here
     return np.fft.irfft(coeff, n=n_samples)
 
 

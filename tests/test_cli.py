@@ -156,9 +156,8 @@ class TestSimulate:
         ({"window": {"window_seconds": 1e307}},
          "window of 1e+307 s at 200.0 Hz has too many samples"),
         ({"fs": 1e308}, "window of 6.0 s at 1e+308 Hz has too many samples"),
-        ({"bands": ["mu=9-11-12"]}, "band 'mu=9-11-12': range must be two numbers"),
-    ], ids=["huge-window", "huge-fs", "three-edge-band"])
-    def test_unusable_config_is_data_error(self, tmp_path, capsys, payload, message):
+    ], ids=["huge-window", "huge-fs"])
+    def test_window_beyond_float_is_data_error(self, tmp_path, capsys, payload, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))
         assert run_cli("simulate", "--config", str(cfg_path),

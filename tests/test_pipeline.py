@@ -263,7 +263,7 @@ class TestSimulation:
     @pytest.mark.parametrize("changes, match", [
         (dict(window=WindowConfig(0.004, 0.0)), "shorter than two samples"),  # 0.8 samples
         (dict(window=WindowConfig(1.0, 0.998)), "whole window"),  # overlap rounds to 200 of 200
-        # 2e309 and 6e308 samples: past the largest float, so no int can hold them
+        # 2e309 and 6e308 samples overflow to inf, which int() cannot take
         (dict(window=WindowConfig(1e307, 0.0)), "window of 1e.307 s .* too many samples"),
         (dict(fs=1e308), "window of 6.0 s .* too many samples"),
     ], ids=["window-under-two-samples", "overlap-rounds-to-window", "huge-window", "huge-fs"])
