@@ -15,6 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateEnvelope, InvalidData, TooShort, check_field_types, frozen_field
+from .forward import _one_blas_thread
 from .spectral import AnalyticRecord, Band, CoherencyMatrix, band_slice
 
 
@@ -107,6 +108,7 @@ def icoh_matrix(c: CoherencyMatrix, band: Band) -> ConnectivityMatrix:
     return _finish("iCOH", band, np.abs(c.mats[idx].imag.mean(axis=0)), diagonal=0.0)
 
 
+@_one_blas_thread()
 def plv_matrix(a: AnalyticRecord, w: WindowConfig = PLV_WINDOW) -> ConnectivityMatrix:
     """Phase-locking value: |mean unit phasor of the phase difference|.
 
@@ -187,6 +189,7 @@ def pli_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> Connectiv
     return _finish("PLI", a.band, acc / len(starts), diagonal=0.0)
 
 
+@_one_blas_thread()
 def aec_matrix(a: AnalyticRecord, w: WindowConfig = SLIDING_WINDOW) -> ConnectivityMatrix:
     """Amplitude envelope correlation, folded to magnitude.
 

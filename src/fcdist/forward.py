@@ -16,7 +16,11 @@ set of assembly draws and one normalisation.
 
 from __future__ import annotations
 
+import ctypes
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -46,6 +50,54 @@ def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Consecutive row slices covering ``n_rows`` rows, each about ``_BLOCK_BYTES``."""
     step = max(1, _BLOCK_BYTES // row_bytes)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
+
+
+@lru_cache(maxsize=1)
+def _openblas_thread_calls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
+    """The (get, set) thread-count functions of each OpenBLAS mapped into this process
+    (Linux), looked up once; empty where none is found, and BLAS keeps its default."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    calls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
+            pair = tuple(getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if all(pair):
+                calls.append(pair)
+                break
+    return tuple(calls)
+
+
+def _blas_threads() -> list[int]:
+    """The thread count of each OpenBLAS in this process."""
+    return [get() for get, _ in _openblas_thread_calls()]
+
+
+# A cell makes many small BLAS calls, and a second BLAS thread only spins between
+# them: on a 2-vCPU x86 VM it nearly doubled a 128-channel cell's CPU time without
+# shortening it, and in a pool, whose workers already use the cores, it cost a
+# 2-worker grid about half its throughput. So each function that does BLAS work is
+# run inside this block, in any process and pool, and gives the caller its count back.
+@contextmanager
+def _one_blas_thread() -> Iterator[None]:
+    """Every OpenBLAS in this process at one thread in the block; restored on any exit."""
+    calls = _openblas_thread_calls()
+    before = _blas_threads()
+    for _, set_threads in calls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), n in zip(calls, before):
+            set_threads(n)
 
 
 @dataclass(frozen=True)
@@ -404,6 +456,7 @@ def synthetic_source_activity(
     return _normalised_activity(active, fs, order, n_total, noise_sigma, noise_seed)
 
 
+@_one_blas_thread()
 def generate_synthetic_leadfield(
     montage: str | int | Montage,
     n_sources: int,
@@ -447,6 +500,7 @@ def generate_synthetic_leadfield(
     return LeadField(gain=gain, montage=m.label, channel_names=m.names)
 
 
+@_one_blas_thread()
 def project_to_scalp(lf: LeadField, src: SourceActivity) -> MultichannelRecord:
     """Forward solution: scalp record = gain @ source activity.
 

@@ -188,10 +188,12 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
     # and their matrices. ``mats`` is NaN-filled, grown in place to the next power
     # of two when full and trimmed in place, so the result is never held twice.
     freqs = np.empty(0)
-    mats = np.full((1, n, n), np.nan, dtype=complex)
+    mats = np.empty((0, n, n), dtype=complex)
     n_rows = 0
     try:
         with open(path) as f:
+            # A data row takes at least 10 bytes ("0,0,0,0,0\n"); this bounds the buffer.
+            max_rows = path.stat().st_size // 10
             header = f.readline().strip()
             if header != CROSS_SPECTRUM_HEADER:
                 raise CrossSpectrumFormatError(
@@ -219,6 +221,9 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
                 if np.any(np.searchsorted(freqs, freq, side="right") == slots):
                     raise CrossSpectrumFormatError(f"{path}: frequencies not strictly increasing")
                 if freqs.size > len(mats):
+                    if freqs.size * (n * (n + 1) // 2) > max_rows:
+                        raise CrossSpectrumFormatError(
+                            f"{path}: too short for {freqs.size} frequencies of {n} channels")
                     full = len(mats)
                     # No view of ``mats`` is alive here, so the buffer may move.
                     mats.resize((1 << (freqs.size - 1).bit_length(), n, n), refcheck=False)

@@ -10,8 +10,6 @@ are byte-deterministic for a fixed config.
 from __future__ import annotations
 
 import csv
-import ctypes
-import itertools
 import os
 import statistics
 from concurrent.futures import ProcessPoolExecutor
@@ -82,8 +80,7 @@ class ExperimentConfig:
         trial into the same correlation and overstate its significance.
         """
         check_field_types(self)
-        if self.n_bins < 2:
-            raise ValueError("n_bins must be >= 2")
+        weight_stats.check_bins(self.n_bins)
         for name in ("montages", "metrics", "bands"):
             labels = getattr(self, name)
             if not isinstance(labels, (tuple, list)):
@@ -180,7 +177,7 @@ class ExperimentResult:
 
 @lru_cache(maxsize=16)
 def _read_file(reader, path: str):
-    """``reader(path)``, read once per process and path; each simulation run starts empty."""
+    """``reader(path)``, read once per process and path; a simulation run starts and ends empty."""
     return reader(path)
 
 
@@ -319,77 +316,16 @@ def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
     return _unit_results(cfg, cs.n_channels, subject, lambda band: {"coherency": coh})
 
 
-@lru_cache(maxsize=1)
-def _openblas_thread_calls() -> tuple[tuple[Callable[[], int], Callable[[int], None]], ...]:
-    """The (get, set) thread-count functions of each OpenBLAS in this process.
-
-    OpenBLAS is looked up once among the libraries mapped into the process
-    (Linux), after fcdist's imports have mapped numpy's copy; where none is
-    found, the tuple is empty and BLAS keeps its default.
-    """
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split()[-1] for line in maps if "openblas" in line.lower()})
-    except OSError:
-        return ()
-    calls = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "scipy_openblas_{}_num_threads", "openblas_{}_num_threads"):
-            pair = tuple(getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if all(pair):
-                calls.append(pair)
-                break
-    return tuple(calls)
-
-
-def _blas_threads() -> list[int]:
-    """The thread count of each OpenBLAS in this process."""
-    return [get() for get, _ in _openblas_thread_calls()]
-
-
-def _set_blas_threads(counts: Iterable[int]) -> None:
-    for (_, set_threads), n in zip(_openblas_thread_calls(), counts):
-        set_threads(n)
-
-
-# A grid cell makes many small BLAS calls; between them a second BLAS thread
-# only spins. On a 2-vCPU x86 VM it nearly doubled the CPU of a 128-channel
-# cell and did not measurably shorten it, so all units, grid cells and
-# normative subjects, run with one BLAS thread per process. In a pool the
-# workers are the parallelism, and BLAS threads on top of them oversubscribe
-# the cores, which cost a 2-worker grid on the same VM about half its throughput.
-def _one_blas_thread_per_process() -> None:
-    """Set every OpenBLAS in this process to one thread: the unit pool's worker setup."""
-    _set_blas_threads(itertools.repeat(1))
-
-
-# Children that other pools fork get one BLAS thread too. Only the benchmark
-# tracer's pool (perfbench/tracer.py) needs this, until it runs its cells through
-# the pipeline (ROADMAP item 2); without it, traced grid_desk overhead doubled.
-os.register_at_fork(after_in_child=_one_blas_thread_per_process)
-
-
 def _run_units(unit: Callable, keys: list[tuple], jobs: int = 1
                ) -> tuple[list[TrialRow], list[CellFailure]]:
     """``unit(*key)`` for each key: in this process when ``min(jobs, len(keys)) <= 1``, else
-    in a pool of that many workers, with one OpenBLAS thread per process and each library's
-    count restored after; returns the rows and failures, concatenated in key order."""
+    in a pool of that many workers; returns the rows and failures, concatenated in key order."""
     workers = min(jobs, len(keys))
-    before = _blas_threads()
-    _one_blas_thread_per_process()
-    try:
-        if workers <= 1:
-            outcomes = [unit(*key) for key in keys]
-        else:
-            with ProcessPoolExecutor(workers, initializer=_one_blas_thread_per_process) as pool:
-                outcomes = list(pool.map(unit, *zip(*keys), chunksize=1))
-    finally:
-        _set_blas_threads(before)
+    if workers <= 1:
+        outcomes = [unit(*key) for key in keys]
+    else:
+        with ProcessPoolExecutor(workers) as pool:
+            outcomes = list(pool.map(unit, *zip(*keys), chunksize=1))
     return ([row for rows, _ in outcomes for row in rows],
             [fail for _, fails in outcomes for fail in fails])
 
@@ -428,10 +364,8 @@ def correlate_rows(trial_rows: list[TrialRow], cfg: ExperimentConfig
                 failures.append(CellFailure(montage, metric, band, -1,
                                             f"{pair}: {_failure_text(err)}"))
                 continue
-            corr_rows.append(CorrelationRow(
-                montage=montage, metric=metric, band=band, pair=pair,
-                r=res.r, p=res.p, n=res.n, stars=res.stars,
-            ))
+            corr_rows.append(CorrelationRow(montage, metric, band, pair,
+                                            res.r, res.p, res.n, res.stars))
     return corr_rows, failures
 
 
@@ -440,24 +374,20 @@ def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Experimen
     cfg.validate()
     _read_file.cache_clear()
     cells = [(cfg, montage, trial) for montage in cfg.montages for trial in range(cfg.trials)]
-    trial_rows, failures = _run_units(simulate_cell, cells, jobs)
+    try:
+        trial_rows, failures = _run_units(simulate_cell, cells, jobs)
+    finally:
+        _read_file.cache_clear()  # the run's file inputs do not outlive it
     trial_rows.sort(key=_sort_key(cfg))
 
     total_cells = len(cfg.montages) * len(cfg.metrics) * len(cfg.bands) * cfg.trials
     if len(failures) > 0.5 * total_cells:
-        raise ExperimentFailed(
-            f"{len(failures)} of {total_cells} grid cells failed; "
-            f"first: {failures[0].error}"
-        )
+        raise ExperimentFailed(f"{len(failures)} of {total_cells} grid cells failed; "
+                               f"first: {failures[0].error}")
 
     corr_rows, corr_fails = correlate_rows(trial_rows, cfg)
     failures.extend(corr_fails)
-    return ExperimentResult(
-        config=config_to_dict(cfg),
-        trial_rows=trial_rows,
-        correlation_rows=corr_rows,
-        failures=failures,
-    )
+    return ExperimentResult(config_to_dict(cfg), trial_rows, corr_rows, failures)
 
 
 def run_normative_analysis(
@@ -493,13 +423,9 @@ def run_normative_analysis(
     if used >= 3:
         corr_rows, corr_fails = correlate_rows(trial_rows, cfg)
         failures.extend(corr_fails)
-    return ExperimentResult(
-        config={"mode": "normative", "inputs": len(paths), "subjects_used": used,
-                "bands": [band_to_dict(b) for b in bands], "n_bins": n_bins},
-        trial_rows=trial_rows,
-        correlation_rows=corr_rows,
-        failures=failures,
-    )
+    config = {"mode": "normative", "inputs": len(paths), "subjects_used": used,
+              "bands": [band_to_dict(b) for b in bands], "n_bins": n_bins}
+    return ExperimentResult(config, trial_rows, corr_rows, failures)
 
 
 def band_to_dict(b: Band) -> dict:

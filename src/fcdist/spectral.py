@@ -35,7 +35,7 @@ class Band:
     """A named frequency band [lo, hi] in Hz.
 
     The name labels result rows and output file names, so it must be a
-    non-empty string free of path separators.
+    non-empty string free of path separators and NUL.
     """
 
     name: str
@@ -44,8 +44,8 @@ class Band:
 
     def __post_init__(self) -> None:
         check_field_types(self)
-        if not self.name or "/" in self.name or "\\" in self.name:
-            raise ValueError(f"band name must be non-empty, without '/' or '\\', "
+        if not self.name or any(c in self.name for c in "/\\\0"):
+            raise ValueError(f"band name must be non-empty, without '/', '\\' or NUL, "
                              f"got {self.name!r}")
         if not 0.0 < self.lo < self.hi:
             raise ValueError(f"need 0 < lo < hi, got ({self.lo}, {self.hi})")

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DegenerateDistribution, InvalidData, NotSymmetric, RangeViolation, checked_array
 
 DEFAULT_BINS = 100
+MAX_BINS = 2**20
 
 
 @dataclass(frozen=True)
@@ -81,6 +82,12 @@ def kurtosis(w) -> float:
     return _shape_moments(w)[1]
 
 
+def check_bins(n_bins: int) -> None:
+    """ValueError unless 2 <= ``n_bins`` <= ``MAX_BINS``; a histogram is allocated whole."""
+    if not 2 <= n_bins <= MAX_BINS:
+        raise ValueError(f"n_bins must be >= 2 and <= {MAX_BINS}, got {n_bins}")
+
+
 def shannon_entropy(w, n_bins: int = DEFAULT_BINS) -> float:
     """Normalized histogram entropy on [0, 1].
 
@@ -91,8 +98,7 @@ def shannon_entropy(w, n_bins: int = DEFAULT_BINS) -> float:
     x = _values(w)
     if x.size < 1:
         raise InvalidData("need at least one value")
-    if n_bins < 2:
-        raise ValueError("need at least two bins")
+    check_bins(n_bins)
     _check_range(x)
     bins = np.minimum((x * n_bins).astype(np.intp), n_bins - 1)
     counts = np.bincount(bins, minlength=n_bins)

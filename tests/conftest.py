@@ -1,5 +1,7 @@
+import json
 import sys
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from fcdist import forward
 from fcdist.errors import FewSegmentsWarning
 from fcdist.forward import MultichannelRecord
 from fcdist.spectral import AnalyticRecord, Band
@@ -47,3 +50,54 @@ def poison_alpha_entry(path, value="inf"):
             lines[k] = ",".join((freq, i, j, value, im))
             break
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+@contextmanager
+def caller_blas_threads(n):
+    """Every OpenBLAS in this process at ``n`` threads for the block, the count before
+    after it; yields the number of libraries, and skips the test where none is mapped."""
+    calls = forward._openblas_thread_calls()
+    if not calls:
+        pytest.skip("no OpenBLAS mapped into this process")
+    before = forward._blas_threads()
+    for _, set_threads in calls:
+        set_threads(n)
+    try:
+        yield len(calls)
+    finally:
+        for (_, set_threads), k in zip(calls, before):
+            set_threads(k)
+
+
+def blas_recorders(log):
+    """(owner, name, wrapper) for ``np.linalg.eigh``, which the projection calls, and
+    ``np.exp``, which PLV calls on complex phasors: the wrappers append this process's
+    OpenBLAS thread counts to the file ``log`` (exp only for complex input)."""
+    eigh, exp = np.linalg.eigh, np.exp
+
+    def record():
+        with open(log, "a") as f:
+            f.write(json.dumps(forward._blas_threads()) + "\n")
+
+    def recording_eigh(a, *args, **kwargs):
+        record()
+        return eigh(a, *args, **kwargs)
+
+    def recording_exp(x, *args, **kwargs):
+        if np.iscomplexobj(x):
+            record()
+        return exp(x, *args, **kwargs)
+
+    return [(np.linalg, "eigh", recording_eigh), (np, "exp", recording_exp)]
+
+
+def install_blas_recorders(log):
+    """Pool initializer: ``blas_recorders(log)`` in place in the worker."""
+    for owner, name, wrapper in blas_recorders(log):
+        setattr(owner, name, wrapper)
+
+
+def recorded_blas_threads(log):
+    """The thread counts that ``blas_recorders(log)`` wrote, in order."""
+    path = Path(log)
+    return [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []

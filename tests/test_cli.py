@@ -68,6 +68,15 @@ class TestSummarize:
     def test_missing_file(self, tmp_path):
         assert run_cli("summarize", "--input", str(tmp_path / "nope.csv")) == 2
 
+    def test_bins_over_limit_is_data_error(self, tmp_path, capsys, rng):
+        m = rng.random((4, 4))
+        matrix_io.write_matrix(tmp_path / "w.csv", (m + m.T) / 2, {})
+        assert run_cli("summarize", "--input", str(tmp_path / "w.csv"),
+                       "--bins", str(2**20 + 1)) == 2
+        captured = capsys.readouterr()
+        assert "error: n_bins must be >= 2 and <= 1048576" in captured.err
+        assert captured.out == ""
+
 
 class TestSimulate:
     def test_small_run_and_outputs(self, tmp_path):
@@ -172,6 +181,19 @@ class TestSimulate:
         assert f"error: band '{spec}': range must be two numbers" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("payload, message", [
+        ({"n_bins": 2**20 + 1}, "n_bins must be >= 2 and <= 1048576"),
+        # The name becomes part of the scatter files' names.
+        ({"bands": [{"name": "a\u0000b", "lo": 8, "hi": 13}]}, "band name must be"),
+    ], ids=["bins-over-limit", "nul-band-name"])
+    def test_rejected_before_any_cell_or_file(self, tmp_path, capsys, payload, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))
+        assert run_cli("simulate", "--config", str(cfg_path),
+                       "--out", str(tmp_path / "r")) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_experiment_failure_exit_code(self, tmp_path):
         cfg = {
             "montages": [19], "metrics": ["COH"], "bands": ["alpha"],
@@ -212,6 +234,35 @@ class TestNormativeCommand:
         assert [f["trial"] for f in summary["failures"]] == [2]
         assert summary["failures"][0]["error"].startswith("s2.csv: ")
         assert summary["failures"][0]["error"].startswith("s2.csv: CrossSpectrumFormatError: ")
+
+    def write_subjects(self, tmp_path, rng, count):
+        for i in range(count):
+            rec = make_record(rng.standard_normal((4, 512 * 4)), fs=200.0)
+            matrix_io.write_cross_spectrum(tmp_path / f"s{i}.csv", quiet_cross_spectrum(rec, 512),
+                                           list(rec.channel_names))
+
+    def test_sidecar_beyond_the_file_is_a_subject_failure(self, tmp_path, rng):
+        # A reader sizing its buffer by the labels alone would ask for 14.6 TiB here.
+        self.write_subjects(tmp_path, rng, 4)
+        side = matrix_io.sidecar_path(tmp_path / "s1.csv")
+        side.write_text(json.dumps({"labels": [""] * 10**6, "n_segments": 4}))
+        out = tmp_path / "norm"
+        assert run_cli("normative", "--input", str(tmp_path / "s*.csv"),
+                       "--bands", "alpha", "--out", str(out)) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["subjects_used"] == 3
+        # trial -1 marks the correlations' failures, which 4-channel subjects may have
+        subject_fails = [f for f in summary["failures"] if f["trial"] >= 0]
+        assert [(f["metric"], f["trial"]) for f in subject_fails] == [("-", 1)]
+        assert subject_fails[0]["error"].startswith("s1.csv: CrossSpectrumFormatError: ")
+        assert "too short for" in subject_fails[0]["error"]
+
+    def test_bins_over_limit_is_data_error(self, tmp_path, capsys, rng):
+        self.write_subjects(tmp_path, rng, 3)
+        assert run_cli("normative", "--input", str(tmp_path / "s*.csv"),
+                       "--bins", str(2**20 + 1), "--out", str(tmp_path / "o")) == 2
+        assert "error: n_bins must be >= 2 and <= 1048576" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_no_match_is_data_error(self, tmp_path, capsys):
         assert run_cli("normative", "--input", str(tmp_path / "*.csv"),

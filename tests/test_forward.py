@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_record, quiet_cross_spectrum
+from conftest import caller_blas_threads, make_analytic, make_record, quiet_cross_spectrum
 from oracles import (
     explicit_first_projection,
     naive_matmul,
@@ -18,15 +18,17 @@ from fcdist import (
 )
 from fcdist.errors import (
     BandOutOfRange,
+    DegenerateEnvelope,
     EmptyRequest,
     FcdistError,
     InsufficientLibrary,
     InsufficientSamples,
     InvalidData,
     ShapeMismatch,
+    TooShort,
     UnknownMontage,
 )
-from fcdist.connectivity import ConnectivityMatrix
+from fcdist.connectivity import ConnectivityMatrix, aec_matrix, plv_matrix
 from fcdist.forward import LeadField, MultichannelRecord, SourceActivity, SourceLibrary
 from fcdist.montages import BUILTIN_MONTAGES, Montage
 from fcdist.spectral import ALPHA, AnalyticRecord, CoherencyMatrix, CrossSpectrum
@@ -380,6 +382,57 @@ class TestChannelSpaceFill:
         lf = generate_synthetic_leadfield("std19", 29, seed=1)
         with pytest.raises(ShapeMismatch):
             project_to_scalp(lf, src)
+
+
+def _blas_cases():
+    """Per function that does BLAS work: a numpy function that it calls, a call of it,
+    and a call of it that raises."""
+    lf = generate_synthetic_leadfield("std19", 30, seed=1)
+    rng = np.random.default_rng(2)
+    phase = rng.uniform(-np.pi, np.pi, (3, 2000))
+    analytic = make_analytic(phase, envelope=rng.uniform(0.5, 1.5, phase.shape))
+    return {
+        "leadfield": (np, "sum", lambda: generate_synthetic_leadfield("std19", 30),
+                      EmptyRequest, lambda: generate_synthetic_leadfield("std19", 0)),
+        "project": (np.linalg, "eigh",
+                    lambda: project_to_scalp(lf, SourceActivity(np.ones((2, 50)), 200.0,
+                                                                n_sources=30, noise_sigma=0.1)),
+                    ShapeMismatch,
+                    lambda: project_to_scalp(lf, SourceActivity(np.ones((2, 50)), 200.0))),
+        "plv": (np, "exp", lambda: plv_matrix(analytic),
+                TooShort, lambda: plv_matrix(make_analytic(phase[:, :100]))),
+        # constant envelopes: the window loop runs, then the pairs fail
+        "aec": (np, "sum", lambda: aec_matrix(analytic),
+                DegenerateEnvelope, lambda: aec_matrix(make_analytic(phase))),
+    }
+
+
+class TestBlasThreads:
+    """The four functions that do BLAS work run it with one OpenBLAS thread and give
+    the caller its own count back, also when they raise."""
+
+    @pytest.mark.parametrize("name", ["leadfield", "project", "plv", "aec"])
+    def test_a_call_runs_with_one_thread(self, monkeypatch, name):
+        owner, attr, call, _, _ = _blas_cases()[name]
+        inner, seen = getattr(owner, attr), []
+
+        def recording(*args, **kwargs):
+            seen.append(forward._blas_threads())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, recording)
+        with caller_blas_threads(2) as n:
+            call()
+            assert seen and seen == [[1] * n] * len(seen)
+            assert forward._blas_threads() == [2] * n
+
+    @pytest.mark.parametrize("name", ["leadfield", "project", "plv", "aec"])
+    def test_a_raising_call_restores_the_callers_count(self, name):
+        _, _, _, error, call = _blas_cases()[name]
+        with caller_blas_threads(2) as n:
+            with pytest.raises(error):
+                call()
+            assert forward._blas_threads() == [2] * n
 
 
 class TestTypes:

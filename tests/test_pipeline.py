@@ -13,10 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_record, poison_alpha_entry, quiet_cross_spectrum
+from conftest import (
+    blas_recorders,
+    caller_blas_threads,
+    install_blas_recorders,
+    make_record,
+    poison_alpha_entry,
+    quiet_cross_spectrum,
+    recorded_blas_threads,
+)
 from oracles import allbin_bartlett_coherency
 
-from fcdist import matrix_io, pipeline, spectral, weight_stats
+from fcdist import forward, matrix_io, pipeline, spectral, weight_stats
 from fcdist.connectivity import (
     METRICS,
     WindowConfig,
@@ -92,34 +100,55 @@ class TestSimulation:
         assert (tmp_path / "a" / "trials.csv").read_bytes() == \
             (tmp_path / "b" / "trials.csv").read_bytes()
 
-    def test_pool_workers_use_one_blas_thread(self):
-        # forked after fcdist.pipeline was imported, as every grid worker is
-        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
-            threads = pool.submit(pipeline._blas_threads).result()
-        if not threads:
-            pytest.skip("no OpenBLAS mapped into the worker")
-        assert threads == [1] * len(threads)
-
-    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
-    def test_pool_workers_of_any_start_method_use_one_blas_thread(self, monkeypatch, method):
-        # a default other than 1 for the workers to keep, even on a 1-CPU host
+    def _pool_cells_blas_threads(self, monkeypatch, tmp_path, method):
+        """Run a 3-cell grid in a 2-worker pool of start ``method`` with the caller at two
+        OpenBLAS threads; return the counts the workers start with and the counts that
+        the cells' BLAS work (the projection's eigh, PLV's phasors) ran with."""
+        # the caller's count, which spawned workers read from the environment
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
-        seen = []
+        log = str(tmp_path / "blas.log")
+        started = []
 
-        def pool(*args, **kwargs):
-            """The grid's pool, with its workers started by ``method``."""
+        def pool(workers):
+            """The grid's pool, started by ``method``, recording its cells' BLAS threads."""
             executor = ProcessPoolExecutor(
-                *args, mp_context=multiprocessing.get_context(method), **kwargs)
-            seen.append(executor.submit(pipeline._blas_threads).result())
+                workers, mp_context=multiprocessing.get_context(method),
+                initializer=install_blas_recorders, initargs=(log,))
+            started.append(executor.submit(forward._blas_threads).result())
             return executor
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", pool)
-        cfg = tiny_config(metrics=("COH",))
-        assert (run_simulation_experiment(cfg, jobs=2).trial_rows
-                == run_simulation_experiment(cfg, jobs=1).trial_rows)
-        if not seen[0]:
+        cfg = tiny_config()
+        with caller_blas_threads(2):
+            rows = run_simulation_experiment(cfg, jobs=2).trial_rows
+            assert forward._blas_threads() == started[0]
+        assert rows == run_simulation_experiment(cfg, jobs=1).trial_rows
+        return started, recorded_blas_threads(log)
+
+    def test_pool_workers_use_one_blas_thread(self, monkeypatch, tmp_path):
+        # forked workers keep the caller's two threads; each cell's BLAS work runs with one
+        started, seen = self._pool_cells_blas_threads(monkeypatch, tmp_path, "fork")
+        n = len(started[0])
+        assert started == [[2] * n]
+        # 3 cells, each one eigh and three 6-s PLV windows of a 20-s record
+        assert seen == [[1] * n] * 12
+
+    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
+    def test_pool_workers_of_any_start_method_use_one_blas_thread(self, monkeypatch, tmp_path,
+                                                                   method):
+        started, seen = self._pool_cells_blas_threads(monkeypatch, tmp_path, method)
+        if not started[0]:
             pytest.skip("no OpenBLAS mapped into the worker")
-        assert seen == [[1] * len(seen[0])]
+        n = len(started[0])
+        assert started == [[2] * n]
+        assert seen == [[1] * n] * 12
+
+    def test_fork_child_keeps_the_callers_blas_threads(self):
+        # importing fcdist changes no thread count, in this process or in its children
+        with caller_blas_threads(2) as n:
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
+                assert pool.submit(forward._blas_threads).result() == [2] * n
+            assert forward._blas_threads() == [2] * n
 
     @pytest.mark.parametrize("jobs, units, workers", [(50, 3, [3]), (2, 3, [2]), (5, 1, [])])
     def test_pool_never_outnumbers_units(self, monkeypatch, jobs, units, workers):
@@ -145,31 +174,29 @@ class TestSimulation:
         assert seen == workers
         assert rows == list(range(units))
 
-    def test_in_process_cells_use_one_blas_thread(self, monkeypatch):
-        before = pipeline._blas_threads()
-        if not before:
-            pytest.skip("no OpenBLAS mapped into this process")
-        seen = []
+    def test_in_process_cells_use_one_blas_thread(self, monkeypatch, tmp_path):
+        log = str(tmp_path / "blas.log")
+        for owner, name, wrapper in blas_recorders(log):
+            monkeypatch.setattr(owner, name, wrapper)
+        with caller_blas_threads(2) as n:
+            run_simulation_experiment(tiny_config(), jobs=1)
+            assert recorded_blas_threads(log) == [[1] * n] * 12
+            assert forward._blas_threads() == [2] * n
 
-        def recording_cell(cfg, montage, trial):
-            seen.append(pipeline._blas_threads())
-            if cfg.master_seed == 13:
+            def crashing_eigh(a, *args, **kwargs):
                 raise RuntimeError("cell crashed")
-            return simulate_cell(cfg, montage, trial)
 
-        monkeypatch.setattr(pipeline, "simulate_cell", recording_cell)
-        # a caller count other than 1, so that restoring it is seen
-        pipeline._set_blas_threads([2] * len(before))
-        try:
-            run_simulation_experiment(tiny_config(metrics=("COH",)), jobs=1)
-            assert seen == [[1] * len(before)] * 3
-            assert pipeline._blas_threads() == [2] * len(before)
+            monkeypatch.setattr(np.linalg, "eigh", crashing_eigh)
             with pytest.raises(RuntimeError, match="cell crashed"):
-                run_simulation_experiment(tiny_config(master_seed=13), jobs=1)
-            assert seen[-1] == [1] * len(before)
-            assert pipeline._blas_threads() == [2] * len(before)
-        finally:
-            pipeline._set_blas_threads(before)
+                run_simulation_experiment(tiny_config(), jobs=1)
+            assert forward._blas_threads() == [2] * n
+
+    def test_cell_rows_do_not_depend_on_the_callers_blas_threads(self):
+        cfg = tiny_config(montages=(64,), metrics=tuple(METRICS), n_sources=3002, n_active=200)
+        with caller_blas_threads(1):
+            one = simulate_cell(cfg, 64, 0)
+        with caller_blas_threads(2):
+            assert simulate_cell(cfg, 64, 0) == one
 
     def test_seed_isolation_trial_extension(self):
         short = run_simulation_experiment(tiny_config(trials=3))
@@ -222,6 +249,7 @@ class TestSimulation:
 
     @pytest.mark.parametrize("changes, match", [
         (dict(n_bins=1), "n_bins must be >= 2"),
+        (dict(n_bins=2**20 + 1), "n_bins must be >= 2 and <= 1048576, got 1048577"),
         (dict(montages=(19, 19)), "duplicate montages"),
         (dict(metrics=("COH", "COH")), "duplicate metrics"),
         (dict(bands=(ALPHA, Band("alpha", 9.0, 12.0))), "duplicate band names"),
@@ -240,7 +268,8 @@ class TestSimulation:
         (dict(metrics=(["COH"],)), r"metrics must be str labels, got \['COH'\]"),
         (dict(source_mode=5), "source_mode must be a string, got 5"),
         (dict(leadfield_mode=None), "leadfield_mode must be a string, got None"),
-    ], ids=["n_bins-1", "duplicate-montage", "duplicate-metric", "duplicate-band-name",
+    ], ids=["n_bins-1", "n_bins-over-limit", "duplicate-montage", "duplicate-metric",
+            "duplicate-band-name",
             "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "inf-fs",
             "float-montage", "str-montage", "str-band", "int-montages", "none-bands",
             "str-metrics", "list-metric", "int-source_mode", "none-leadfield_mode"])
@@ -318,6 +347,20 @@ class TestSimulation:
         assert reads == [str(path)] * 2  # once per run, not once per cell
         pipeline._read_file.cache_clear()
         assert run_simulation_experiment(cfg).trial_rows == runs[1]
+
+    def test_file_inputs_do_not_outlive_the_run(self, tmp_path):
+        from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
+        matrix_io.write_source_library(tmp_path / "lib.csv",
+                                       generate_synthetic_sources(40, 4000, 200.0, seed=5))
+        matrix_io.write_leadfield(tmp_path / "lf.csv",
+                                  generate_synthetic_leadfield("std19", 300, seed=6))
+        cfg = tiny_config(metrics=("COH",), source_mode=f"file:{tmp_path / 'lib.csv'}",
+                          leadfield_mode=f"file:{tmp_path / 'lf.csv'}")
+        assert len(run_simulation_experiment(cfg).trial_rows) == 3
+        assert pipeline._read_file.cache_info().currsize == 0
+        with pytest.raises(ExperimentFailed, match="ShapeMismatch"):  # 19-ch lead field
+            run_simulation_experiment(dataclasses.replace(cfg, montages=(64,)))
+        assert pipeline._read_file.cache_info().currsize == 0
 
     def test_file_leadfield_channel_count(self, tmp_path):
         from fcdist.forward import generate_synthetic_leadfield
@@ -519,12 +562,14 @@ class TestNormative:
 
     @pytest.mark.parametrize("kwargs, match", [
         (dict(n_bins=1), "n_bins must be >= 2"),
+        (dict(n_bins=2**20 + 1), "n_bins must be >= 2 and <= 1048576"),
         (dict(bands=(ALPHA, ALPHA)), "duplicate band names"),
         (dict(bands=("alpha",)), "bands must be Band objects, got 'alpha'"),
         (dict(bands=None), "bands must be a tuple or list, got None"),
         (dict(bands="alpha"), "bands must be a tuple or list, got 'alpha'"),
         (dict(bands=()), "at least one band required"),
-    ], ids=["n_bins-1", "duplicate-band", "str-band", "none-bands", "str-bands", "no-bands"])
+    ], ids=["n_bins-1", "n_bins-over-limit", "duplicate-band", "str-band", "none-bands",
+            "str-bands", "no-bands"])
     def test_rejected_before_any_file(self, tmp_path, kwargs, match):
         # The file does not exist: reading it would record a failure and raise NoData.
         with pytest.raises(ValueError, match=match):
@@ -602,25 +647,19 @@ class TestNormative:
         assert [(f.metric, f.trial) for f in res.failures] == [("-", 1)]
 
     def test_caller_blas_threads_restored(self, tmp_path, rng, monkeypatch):
-        before = pipeline._blas_threads()
-        if not before:
-            pytest.skip("no OpenBLAS mapped into this process")
+        # the runner sets no thread count: subjects, which run no BLAS, see the caller's
         seen = []
 
         def recording_subject(cfg, path, subject):
-            seen.append(pipeline._blas_threads())
+            seen.append(forward._blas_threads())
             return normative_subject(cfg, path, subject)
 
         monkeypatch.setattr(pipeline, "normative_subject", recording_subject)
         paths = [self.write_subject(tmp_path, f"s{i}.csv", rng, n_ch=8) for i in range(3)]
-        # a caller count other than 1, so that restoring it is seen
-        pipeline._set_blas_threads([2] * len(before))
-        try:
+        with caller_blas_threads(2) as n:
             assert len(run_normative_analysis(paths, bands=(ALPHA,)).trial_rows) == 6
-            assert seen == [[1] * len(before)] * 3
-            assert pipeline._blas_threads() == [2] * len(before)
-        finally:
-            pipeline._set_blas_threads(before)
+            assert seen == [[2] * n] * 3
+            assert forward._blas_threads() == [2] * n
 
     def test_no_data(self, tmp_path):
         bad = tmp_path / "bad.csv"

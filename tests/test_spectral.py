@@ -329,7 +329,7 @@ class TestBandSlice:
         with pytest.raises(ValueError):
             Band("bad", 5.0, 3.0)
 
-    @pytest.mark.parametrize("name", ["", "a/b", "a\\b"])
+    @pytest.mark.parametrize("name", ["", "a/b", "a\\b", "a\0b"])
     def test_band_name_is_a_file_name_part(self, name):
         with pytest.raises(ValueError, match="band name"):
             Band(name, 8.0, 13.0)

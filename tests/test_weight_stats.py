@@ -7,6 +7,7 @@ from oracles import naive_entropy, naive_kurtosis, naive_mean, naive_skewness
 
 from fcdist.errors import DegenerateDistribution, FcdistError, InvalidData, NotSymmetric, RangeViolation
 from fcdist.weight_stats import (
+    MAX_BINS,
     kurtosis,
     shannon_entropy,
     skewness,
@@ -111,6 +112,14 @@ class TestShannonEntropy:
         w = [0.105] * 10 + [0.905] * 10
         assert shannon_entropy(w) == pytest.approx(1.0 / np.log2(100), abs=1e-12)
         assert shannon_entropy(w) == pytest.approx(0.15051, abs=1e-5)
+
+    def test_bin_count_limit(self):
+        # The histogram is allocated whole: 10**15 bins would ask for petabytes.
+        w = [0.1, 0.5, 0.9]
+        assert shannon_entropy(w, MAX_BINS) == pytest.approx(np.log2(3) / 20)
+        for n_bins in (1, MAX_BINS + 1, 10**15):
+            with pytest.raises(ValueError, match="n_bins must be >= 2 and <= 1048576"):
+                shannon_entropy(w, n_bins)
 
     def test_range_violation(self):
         with pytest.raises(RangeViolation):
