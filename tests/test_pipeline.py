@@ -100,10 +100,11 @@ class TestSimulation:
         assert (tmp_path / "a" / "trials.csv").read_bytes() == \
             (tmp_path / "b" / "trials.csv").read_bytes()
 
-    def _pool_cells_blas_threads(self, monkeypatch, tmp_path, method):
-        """Run a 3-cell grid in a 2-worker pool of start ``method`` with the caller at two
-        OpenBLAS threads; return the counts the workers start with and the counts that
-        the cells' BLAS work (the projection's eigh, PLV's phasors) ran with."""
+    @staticmethod
+    def _check_pool_cells_use_one_blas_thread(monkeypatch, tmp_path, method):
+        """A 3-cell grid in a 2-worker pool of start ``method``, the caller at two OpenBLAS
+        threads: a worker starts with two, the cells' BLAS work (the projection's eigh,
+        PLV's phasors) runs with one, and the rows are an in-process run's."""
         # the caller's count, which spawned workers read from the environment
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         log = str(tmp_path / "blas.log")
@@ -119,29 +120,22 @@ class TestSimulation:
 
         monkeypatch.setattr(pipeline, "ProcessPoolExecutor", pool)
         cfg = tiny_config()
-        with caller_blas_threads(2):
+        with caller_blas_threads(2) as n:
             rows = run_simulation_experiment(cfg, jobs=2).trial_rows
-            assert forward._blas_threads() == started[0]
-        assert rows == run_simulation_experiment(cfg, jobs=1).trial_rows
-        return started, recorded_blas_threads(log)
-
-    def test_pool_workers_use_one_blas_thread(self, monkeypatch, tmp_path):
-        # forked workers keep the caller's two threads; each cell's BLAS work runs with one
-        started, seen = self._pool_cells_blas_threads(monkeypatch, tmp_path, "fork")
-        n = len(started[0])
+            assert forward._blas_threads() == [2] * n
         assert started == [[2] * n]
         # 3 cells, each one eigh and three 6-s PLV windows of a 20-s record
-        assert seen == [[1] * n] * 12
+        assert recorded_blas_threads(log) == [[1] * n] * 12
+        assert rows == run_simulation_experiment(cfg, jobs=1).trial_rows
+
+    def test_pool_workers_use_one_blas_thread(self, monkeypatch, tmp_path):
+        # forked after fcdist was imported, as the grid's workers are on Linux up to 3.13
+        self._check_pool_cells_use_one_blas_thread(monkeypatch, tmp_path, "fork")
 
     @pytest.mark.parametrize("method", ["forkserver", "spawn"])
     def test_pool_workers_of_any_start_method_use_one_blas_thread(self, monkeypatch, tmp_path,
                                                                    method):
-        started, seen = self._pool_cells_blas_threads(monkeypatch, tmp_path, method)
-        if not started[0]:
-            pytest.skip("no OpenBLAS mapped into the worker")
-        n = len(started[0])
-        assert started == [[2] * n]
-        assert seen == [[1] * n] * 12
+        self._check_pool_cells_use_one_blas_thread(monkeypatch, tmp_path, method)
 
     def test_fork_child_keeps_the_callers_blas_threads(self):
         # importing fcdist changes no thread count, in this process or in its children
