@@ -1,10 +1,10 @@
 """Exception types shared across the package, and the shared field checks.
 
-Every error raised by fcdist derives from :class:`FcdistError`, so callers
-can catch one base class at pipeline boundaries. Data that fails a check
-(NaN, inf, a bad shape or range, a constant library row, a malformed matrix
-file or sidecar) raises :class:`InvalidData`, which pipelines record as a
-cell or subject failure; bad arguments and configs raise a ValueError.
+Bad arguments and configs raise a ValueError. Data that fails a check (NaN,
+inf, a bad shape or range, a constant library row, a malformed matrix file
+or sidecar) raises :class:`InvalidData`. The conditions that a grid cell or
+normative subject records (too few segments, an empty band, ...) keep their
+own types below; those and InvalidData derive from :class:`FcdistError`.
 """
 
 from dataclasses import fields
@@ -89,14 +89,6 @@ class InsufficientSamples(FcdistError):
     """More samples requested than the library rows contain."""
 
 
-class EmptyRequest(FcdistError):
-    """A generator was asked for zero items."""
-
-
-class BandOutOfRange(FcdistError):
-    """A frequency or band lies outside (0, Nyquist)."""
-
-
 class UnknownMontage(FcdistError, ValueError):
     """Montage label not among the built-in layouts."""
 
@@ -135,16 +127,8 @@ class DegenerateEnvelope(FcdistError):
 
 # --- weight statistics ---
 
-class NotSymmetric(FcdistError):
-    """Connectivity matrix asymmetric beyond tolerance."""
-
-
 class DegenerateDistribution(FcdistError):
     """Zero-variance sample: standardized moments undefined."""
-
-
-class RangeViolation(FcdistError):
-    """Weights outside [0, 1]; usually a missing magnitude fold upstream."""
 
 
 # --- inference ---

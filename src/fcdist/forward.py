@@ -25,8 +25,6 @@ from typing import Callable, Iterator
 import numpy as np
 
 from .errors import (
-    BandOutOfRange,
-    EmptyRequest,
     InsufficientLibrary,
     InsufficientSamples,
     InvalidData,
@@ -158,8 +156,7 @@ class SourceActivity:
         if n_rows and (columns.min() < 0 or columns.max() >= self.n_sources
                        or np.bincount(columns).max() > 1):
             raise InvalidData("columns must be distinct and lie in [0, n_sources)")
-        if not 0 <= self.noise_sigma < np.inf:
-            raise InvalidData("noise_sigma must be non-negative and finite")
+        _check_noise_sigma(self.noise_sigma, InvalidData)
         if self.noise_seed < 0:
             raise InvalidData("noise_seed must be non-negative")
 
@@ -240,15 +237,21 @@ def _resonator_denominator(freqs: np.ndarray, f0: float, q: float) -> np.ndarray
     return (1.0 - ratio**2) ** 2 + (ratio / q) ** 2
 
 
-def _check_synthetic(n_sources: int, n_samples: int, fs: float, alpha_hz: float) -> None:
-    """The arguments of ``generate_synthetic_sources``, checked in order."""
+def _check_synthetic(n_sources: int, n_samples: int, fs: float, alpha_hz: float | None) -> None:
+    """The arguments of ``generate_synthetic_sources``, in order; None skips ``alpha_hz``."""
     check_rate(fs)
     if n_sources < 1:
-        raise EmptyRequest("n_sources must be >= 1")
+        raise ValueError("n_sources must be >= 1")
     if n_samples < 4:
         raise ValueError("n_samples must be >= 4")
-    if not 0.0 < alpha_hz < fs / 2.0:
-        raise BandOutOfRange(f"alpha_hz={alpha_hz} outside (0, {fs / 2.0})")
+    if alpha_hz is not None and not 0.0 < alpha_hz < fs / 2.0:
+        raise ValueError(f"alpha_hz={alpha_hz} outside (0, {fs / 2.0})")
+
+
+def _check_noise_sigma(noise_sigma: float, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` unless the fill's ``noise_sigma`` is non-negative and finite."""
+    if not 0 <= noise_sigma < np.inf:
+        raise error("noise_sigma must be non-negative and finite")
 
 
 def _synthesize_rows(out: np.ndarray, slots: np.ndarray, fs: float, alpha_hz: float,
@@ -375,8 +378,7 @@ def _assembly_draws(n_library: int, n_total: int, n_active: int, noise_sigma: fl
         raise ValueError("n_total must be >= 1")
     if not 0 <= n_active <= n_total:
         raise ValueError("need 0 <= n_active <= n_total")
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be >= 0")
+    _check_noise_sigma(noise_sigma)
     if n_active > n_library:
         raise InsufficientLibrary(
             f"requested {n_active} active sources from a {n_library}-row library"
@@ -476,7 +478,7 @@ def generate_synthetic_leadfield(
     volume-conduction surrogate.
     """
     if n_sources < 1:
-        raise EmptyRequest("n_sources must be >= 1")
+        raise ValueError("n_sources must be >= 1")
     m = get_montage(montage)
     rng = np.random.default_rng(seed)
 

@@ -20,17 +20,19 @@ from typing import Callable, Iterable
 import warnings
 
 from . import forward, matrix_io, spectral, weight_stats
-from .connectivity import METRICS, WindowConfig, window_samples
+from .connectivity import METRICS, WindowConfig, window_samples, window_starts
 from .correlation import pearson_correlation
 from .errors import (
+    EmptyBand,
     ExperimentFailed,
     FcdistError,
     InvalidData,
     NoData,
     ShapeMismatch,
+    TooFewSegments,
+    TooShort,
     check_number,
     check_field_types,
-    check_rate,
 )
 from .montages import get_montage
 from .spectral import ALPHA, Band
@@ -101,35 +103,38 @@ class ExperimentConfig:
                 raise ValueError(f"duplicate {what} in {list(labels)}")
 
     def validate(self) -> None:
+        """ValueError unless the layers' checks pass and the record holds what the metrics use."""
         self._validate_rows()
-        check_rate(self.fs)
         if self.leadfield_mode == "synthetic":
             for m in self.montages:
                 get_montage(m)
         bad = [m for m in self.metrics if m not in METRICS]
         if bad:
             raise ValueError(f"unknown metrics {bad}; choose from {tuple(METRICS)}")
-        for b in self.bands:
-            if b.hi >= self.fs / 2.0:
-                raise ValueError(f"band {b.name} exceeds Nyquist ({self.fs / 2.0} Hz)")
         if self.trials < 3:
             raise ValueError("need trials >= 3 for the correlation stage")
-        for name in ("n_sources", "n_active"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.n_samples < 4:
-            raise ValueError("n_samples must be >= 4")
-        if self.segment_samples < 4 or self.segment_samples % 2:
-            raise ValueError("segment_samples must be even and >= 4")
+        if self.n_active <= 0:  # with the next rule, n_sources >= 1
+            raise ValueError("n_active must be positive")
         if self.n_active > self.n_sources:
             raise ValueError("n_active cannot exceed n_sources")
-        if not 0 <= self.noise_sigma < float("inf"):
-            raise ValueError("noise_sigma must be non-negative and finite")
-        if self.source_mode == "synthetic" and not 0.0 < self.alpha_hz < self.fs / 2.0:
-            raise ValueError(f"alpha_hz={self.alpha_hz} outside (0, {self.fs / 2.0})")
+        forward._check_synthetic(self.n_active, self.n_samples, self.fs,
+                                 self.alpha_hz if self.source_mode == "synthetic" else None)
+        forward._check_noise_sigma(self.noise_sigma)
+        for b in self.bands:
+            spectral._check_below_nyquist(b, self.fs)
         if not isinstance(self.window, WindowConfig):
             raise ValueError(f"window must be a WindowConfig, got {self.window!r}")
         window_samples(self.fs, self.window)
+        spectral._check_segment(self.segment_samples)
+        kinds = {METRICS[m][0] for m in self.metrics}
+        try:
+            if "analytic" in kinds:
+                window_starts(self.n_samples, self.fs, self.window)
+            for band in self.bands if "coherency" in kinds else ():
+                spectral._bartlett_bins(self.segment_samples, self.n_samples, self.fs, band)
+        except (TooShort, TooFewSegments, EmptyBand) as err:
+            key = {TooShort: "window", TooFewSegments: "segment_samples"}.get(type(err), "bands")
+            raise ValueError(f"{key}: {err}") from None
         _mode_path(self.source_mode)
         _mode_path(self.leadfield_mode)
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    BandOutOfRange,
     EmptyBand,
     FewSegmentsWarning,
     InvalidData,
@@ -164,37 +163,44 @@ def bartlett_cross_spectrum(rec: MultichannelRecord, segment_samples: int = 512,
     spectrum then checks channel power on the band's bins only, so its
     ``ZeroPowerChannel`` names the band's first bin.
     """
-    if segment_samples < 4 or segment_samples % 2:
-        raise ValueError("segment_samples must be even and >= 4")
     n_ch, n_samples = rec.data.shape
-    k_segments = n_samples // segment_samples
-    if k_segments < 2:
-        raise TooFewSegments(
-            f"{n_samples} samples hold {k_segments} segment(s) of {segment_samples}; need >= 2"
-        )
+    k_segments, freqs, first = _bartlett_bins(segment_samples, n_samples, rec.fs, band)
     if k_segments < RECOMMENDED_MIN_SEGMENTS:
-        warnings.warn(
-            f"averaging only {k_segments} segments (< {RECOMMENDED_MIN_SEGMENTS})",
-            FewSegmentsWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"averaging only {k_segments} segments (< {RECOMMENDED_MIN_SEGMENTS})",
+                      FewSegmentsWarning, stacklevel=2)
 
     n = segment_samples
     segs = rec.data[:, : k_segments * n].reshape(n_ch, k_segments, n)
     segs = segs - segs.mean(axis=2, keepdims=True)
-    freqs = np.arange(1, n // 2) * (rec.fs / n)
-    lo, hi = 0, freqs.size
-    if band is not None:
-        idx = band_slice(freqs, band)
-        lo, hi = idx[0], idx[-1] + 1
     # (bin, channel, segment), segments contiguous for the reduction below.
-    spec = np.fft.rfft(segs, axis=2)[:, :, 1 + lo : 1 + hi].transpose(2, 0, 1).copy()
+    spec = np.fft.rfft(segs, axis=2)[:, :, first : first + freqs.size].transpose(2, 0, 1).copy()
     # Plain einsum (no BLAS) sums the segments in order, as a running sum
     # over segments would; a BLAS product rounds differently and is not
     # exactly Hermitian.
     mats = np.einsum("fck,fdk->fcd", spec, spec.conj())
     mats *= 2.0 / (k_segments * n * n)
-    return CrossSpectrum(freqs=freqs[lo:hi], mats=mats, n_segments=k_segments)
+    return CrossSpectrum(freqs=freqs, mats=mats, n_segments=k_segments)
+
+
+def _check_segment(segment_samples: int) -> None:
+    """ValueError unless ``segment_samples`` is even and at least 4."""
+    if segment_samples < 4 or segment_samples % 2:
+        raise ValueError("segment_samples must be even and >= 4")
+
+
+def _bartlett_bins(segment_samples: int, n_samples: int, fs: float, band: Band | None = None
+                   ) -> tuple[int, np.ndarray, int]:
+    """Bartlett's argument rules: the segment's form, two segments in ``n_samples``
+    (TooFewSegments) and a bin in ``band`` (EmptyBand). Returns the segment count,
+    the frequencies kept (all but DC and Nyquist, or the band's) and the first's index."""
+    _check_segment(segment_samples)
+    k_segments = n_samples // segment_samples
+    if k_segments < 2:
+        raise TooFewSegments(f"{n_samples} samples hold {k_segments} segment(s) of "
+                             f"{segment_samples}; need >= 2")
+    freqs = np.arange(1, segment_samples // 2) * (fs / segment_samples)
+    idx = [0, freqs.size - 1] if band is None else band_slice(freqs, band)
+    return k_segments, freqs[idx[0] : idx[-1] + 1], 1 + idx[0]
 
 
 def coherency(cs: CrossSpectrum) -> CoherencyMatrix:
@@ -234,6 +240,12 @@ def _butterworth_bandpass_gain(freqs: np.ndarray, band: Band) -> np.ndarray:
     return gain
 
 
+def _check_below_nyquist(band: Band, fs: float) -> None:
+    """ValueError unless ``band`` lies below ``fs``'s Nyquist; ``Band`` keeps 0 < lo < hi."""
+    if band.hi >= fs / 2.0:
+        raise ValueError(f"band {band.name} exceeds Nyquist ({fs / 2.0} Hz)")
+
+
 def bandpass_analytic(rec: MultichannelRecord, band: Band) -> AnalyticRecord:
     """Band-pass a record (zero phase) and take its analytic signal.
 
@@ -242,9 +254,7 @@ def bandpass_analytic(rec: MultichannelRecord, band: Band) -> AnalyticRecord:
     frequencies and doubles positive ones. Phase is the angle wrapped to
     (-pi, pi], envelope the magnitude.
     """
-    nyquist = rec.fs / 2.0
-    if not 0.0 < band.lo < band.hi < nyquist:
-        raise BandOutOfRange(f"band ({band.lo}, {band.hi}) outside (0, {nyquist})")
+    _check_below_nyquist(band, rec.fs)
     n_ch, n = rec.data.shape
     freqs = np.fft.fftfreq(n, d=1.0 / rec.fs)
     gain = _butterworth_bandpass_gain(freqs, band)

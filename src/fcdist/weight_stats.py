@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistribution, InvalidData, NotSymmetric, RangeViolation, checked_array
+from .errors import DegenerateDistribution, InvalidData, checked_array
 
 DEFAULT_BINS = 100
 MAX_BINS = 2**20
@@ -42,9 +42,7 @@ def _values(w) -> np.ndarray:
 
 def _check_range(x: np.ndarray) -> None:
     if x.min() < 0.0 or x.max() > 1.0:
-        raise RangeViolation(
-            f"weights span [{x.min():.6g}, {x.max():.6g}], outside [0, 1]"
-        )
+        raise InvalidData(f"weights span [{x.min():.6g}, {x.max():.6g}], outside [0, 1]")
 
 
 def upper_triangle_weights(matrix) -> np.ndarray:
@@ -54,7 +52,7 @@ def upper_triangle_weights(matrix) -> np.ndarray:
         raise InvalidData("need a square matrix with n >= 2")
     asym = np.max(np.abs(m - m.T))
     if asym > 1e-9:
-        raise NotSymmetric(f"matrix asymmetric by {asym:.3g}")
+        raise InvalidData(f"matrix asymmetric by {asym:.3g}")
     w = m[np.triu_indices(m.shape[0], k=1)]
     _check_range(w)
     return w

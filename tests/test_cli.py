@@ -9,7 +9,7 @@ import pytest
 
 from conftest import make_record, poison_alpha_entry, quiet_cross_spectrum
 
-from fcdist import matrix_io
+from fcdist import generate_synthetic_leadfield, matrix_io
 from fcdist.cli import main
 
 
@@ -185,7 +185,14 @@ class TestSimulate:
         ({"n_bins": 2**20 + 1}, "n_bins must be >= 2 and <= 1048576"),
         # The name becomes part of the scatter files' names.
         ({"bands": [{"name": "a\u0000b", "lo": 8, "hi": 13}]}, "band name must be"),
-    ], ids=["bins-over-limit", "nul-band-name"])
+        # The record must hold what the configured metrics use.
+        ({"segment_samples": 8192},
+         "segment_samples: 10000 samples hold 1 segment(s) of 8192; need >= 2"),
+        ({"bands": ["nb=10.2-10.3"]}, "bands: band nb (10.2, 10.3) Hz selects no bins"),
+        ({"metrics": ["PLV"], "window": {"window_seconds": 60}},
+         "window: 10000 samples < one 12000-sample window"),
+    ], ids=["bins-over-limit", "nul-band-name", "segment-over-half-the-record",
+            "band-between-bins", "window-over-the-record"])
     def test_rejected_before_any_cell_or_file(self, tmp_path, capsys, payload, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))
@@ -194,16 +201,20 @@ class TestSimulate:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
-    def test_experiment_failure_exit_code(self, tmp_path):
+    def test_experiment_failure_exit_code(self, tmp_path, capsys):
+        # A 50-source lead field for a 100-source config: every cell fails with ShapeMismatch.
+        lf = generate_synthetic_leadfield("std19", 50, seed=1)
+        matrix_io.write_leadfield(tmp_path / "lf.csv", lf)
         cfg = {
             "montages": [19], "metrics": ["COH"], "bands": ["alpha"],
-            "trials": 3, "n_samples": 600, "n_sources": 100, "n_active": 20,
-            "segment_samples": 512,
+            "trials": 3, "n_samples": 1200, "n_sources": 100, "n_active": 20,
+            "segment_samples": 512, "leadfield_mode": f"file:{tmp_path / 'lf.csv'}",
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert run_cli("simulate", "--config", str(cfg_path),
                        "--out", str(tmp_path / "r")) == 3
+        assert "ShapeMismatch" in capsys.readouterr().err
 
 
 class TestNormativeCommand:

@@ -17,9 +17,7 @@ from fcdist import (
     project_to_scalp,
 )
 from fcdist.errors import (
-    BandOutOfRange,
     DegenerateEnvelope,
-    EmptyRequest,
     FcdistError,
     InsufficientLibrary,
     InsufficientSamples,
@@ -142,11 +140,11 @@ class TestSyntheticSources:
         assert np.array_equal(a.data, b.data)
 
     def test_empty_request(self):
-        with pytest.raises(EmptyRequest):
+        with pytest.raises(ValueError, match="n_sources must be >= 1"):
             generate_synthetic_sources(0, 800, 200.0, 10.0, seed=0)
 
     def test_band_out_of_range(self):
-        with pytest.raises(BandOutOfRange):
+        with pytest.raises(ValueError, match=r"alpha_hz=120.0 outside \(0, 100.0\)"):
             generate_synthetic_sources(2, 800, 200.0, 120.0, seed=0)
 
     def test_rows_finite_and_shaped(self):
@@ -198,11 +196,12 @@ class TestBlockedSynthesis:
         assert fused.n_sources == two_step.n_sources == n_total
 
     @pytest.mark.parametrize("args, error", [
-        ((30, 0, 0.05, 500, 200.0, 10.0), EmptyRequest),
+        ((30, 0, 0.05, 500, 200.0, 10.0), ValueError),
         ((30, 10, 0.05, 500, float("inf"), 10.0), InvalidData),
-        ((30, 10, 0.05, 500, 200.0, 120.0), BandOutOfRange),
+        ((30, 10, 0.05, 500, 200.0, 120.0), ValueError),
         ((5, 10, 0.05, 500, 200.0, 10.0), ValueError),
         ((30, 10, -1.0, 500, 200.0, 10.0), ValueError),
+        ((30, 10, np.inf, 500, 200.0, 10.0), ValueError),
     ])
     def test_fused_rejects_as_two_step(self, args, error):
         n_total, n_active, sigma, samples, fs, alpha = args
@@ -212,6 +211,8 @@ class TestBlockedSynthesis:
         with pytest.raises(error) as fused:
             forward.synthetic_source_activity(*args)
         assert str(fused.value) == str(two_step.value)
+        # A bad argument is a plain ValueError, bad data an InvalidData.
+        assert isinstance(fused.value, FcdistError) == issubclass(error, FcdistError)
 
 
 class TestSyntheticLeadfield:
@@ -393,7 +394,7 @@ def _blas_cases():
     analytic = make_analytic(phase, envelope=rng.uniform(0.5, 1.5, phase.shape))
     return {
         "leadfield": (np, "sum", lambda: generate_synthetic_leadfield("std19", 30),
-                      EmptyRequest, lambda: generate_synthetic_leadfield("std19", 0)),
+                      ValueError, lambda: generate_synthetic_leadfield("std19", 0)),
         "project": (np.linalg, "eigh",
                     lambda: project_to_scalp(lf, SourceActivity(np.ones((2, 50)), 200.0,
                                                                 n_sources=30, noise_sigma=0.1)),

@@ -34,7 +34,7 @@ from fcdist.connectivity import (
     pli_matrix,
     plv_matrix,
 )
-from fcdist.errors import ExperimentFailed, NoData
+from fcdist.errors import ExperimentFailed, NoData, TooFewSegments
 from fcdist.pipeline import (
     ExperimentConfig,
     band_from_spec,
@@ -214,22 +214,29 @@ class TestSimulation:
         b = run_simulation_experiment(tiny_config(master_seed=2))
         assert a.trial_rows[0].mcw != b.trial_rows[0].mcw
 
-    def test_partial_failure_recorded(self):
-        # segment longer than the record: the two spectral metrics fail
-        # (2 of 5 cells per trial), the windowed metrics survive
-        cfg = tiny_config(metrics=("COH", "iCOH", "PLV", "PLI", "AEC"),
-                          n_samples=2000, segment_samples=1024)
+    @staticmethod
+    def _fail_bartlett(monkeypatch):
+        """Every cell's Bartlett estimate raises, as a record too short for it would."""
+        def too_few(rec, segment_samples, band):
+            raise TooFewSegments(f"{rec.n_samples} samples hold 1 segment(s)")
+
+        monkeypatch.setattr(pipeline, "_bartlett_coherency", too_few)
+
+    def test_partial_failure_recorded(self, monkeypatch):
+        # the two spectral metrics fail (2 of 5 cells per trial), the windowed
+        # metrics survive
+        self._fail_bartlett(monkeypatch)
+        cfg = tiny_config(metrics=("COH", "iCOH", "PLV", "PLI", "AEC"))
         res = run_simulation_experiment(cfg)
         failed_metrics = {f.metric for f in res.failures}
         assert failed_metrics == {"COH", "iCOH"}
         assert {r.metric for r in res.trial_rows} == {"PLV", "PLI", "AEC"}
         assert len(res.failures) == 2 * cfg.trials
 
-    def test_experiment_failed_above_half(self):
-        cfg = tiny_config(metrics=("COH", "iCOH"), n_samples=2000,
-                          segment_samples=1024)
+    def test_experiment_failed_above_half(self, monkeypatch):
+        self._fail_bartlett(monkeypatch)
         with pytest.raises(ExperimentFailed):
-            run_simulation_experiment(cfg)
+            run_simulation_experiment(tiny_config(metrics=("COH", "iCOH")))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -253,6 +260,7 @@ class TestSimulation:
         (dict(n_samples=4000.5), "n_samples must be an int"),
         (dict(fs="200"), "fs must be a number"),
         (dict(fs=float("inf")), "fs must be positive and finite"),
+        (dict(noise_sigma=float("inf")), "noise_sigma must be non-negative and finite"),
         (dict(montages=(19.0,)), r"montages must be an int, got 19\.0"),
         (dict(montages=("19",)), "montages must be an int, got '19'"),
         (dict(bands=("alpha",)), "bands must be Band objects, got 'alpha'"),
@@ -265,6 +273,7 @@ class TestSimulation:
     ], ids=["n_bins-1", "n_bins-over-limit", "duplicate-montage", "duplicate-metric",
             "duplicate-band-name",
             "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "inf-fs",
+            "inf-noise_sigma",
             "float-montage", "str-montage", "str-band", "int-montages", "none-bands",
             "str-metrics", "list-metric", "int-source_mode", "none-leadfield_mode"])
     def test_config_rejected_before_any_cell(self, monkeypatch, changes, match):
@@ -292,6 +301,27 @@ class TestSimulation:
     ], ids=["window-under-two-samples", "overlap-rounds-to-window", "huge-window", "huge-fs"])
     def test_window_rejected_before_any_cell(self, monkeypatch, changes, match):
         self._rejected_before_any_cell(monkeypatch, match, **changes)
+
+    @pytest.mark.parametrize("changes, match", [
+        (dict(n_samples=10000, segment_samples=8192),
+         r"segment_samples: 10000 samples hold 1 segment\(s\) of 8192; need >= 2"),
+        (dict(bands=(ALPHA, band_from_spec("nb=10.2-10.3"))),
+         r"bands: band nb \(10.2, 10.3\) Hz selects no bins on \[0.3906, 99.61\] Hz"),
+        (dict(metrics=("PLV",), window=WindowConfig(60.0, 0.5)),
+         "window: 4000 samples < one 12000-sample window"),
+    ], ids=["segment-over-half-the-record", "band-between-bins", "window-over-the-record"])
+    def test_record_rejected_before_any_cell(self, monkeypatch, changes, match):
+        # The record must hold what the configured metrics use.
+        self._rejected_before_any_cell(monkeypatch, match, **changes)
+
+    @pytest.mark.parametrize("changes", [
+        dict(metrics=("PLV",), n_samples=10000, segment_samples=8192),
+        dict(metrics=("COH",), window=WindowConfig(60.0, 0.5)),
+    ], ids=["long-segment-without-coherency", "long-window-without-windowed-metric"])
+    def test_value_no_metric_uses_is_accepted(self, changes):
+        res = run_simulation_experiment(tiny_config(**changes))
+        assert res.failures == []
+        assert len(res.trial_rows) == 3
 
     @pytest.mark.parametrize("segment_samples", [63, 2])
     def test_segment_samples_rejected_before_any_cell(self, monkeypatch, segment_samples):
