@@ -16,6 +16,8 @@ The file holds each run's end-to-end metrics, digests and ``manifest`` line
 and quartiles of each side, the base's spread ((q3 - q1) / median), the median
 change, the pairs the change won and a verdict against the metric's bound
 (``unresolved``, ``worse``, ``better`` or ``no worse``; see ``verdict``).
+A failed run ends the series: the file then holds the pairs finished so far
+and the failure (pair, side, exit code, stderr tail), and the script exits 1.
 """
 
 from __future__ import annotations
@@ -41,6 +43,14 @@ def export(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+class RunFailed(RuntimeError):
+    """A run that exited non-zero or printed no result line."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(f"exit {returncode}:\n{stderr}")
+        self.record = {"returncode": returncode, "stderr_tail": stderr[-2000:]}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """One ``perfbench/run.py`` run: its result line, digests and manifest."""
     proc = subprocess.run(
@@ -49,7 +59,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
-        raise RuntimeError(f"{checkout}: {workload} failed:\n{proc.stderr}")
+        raise RunFailed(proc.returncode, proc.stderr)
     run = json.loads(lines[-1])
     run["metrics"] = {name: m["value"] for name, m in run["metrics"].items()}
     for line in lines:
@@ -120,14 +130,39 @@ def parse_args(argv=None) -> argparse.Namespace:
     return parser.parse_args(argv)
 
 
+def commit(rev: str) -> str:
+    """The full hash of the commit that ``rev`` names."""
+    return subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"], cwd=ROOT,
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
+def run_pairs(checkouts: dict[str, Path], name: str, n_pairs: int, args: argparse.Namespace
+              ) -> tuple[list[dict], dict | None]:
+    """Up to ``n_pairs`` pairs of runs of workload ``name``, and the first failed run
+    (its pair, side, exit code and stderr tail), at which they stop; None if none failed."""
+    pairs = []
+    for i in range(n_pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        pair = {"order": list(order)}
+        for side in order:
+            try:
+                pair[side] = run_once(checkouts[side], name, args.seed, args.seconds)
+            except RunFailed as err:
+                print(name, i, side, "failed:", err, file=sys.stderr, flush=True)
+                return pairs, {"pair": i, "side": side, **err.record}
+            print(name, i, side, json.dumps(pair[side]["metrics"]), flush=True)
+        pairs.append(pair)
+    return pairs, None
+
+
 def main(argv=None) -> int:
+    """Write BENCH_<tag>.json; on a failed run, with the pairs finished so far and the
+    failure, and return 1."""
     args = parse_args(argv)
-    revs = {side: subprocess.run(
-                ["git", "rev-parse", "--verify", getattr(args, side) + "^{commit}"],
-                cwd=ROOT, check=True, capture_output=True, text=True).stdout.strip()
-            for side in SIDES}
+    revs = {side: commit(getattr(args, side)) for side in SIDES}
     plan = [(name, int(pairs or 10)) for name, _, pairs in
             (spec.partition("=") for spec in args.workload)]
+    failure = None
     work = Path(tempfile.mkdtemp(prefix="fcdist-bench-"))
     # Paths of one length: on 2 vCPU, exports of one commit to .../base and .../change
     # read grid_desk peak_rss_mb 116.9 and 119.3 MB (10 pairs), to .../0 and .../1 the same.
@@ -139,32 +174,28 @@ def main(argv=None) -> int:
         result = {"tag": args.tag, "revs": revs, "seed": args.seed,
                   "seconds": args.seconds, "workloads": {}}
         for name, n_pairs in plan:
-            pairs = []
-            for i in range(n_pairs):
-                order = SIDES if i % 2 == 0 else SIDES[::-1]
-                pair = {"order": list(order)}
-                for side in order:
-                    pair[side] = run_once(checkouts[side], name, args.seed, args.seconds)
-                    print(name, i, side, json.dumps(pair[side]["metrics"]), flush=True)
-                pairs.append(pair)
-            summary = summarize(pairs, spec["end_to_end"])
+            pairs, failure = run_pairs(checkouts, name, n_pairs, args)
+            summary = summarize(pairs, spec["end_to_end"]) if pairs else {}
             for metric, row in summary.items():
                 print(name, metric, row["verdict"], f"median {row['median_change']:+.1%},",
-                      f"won {row['change_better_pairs']}/{n_pairs},",
+                      f"won {row['change_better_pairs']}/{len(pairs)},",
                       f"base spread {row['base_spread']:.0%}", flush=True)
             result["workloads"][name] = {
                 "all_correct": all(p[s]["correct"] for p in pairs for s in SIDES),
                 "same_digests": len({json.dumps(p[s].get("digests"), sort_keys=True)
-                                     for p in pairs for s in SIDES}) == 1,
+                                     for p in pairs for s in SIDES}) <= 1,
                 "summary": summary,
                 "pairs": pairs,
+                **({"failure": failure} if failure else {}),
             }
+            if failure:
+                break
     finally:
         shutil.rmtree(work, ignore_errors=True)
     path = args.out / f"BENCH_{args.tag}.json"
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path}")
-    return 0
+    return 1 if failure else 0
 
 
 if __name__ == "__main__":

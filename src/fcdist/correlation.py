@@ -92,14 +92,15 @@ def pearson_correlation(x, y) -> CorrelationResult:
     n = x.size
     if n < 3:
         raise TooFewPoints(f"need n >= 3, got {n}")
+    # Each series scaled by a power of two to a largest magnitude in [1/2, 1). That
+    # is exact, so r keeps its bits, and no mean, sum or product below overflows;
+    # a series that is not constant then has a positive sum of squares.
+    x, y = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (x, y))
     if np.ptp(x) == 0.0 or np.ptp(y) == 0.0:
         raise ConstantSeries("correlation undefined for a constant series")
 
     dx = x - x.mean()
     dy = y - y.mean()
-    denom = np.sqrt(np.sum(dx * dx) * np.sum(dy * dy))
-    if denom == 0.0:
-        raise ConstantSeries("correlation undefined for a constant series")
-    r = float(np.clip(np.sum(dx * dy) / denom, -1.0, 1.0))
+    r = float(np.clip(np.sum(dx * dy) / np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)), -1.0, 1.0))
     p = pearson_p(r, n)
     return CorrelationResult(r=r, p=p, n=n, stars=significance_stars(p))

@@ -203,16 +203,15 @@ def read_cross_spectrum(path: Path | str) -> tuple[CrossSpectrum, list[str]]:
             while lines := list(itertools.islice(f, _CS_CHUNK_LINES)):
                 rows = _parse_rows(path, lines, lineno)
                 i, j, freq = rows["i"], rows["j"], rows["freq"]
-                bad = np.flatnonzero((i < 0) | (i > j) | (j >= n))
+                bad_pair = (i < 0) | (i > j) | (j >= n)
+                finite = np.isfinite(freq) & np.isfinite(rows["re"]) & np.isfinite(rows["im"])
+                bad = np.flatnonzero(bad_pair | ~finite)
                 if bad.size:
                     k = bad[0]
                     data_lines = [m for m, line in enumerate(lines, lineno) if not line.isspace()]
-                    raise CrossSpectrumFormatError(
-                        f"{path}:{data_lines[k]}: channel pair ({i[k]}, {j[k]}) "
-                        f"outside 0..{n - 1} or i > j"
-                    )
-                if not np.isfinite(freq).all():
-                    raise CrossSpectrumFormatError(f"{path}: freqs must be finite")
+                    raise CrossSpectrumFormatError(f"{path}:{data_lines[k]}: " + (
+                        f"channel pair ({i[k]}, {j[k]}) outside 0..{n - 1} or i > j"
+                        if bad_pair[k] else "freq_hz, re and im must be finite"))
                 # A row brings a new frequency when it lies above every one before it.
                 ceiling = np.maximum.accumulate(np.r_[freqs[-1] if freqs.size else -np.inf, freq])
                 freqs = np.concatenate((freqs, freq[freq > ceiling[:-1]]))

@@ -446,9 +446,9 @@ _BUILTIN_BANDS = {b.name: b for b in spectral.DEFAULT_BANDS}
 
 def band_from_spec(item) -> Band:
     """Band from a default-band name, 'name=lo-hi' string, or mapping with number edges."""
-    if isinstance(item, dict):
-        lo, hi = (float(check_number(edge, item.get(edge), "float")) for edge in ("lo", "hi"))
-        return Band(item.get("name"), lo, hi)
+    if isinstance(item, dict):  # Band checks the types; a missing key reads as None
+        band = _from_fields(Band, {"name": None, "lo": None, "hi": None, **item})
+        return Band(band.name, float(band.lo), float(band.hi))
     name = str(item).strip()
     if "=" in name:
         label, _, edges = name.partition("=")

@@ -1,6 +1,7 @@
 """``scripts/bench.py`` turns alternating base/change runs into one verdict per metric."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,33 @@ def test_summary_fields():
     assert row["base_spread"] == pytest.approx(0.45 / 10.45)
     assert row["median_change"] == pytest.approx(1.0 / 10.45)
     assert row["change_better_pairs"] == 10
+
+
+def test_failed_run_keeps_the_finished_pairs(tmp_path, monkeypatch):
+    """A run of the third pair fails: the file holds the first two pairs and the failure."""
+    def export(rev, dest):
+        dest.mkdir(parents=True)
+        (dest / "BENCHMARK.json").write_text((bench.ROOT / "BENCHMARK.json").read_text())
+
+    runs = []
+
+    def run_once(checkout, workload, seed, seconds):
+        runs.append(checkout)
+        if len(runs) == 5:
+            raise bench.RunFailed(1, "Traceback ...\nMemoryError\n")
+        metrics = {m: 1.0 + len(runs) for m in ("units_per_s", "setup_s", "peak_rss_mb",
+                                                  "cpu_s_per_unit")}
+        return {"metrics": metrics, "correct": True, "digests": {"trials.csv": "d"}}
+
+    monkeypatch.setattr(bench, "commit", lambda rev: rev)
+    monkeypatch.setattr(bench, "export", export)
+    monkeypatch.setattr(bench, "run_once", run_once)
+    assert bench.main(["--base", "a", "--change", "b", "--tag", "t", "--out", str(tmp_path),
+                       "--workload", "grid_desk=10", "--workload", "grid_dense=10"]) == 1
+    result = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert list(result["workloads"]) == ["grid_desk"]
+    desk = result["workloads"]["grid_desk"]
+    assert len(desk["pairs"]) == 2
+    assert desk["failure"] == {"pair": 2, "side": "base", "returncode": 1,
+                               "stderr_tail": "Traceback ...\nMemoryError\n"}
+    assert desk["summary"]["units_per_s"]["base"]["median"] == 3.5

@@ -149,9 +149,11 @@ class TestSimulate:
         ("source_mode", {"source_mode": 5}), ("leadfield_mode", {"leadfield_mode": None}),
         ("window_seconds", {"window": {"window_seconds": float("inf")}}),
         ("name", {"bands": [{"name": 3, "lo": 8, "hi": 13}]}),
+        ("name", {"bands": [{"lo": 8, "hi": 13}]}),
     ], ids=["trials", "fs", "master_seed", "n_samples", "window_seconds", "band_lo", "band_hi",
             "montages", "str-metrics", "str-bands", "int-montages", "int-metric",
-            "int-source_mode", "null-leadfield_mode", "infinite-window", "int-band-name"])
+            "int-source_mode", "null-leadfield_mode", "infinite-window", "int-band-name",
+            "no-band-name"])
     def test_mistyped_config_is_data_error(self, tmp_path, capsys, key, payload):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"montages": [19], "trials": 3, **payload}))
@@ -185,13 +187,14 @@ class TestSimulate:
         ({"n_bins": 2**20 + 1}, "n_bins must be >= 2 and <= 1048576"),
         # The name becomes part of the scatter files' names.
         ({"bands": [{"name": "a\u0000b", "lo": 8, "hi": 13}]}, "band name must be"),
+        ({"bands": [{"name": "mu", "lo": 9, "hi": 11, "hj": 12}]}, "unknown Band keys: ['hj']"),
         # The record must hold what the configured metrics use.
         ({"segment_samples": 8192},
          "segment_samples: 10000 samples hold 1 segment(s) of 8192; need >= 2"),
         ({"bands": ["nb=10.2-10.3"]}, "bands: band nb (10.2, 10.3) Hz selects no bins"),
         ({"metrics": ["PLV"], "window": {"window_seconds": 60}},
          "window: 10000 samples < one 12000-sample window"),
-    ], ids=["bins-over-limit", "nul-band-name", "segment-over-half-the-record",
+    ], ids=["bins-over-limit", "nul-band-name", "unknown-band-key", "segment-over-half-the-record",
             "band-between-bins", "window-over-the-record"])
     def test_rejected_before_any_cell_or_file(self, tmp_path, capsys, payload, message):
         cfg_path = tmp_path / "cfg.json"

@@ -100,6 +100,23 @@ class TestPearson:
         with pytest.raises(ConstantSeries):
             pearson_correlation([1.0, 2.0, 3.0], [4.0, 4.0, 4.0])
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200, 2.0**1000, 2.0**-1000])
+    def test_extreme_scale(self, scale):
+        # Squares of these deviations overflow or underflow a float.
+        x, y = [1.0, 2.0, 3.5], [1.0, 3.0, 2.0]
+        unit = pearson_correlation(x, y)
+        res = pearson_correlation([v * scale for v in x], [v * scale for v in y])
+        assert res.r == pytest.approx(unit.r, rel=1e-15)
+        assert res.p == pytest.approx(unit.p, rel=1e-14)
+        if math.frexp(scale)[0] == 0.5:  # a power of two: the same bits
+            assert (res.r, res.p) == (unit.r, unit.p)
+
+    def test_values_near_the_float_limit(self):
+        # Their sum overflows a float, so an unscaled mean would be inf.
+        res = pearson_correlation([1e308, 1.5e308, 1.7e308], [1.0, 2.0, 3.0])
+        assert res.r == pytest.approx(pearson_correlation([1.0, 1.5, 1.7], [1, 2, 3]).r,
+                                      rel=1e-15)
+
     def test_too_few_points(self):
         with pytest.raises(TooFewPoints):
             pearson_correlation([1.0, 2.0], [3.0, 4.0])

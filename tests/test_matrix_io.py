@@ -258,6 +258,19 @@ class TestCrossSpectrumRejects:
         with pytest.raises(CrossSpectrumFormatError, match="must be finite"):
             matrix_io.read_cross_spectrum(path)
 
+    @pytest.mark.parametrize("value", ["nan", "-nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", [0, 3, 4], ids=["freq_hz", "re", "im"])
+    def test_non_finite_value_names_its_line(self, tmp_path, field, value):
+        # A NaN entry used to read as a missing one, an inf one carried no line number.
+        rows = _bin_rows(1.0) + ["", *_bin_rows(2.0)]
+        parts = rows[5].split(",")
+        parts[field] = value
+        rows[5] = ",".join(parts)
+        path = _write_raw(tmp_path, rows)
+        with pytest.raises(CrossSpectrumFormatError) as err:
+            matrix_io.read_cross_spectrum(path)
+        assert str(err.value) == f"{path}:7: freq_hz, re and im must be finite"
+
     def test_blank_lines_between_rows_accepted(self, tmp_path):
         rows = _bin_rows(1.0) + _bin_rows(2.0)
         plain, _ = matrix_io.read_cross_spectrum(_write_raw(tmp_path, rows))
