@@ -17,7 +17,8 @@ and quartiles of each side, the base's spread ((q3 - q1) / median), the median
 change, the pairs the change won and a verdict against the metric's bound
 (``unresolved``, ``worse``, ``better`` or ``no worse``; see ``verdict``).
 A failed run ends the series: the file then holds the pairs finished so far
-and the failure (pair, side, exit code, stderr tail), and the script exits 1.
+and, under ``failure``, the failed run's pair, side, exit code and stderr
+tail, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def main(argv=None) -> int:
                                      for p in pairs for s in SIDES}) <= 1,
                 "summary": summary,
                 "pairs": pairs,
-                **({"failure": failure} if failure else {}),
+                "failure": failure,
             }
             if failure:
                 break
