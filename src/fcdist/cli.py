@@ -104,8 +104,7 @@ def _cmd_simulate(args) -> int:
                        ("bands", args.bands)):
         if value is not None:
             raw[key] = value
-    result = pipeline.run_simulation_experiment(pipeline.config_from_dict(raw),
-                                                jobs=max(args.jobs, 1))
+    result = pipeline.run_simulation_experiment(pipeline.config_from_dict(raw), args.jobs)
     written = pipeline.write_results(result, args.out)
     print(f"wrote {len(written)} files to {args.out}")
     return EXIT_OK

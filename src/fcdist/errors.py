@@ -8,6 +8,7 @@ own types below; those and InvalidData derive from :class:`FcdistError`.
 """
 
 from dataclasses import fields
+from numbers import Real
 
 import numpy as np
 
@@ -23,13 +24,10 @@ class InvalidData(FcdistError, ValueError):
 def checked_array(value, name: str, dtype=float, ndim: int | None = None) -> np.ndarray:
     """``value`` as a C-contiguous array of ``dtype``, checked.
 
-    No copy when the value already is one; with ``ndim=2`` a 1-D value
-    becomes one row. Raises InvalidData unless it has ``ndim`` dimensions
-    (when given) and only finite entries.
+    No copy when the value already is one. Raises InvalidData unless it has
+    ``ndim`` dimensions (when given) and only finite entries.
     """
     a = np.ascontiguousarray(value, dtype=dtype)
-    if ndim == 2 and a.ndim == 1:
-        a = a[None, :]
     if ndim is not None and a.ndim != ndim:
         raise InvalidData(f"{name} must be {ndim}-D, got shape {a.shape}")
     if not np.isfinite(a).all():
@@ -51,10 +49,11 @@ def frozen_field(obj, name: str, dtype=float, ndim: int | None = None) -> np.nda
     return a
 
 
-def check_rate(fs) -> None:
-    """Raise InvalidData unless the sampling rate ``fs`` is positive and finite."""
-    if not 0 < fs < np.inf:
-        raise InvalidData("fs must be positive and finite")
+def check_rate(fs, error: type[ValueError] = InvalidData) -> None:
+    """Raise ``error`` unless the sampling rate ``fs`` is a positive, finite real
+    number (NumPy scalars included) that is not a bool."""
+    if isinstance(fs, bool) or not isinstance(fs, Real) or not 0 < fs < np.inf:
+        raise error("fs must be positive and finite")
 
 
 # Annotation of a scalar field -> (accepted types, their name in messages).
@@ -89,10 +88,6 @@ class InsufficientSamples(FcdistError):
     """More samples requested than the library rows contain."""
 
 
-class UnknownMontage(FcdistError, ValueError):
-    """Montage label not among the built-in layouts."""
-
-
 class ShapeMismatch(FcdistError):
     """Matrix dimensions do not line up."""
 
@@ -123,12 +118,6 @@ class TooShort(FcdistError):
 
 class DegenerateEnvelope(FcdistError):
     """An envelope pair had no usable window (constant in every window)."""
-
-
-# --- weight statistics ---
-
-class DegenerateDistribution(FcdistError):
-    """Zero-variance sample: standardized moments undefined."""
 
 
 # --- inference ---

@@ -239,7 +239,7 @@ def _resonator_denominator(freqs: np.ndarray, f0: float, q: float) -> np.ndarray
 
 def _check_synthetic(n_sources: int, n_samples: int, fs: float, alpha_hz: float | None) -> None:
     """The arguments of ``generate_synthetic_sources``, in order; None skips ``alpha_hz``."""
-    check_rate(fs)
+    check_rate(fs, ValueError)
     if n_sources < 1:
         raise ValueError("n_sources must be >= 1")
     if n_samples < 4:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidData, UnknownMontage, frozen_field
+from .errors import InvalidData, frozen_field
 
 # Classic 10-20 positions on a unit sphere: circumferential electrodes on
 # the equator, mid-line/parasagittal rows at 45 degrees inclination.
@@ -97,11 +97,11 @@ def get_montage(montage: str | int | Montage) -> Montage:
     if isinstance(montage, int):
         label = MONTAGE_BY_SIZE.get(montage)
         if label is None:
-            raise UnknownMontage(f"no built-in montage with {montage} channels")
+            raise ValueError(f"no built-in montage with {montage} channels")
         return BUILTIN_MONTAGES[label]
     try:
         return BUILTIN_MONTAGES[montage]
     except KeyError:
-        raise UnknownMontage(
+        raise ValueError(
             f"unknown montage {montage!r}; built-ins: {sorted(BUILTIN_MONTAGES)}"
         ) from None

@@ -375,7 +375,9 @@ def correlate_rows(trial_rows: list[TrialRow], cfg: ExperimentConfig
 
 
 def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> ExperimentResult:
-    """Run the full seeded grid; deterministic for fixed cfg at any jobs."""
+    """Run the full seeded grid; deterministic for fixed cfg at any jobs >= 1."""
+    if check_number("jobs", jobs, "int") < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg.validate()
     _read_file.cache_clear()
     cells = [(cfg, montage, trial) for montage in cfg.montages for trial in range(cfg.trials)]

@@ -46,8 +46,9 @@ class Band:
         if not self.name or any(c in self.name for c in "/\\\0"):
             raise ValueError(f"band name must be non-empty, without '/', '\\' or NUL, "
                              f"got {self.name!r}")
-        if not 0.0 < self.lo < self.hi:
-            raise ValueError(f"need 0 < lo < hi, got ({self.lo}, {self.hi})")
+        if not 0.0 < self.lo < self.hi < np.inf:
+            raise ValueError(f"band {self.name}: need 0 < lo < hi < inf, "
+                             f"got ({self.lo}, {self.hi})")
 
 
 # Default analysis bands, aligned with the 0.390625 Hz grid of
@@ -241,7 +242,7 @@ def _butterworth_bandpass_gain(freqs: np.ndarray, band: Band) -> np.ndarray:
 
 
 def _check_below_nyquist(band: Band, fs: float) -> None:
-    """ValueError unless ``band`` lies below ``fs``'s Nyquist; ``Band`` keeps 0 < lo < hi."""
+    """ValueError unless ``band`` lies below ``fs``'s Nyquist; ``Band`` keeps 0 < lo < hi < inf."""
     if band.hi >= fs / 2.0:
         raise ValueError(f"band {band.name} exceeds Nyquist ({fs / 2.0} Hz)")
 

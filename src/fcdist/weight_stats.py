@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDistribution, InvalidData, checked_array
+from .errors import InvalidData, checked_array
 
 DEFAULT_BINS = 100
 MAX_BINS = 2**20
@@ -58,26 +58,34 @@ def upper_triangle_weights(matrix) -> np.ndarray:
     return w
 
 
-def _shape_moments(w) -> tuple[float, float]:
-    """Population skewness and kurtosis; DegenerateDistribution at zero spread."""
+def _shape_moments(w) -> tuple[float, float] | None:
+    """Population skewness and kurtosis; None at zero spread."""
     x = _values(w)
     if x.size < 2:
         raise InvalidData("need at least two values")
     d = x - x.mean()
     m2 = np.mean(d * d)
     if m2 == 0.0 or np.ptp(x) == 0.0:
-        raise DegenerateDistribution("zero-variance sample")
+        return None
     return float(np.mean(d**3) / m2**1.5), float(np.mean(d**4) / (m2 * m2))
+
+
+def _defined_moments(w) -> tuple[float, float]:
+    """``_shape_moments``; a constant sample is bad data, as a constant library row is."""
+    moments = _shape_moments(w)
+    if moments is None:
+        raise InvalidData("zero-variance sample")
+    return moments
 
 
 def skewness(w) -> float:
     """Third standardized moment E(x - mu)^3 / sigma^3 (population form)."""
-    return _shape_moments(w)[0]
+    return _defined_moments(w)[0]
 
 
 def kurtosis(w) -> float:
     """Fourth standardized moment E(x - mu)^4 / sigma^4; normal -> 3."""
-    return _shape_moments(w)[1]
+    return _defined_moments(w)[1]
 
 
 def check_bins(n_bins: int) -> None:
@@ -108,10 +116,7 @@ def summarize(w, n_bins: int = DEFAULT_BINS) -> DistributionSummary:
     """Bundle mean weight, skewness, kurtosis and entropy of one vector."""
     x = _values(w)
     entropy = shannon_entropy(x, n_bins)
-    try:
-        skew, kurt = _shape_moments(x)
-    except DegenerateDistribution:
-        skew = kurt = None
+    skew, kurt = _shape_moments(x) or (None, None)
     return DistributionSummary(
         mcw=float(x.mean()),
         skewness=skew,

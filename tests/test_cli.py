@@ -122,6 +122,13 @@ class TestSimulate:
             assert (tmp_path / "j1" / name).read_bytes() == \
                 (tmp_path / "j2" / name).read_bytes()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_data_error(self, tmp_path, capsys, jobs):
+        assert run_cli("simulate", "--trials", "3", "--montages", "19", "--jobs", jobs,
+                       "--out", str(tmp_path / "r")) == 2
+        assert f"error: jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
     def test_bad_config_is_data_error(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus_key": 1}))
@@ -276,6 +283,16 @@ class TestNormativeCommand:
         assert run_cli("normative", "--input", str(tmp_path / "s*.csv"),
                        "--bins", str(2**20 + 1), "--out", str(tmp_path / "o")) == 2
         assert "error: n_bins must be >= 2 and <= 1048576" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_band_edge_is_data_error(self, tmp_path, capsys, rng, monkeypatch):
+        self.write_subjects(tmp_path, rng, 3)
+        read = []
+        monkeypatch.setattr(matrix_io, "read_cross_spectrum", lambda path: read.append(path))
+        assert run_cli("normative", "--input", str(tmp_path / "s*.csv"), "--bands", "hi=8-inf",
+                       "--out", str(tmp_path / "o")) == 2
+        assert "error: band hi: need 0 < lo < hi < inf" in capsys.readouterr().err
+        assert not read
         assert not (tmp_path / "o").exists()
 
     def test_no_match_is_data_error(self, tmp_path, capsys):

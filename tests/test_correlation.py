@@ -9,7 +9,8 @@ import pytest
 
 from oracles import exact_permutation_pvalue, mc_permutation_pvalue
 
-from fcdist.correlation import pearson_correlation, pearson_p, significance_stars
+from fcdist.correlation import (pearson_correlation, pearson_p, regularized_beta,
+                                significance_stars)
 from fcdist.errors import ConstantSeries, FcdistError, InvalidData, TooFewPoints
 
 
@@ -163,6 +164,8 @@ class TestPValue:
     def test_bounds(self):
         assert pearson_p(0.0, 10) == 1.0
         assert pearson_p(1.0, 10) == pearson_p(-1.0, 10) == 0.0
+        for x in (0.0, -0.5):
+            assert regularized_beta(2.0, 3.0, x) == 0.0
 
     def test_import_loads_no_scipy(self):
         src = Path(__file__).resolve().parents[1] / "src"

@@ -24,11 +24,10 @@ from fcdist.errors import (
     InvalidData,
     ShapeMismatch,
     TooShort,
-    UnknownMontage,
 )
 from fcdist.connectivity import ConnectivityMatrix, aec_matrix, plv_matrix
 from fcdist.forward import LeadField, MultichannelRecord, SourceActivity, SourceLibrary
-from fcdist.montages import BUILTIN_MONTAGES, Montage
+from fcdist.montages import BUILTIN_MONTAGES, Montage, get_montage
 from fcdist.spectral import ALPHA, AnalyticRecord, CoherencyMatrix, CrossSpectrum
 
 
@@ -116,6 +115,15 @@ class TestAssemble:
         with pytest.raises(ValueError):
             assemble_source_activity(lib, 4, 5, 0.1, 300, seed=0)
 
+    @pytest.mark.parametrize("n_total, n_active, samples, message", [
+        (0, 0, 300, "n_total must be >= 1"),
+        (10, 5, 0, "n_samples must be >= 1"),
+    ], ids=["no-sources", "no-samples"])
+    def test_no_sources_or_samples(self, n_total, n_active, samples, message):
+        with pytest.raises(ValueError, match=message) as err:
+            assemble_source_activity(small_library(), n_total, n_active, 0.1, samples)
+        assert not isinstance(err.value, FcdistError)
+
 
 class TestSyntheticSources:
     def test_alpha_peak(self):
@@ -197,7 +205,7 @@ class TestBlockedSynthesis:
 
     @pytest.mark.parametrize("args, error", [
         ((30, 0, 0.05, 500, 200.0, 10.0), ValueError),
-        ((30, 10, 0.05, 500, float("inf"), 10.0), InvalidData),
+        ((30, 10, 0.05, 500, float("inf"), 10.0), ValueError),
         ((30, 10, 0.05, 500, 200.0, 120.0), ValueError),
         ((5, 10, 0.05, 500, 200.0, 10.0), ValueError),
         ((30, 10, -1.0, 500, 200.0, 10.0), ValueError),
@@ -242,8 +250,14 @@ class TestSyntheticLeadfield:
         assert adjacent > antipodal
 
     def test_unknown_montage(self):
-        with pytest.raises(UnknownMontage):
+        with pytest.raises(ValueError, match="unknown montage") as err:
             generate_synthetic_leadfield("std21", 100, seed=0)
+        assert not isinstance(err.value, FcdistError)
+
+    def test_no_montage_of_that_size(self):
+        with pytest.raises(ValueError, match="no built-in montage with 21 channels") as err:
+            get_montage(21)
+        assert not isinstance(err.value, FcdistError)
 
     def test_montage_by_count(self):
         lf = generate_synthetic_leadfield(64, 80, seed=0)
@@ -480,6 +494,48 @@ _ARRAY_FIELDS = [
 ]
 
 
+_RATE_CONTAINERS = [pytest.param(cls, kwargs, id=cls.__name__)
+                    for cls, kwargs in _containers() if "fs" in kwargs]
+
+_STACK = np.stack([np.eye(2, dtype=complex)] * 2)
+
+# (container, fields that replace valid ones, message) for each value check.
+_BAD_VALUES = [pytest.param(cls, changes, message, id=name) for name, cls, changes, message in [
+    ("weights-not-square", ConnectivityMatrix, dict(weights=np.zeros((2, 3))),
+     "weights must be square"),
+    ("weights-asymmetric", ConnectivityMatrix, dict(weights=np.array([[0.0, 0.5], [0.2, 0.0]])),
+     "weights must be symmetric"),
+    ("weights-above-one", ConnectivityMatrix, dict(weights=np.full((2, 2), 1.5)),
+     r"weights must lie in \[0, 1\]"),
+    ("mats-not-square", CrossSpectrum, dict(mats=np.zeros((2, 2, 3), dtype=complex)),
+     r"mats must be \(n_freqs, n, n\)"),
+    ("not-hermitian", CrossSpectrum, dict(mats=_STACK + 0.5j * (1 - np.eye(2))),
+     r"matrices not Hermitian \(max deviation 1\)"),
+    ("negative-power", CrossSpectrum, dict(mats=-_STACK),
+     "diagonal must be real and non-negative"),
+    ("no-segments", CrossSpectrum, dict(n_segments=0), "n_segments must be >= 1"),
+    ("coherency-above-one", CoherencyMatrix, dict(mats=2 * _STACK),
+     "coherency magnitudes exceed 1"),
+    ("phase-envelope-shapes", AnalyticRecord, dict(phase=np.zeros((2, 3))),
+     "phase and envelope shapes must match"),
+    ("negative-envelope", AnalyticRecord, dict(envelope=-np.ones((2, 4))),
+     "envelope must be non-negative"),
+    ("phase-minus-pi", AnalyticRecord, dict(phase=np.full((2, 4), -np.pi)),
+     r"phase must lie in \(-pi, pi\]"),
+    ("library-no-rows", SourceLibrary, dict(data=np.zeros((0, 4))),
+     "library must hold at least one row and one sample"),
+    ("activity-no-samples", SourceActivity, dict(data=np.zeros((2, 0))),
+     "need at least one source and one sample"),
+    ("gain-name-count", LeadField, dict(channel_names=("a",)),
+     "one channel name per gain row required"),
+    ("positions-shape", Montage, dict(positions=np.eye(2)),
+     r"positions must be \(n_channels, 3\)"),
+    # A 1-D value is no one-row record.
+    ("record-1d", MultichannelRecord, dict(data=np.arange(4.0)),
+     r"data must be 2-D, got shape \(4,\)"),
+]]
+
+
 class TestCheckedArrays:
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     @pytest.mark.parametrize("cls, kwargs, name", _ARRAY_FIELDS)
@@ -499,14 +555,22 @@ class TestCheckedArrays:
         assert value.flags.c_contiguous
         assert args[name].flags.writeable  # the caller's own array is not frozen
 
-    @pytest.mark.parametrize("fs", [0.0, -1.0, np.nan, np.inf])
-    @pytest.mark.parametrize("cls, kwargs", [
-        pytest.param(cls, kwargs, id=cls.__name__) for cls, kwargs in _containers()
-        if "fs" in kwargs
-    ])
+    @pytest.mark.parametrize("fs", [0.0, -1.0, np.nan, np.inf, "200", None, True])
+    @pytest.mark.parametrize("cls, kwargs", _RATE_CONTAINERS)
     def test_fs_positive_and_finite(self, cls, kwargs, fs):
-        with pytest.raises(InvalidData, match="fs"):
+        with pytest.raises(InvalidData, match="fs must be positive and finite"):
             cls(**{**kwargs, "fs": fs})
+
+    @pytest.mark.parametrize("fs", [np.float32(200.0), np.int64(200), 200])
+    @pytest.mark.parametrize("cls, kwargs", _RATE_CONTAINERS)
+    def test_fs_any_real_number(self, cls, kwargs, fs):
+        assert cls(**{**kwargs, "fs": fs}).fs == 200.0
+
+    @pytest.mark.parametrize("cls, changes, message", _BAD_VALUES)
+    def test_bad_value_is_invalid_data(self, cls, changes, message):
+        kwargs = dict(_containers())[cls]
+        with pytest.raises(InvalidData, match=message):
+            cls(**{**kwargs, **changes})
 
     @pytest.mark.parametrize("cls, kwargs", [
         pytest.param(cls, kwargs, id=cls.__name__) for cls, kwargs in _containers()

@@ -218,6 +218,8 @@ class TestCrossSpectrumRejects:
         pytest.param([], id="header-only"),
         pytest.param(_bin_rows(1.0)[:1] + ["# comment"] + _bin_rows(1.0)[1:], id="comment"),
         pytest.param(_bin_rows("nan"), id="nan-frequency"),
+        # The container's InvalidData, named by the file.
+        pytest.param(["1.0,0,0,1.0,0.5"] + _bin_rows(1.0)[1:], id="complex-diagonal"),
     ])
     def test_format_error_names_the_file(self, tmp_path, rows):
         path = _write_raw(tmp_path, rows)

@@ -34,7 +34,7 @@ from fcdist.connectivity import (
     pli_matrix,
     plv_matrix,
 )
-from fcdist.errors import ExperimentFailed, NoData, TooFewSegments
+from fcdist.errors import ExperimentFailed, FcdistError, NoData, TooFewSegments
 from fcdist.pipeline import (
     ExperimentConfig,
     band_from_spec,
@@ -143,6 +143,20 @@ class TestSimulation:
             with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as pool:
                 assert pool.submit(forward._blas_threads).result() == [2] * n
             assert forward._blas_threads() == [2] * n
+
+    @pytest.mark.parametrize("jobs, match", [
+        (0, "jobs must be >= 1, got 0"),
+        (-3, "jobs must be >= 1, got -3"),
+        (2.0, "jobs must be an int, got 2.0"),
+        (True, "jobs must be an int, got True"),
+    ])
+    def test_jobs_below_one_rejected_before_any_cell(self, monkeypatch, jobs, match):
+        def no_cell(*args):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(pipeline, "simulate_cell", no_cell)
+        with pytest.raises(ValueError, match=match):
+            run_simulation_experiment(tiny_config(), jobs=jobs)
 
     @pytest.mark.parametrize("jobs, units, workers", [(50, 3, [3]), (2, 3, [2]), (5, 1, [])])
     def test_pool_never_outnumbers_units(self, monkeypatch, jobs, units, workers):
@@ -259,6 +273,7 @@ class TestSimulation:
         (dict(master_seed=1.5), "master_seed must be an int"),
         (dict(n_samples=4000.5), "n_samples must be an int"),
         (dict(fs="200"), "fs must be a number"),
+        (dict(fs=True), "fs must be a number, got True"),
         (dict(fs=float("inf")), "fs must be positive and finite"),
         (dict(noise_sigma=float("inf")), "noise_sigma must be non-negative and finite"),
         (dict(montages=(19.0,)), r"montages must be an int, got 19\.0"),
@@ -272,7 +287,8 @@ class TestSimulation:
         (dict(leadfield_mode=None), "leadfield_mode must be a string, got None"),
     ], ids=["n_bins-1", "n_bins-over-limit", "duplicate-montage", "duplicate-metric",
             "duplicate-band-name",
-            "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "inf-fs",
+            "str-trials", "bool-trials", "float-seed", "float-n_samples", "str-fs", "bool-fs",
+            "inf-fs",
             "inf-noise_sigma",
             "float-montage", "str-montage", "str-band", "int-montages", "none-bands",
             "str-metrics", "list-metric", "int-source_mode", "none-leadfield_mode"])
@@ -282,8 +298,9 @@ class TestSimulation:
     @staticmethod
     def _rejected_before_any_cell(monkeypatch, match, **changes):
         cfg = tiny_config(**changes)
-        with pytest.raises(ValueError, match=match):
+        with pytest.raises(ValueError, match=match) as err:
             cfg.validate()
+        assert not isinstance(err.value, FcdistError)  # an argument error, not bad data
 
         def no_cell(*args):
             raise AssertionError("a cell ran")
@@ -404,6 +421,16 @@ class TestSimulation:
         assert {f.error.split(":")[0] for f in fails} == {"InvalidData"}
         with pytest.raises(ExperimentFailed, match="InvalidData: source library .* 100.0 Hz"):
             run_simulation_experiment(cfg)
+
+    def test_file_library_negative_rate_is_recorded(self, tmp_path):
+        from fcdist.forward import generate_synthetic_sources
+        lib = generate_synthetic_sources(40, 4000, 200.0, 10.0, seed=5)
+        path = matrix_io.write_source_library(tmp_path / "lib.csv", lib)
+        side = matrix_io.sidecar_path(path)
+        side.write_text(json.dumps({**json.loads(side.read_text()), "fs": -5}))
+        rows, fails = simulate_cell(tiny_config(source_mode=f"file:{path}"), 19, 0)
+        assert not rows
+        assert fails and {f.error for f in fails} == {"InvalidData: fs must be positive and finite"}
 
     @pytest.mark.parametrize("mode", ["source_mode", "leadfield_mode"])
     @pytest.mark.parametrize("case", ["missing", "directory", "sidecar-list", "sidecar-labels-int",

@@ -327,6 +327,9 @@ class TestBandSlice:
     def test_band_validation(self):
         with pytest.raises(ValueError):
             Band("bad", 5.0, 3.0)
+        # An infinite edge would reach summary.json as the non-JSON token Infinity.
+        with pytest.raises(ValueError, match=r"band hi: need 0 < lo < hi < inf, got \(8.0, inf\)"):
+            Band("hi", 8.0, np.inf)
 
     @pytest.mark.parametrize("name", ["", "a/b", "a\\b", "a\0b"])
     def test_band_name_is_a_file_name_part(self, name):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_entropy, naive_kurtosis, naive_mean, naive_skewness
 
-from fcdist.errors import DegenerateDistribution, FcdistError, InvalidData
+from fcdist.errors import FcdistError, InvalidData
 from fcdist.weight_stats import (
     MAX_BINS,
     kurtosis,
@@ -43,6 +43,11 @@ class TestUpperTriangle:
         with pytest.raises(InvalidData, match="matrix asymmetric by 0.3"):
             upper_triangle_weights(m)
 
+    @pytest.mark.parametrize("m", [np.zeros((2, 3)), np.zeros((1, 1))], ids=["2x3", "1x1"])
+    def test_needs_square_matrix_of_two(self, m):
+        with pytest.raises(InvalidData, match="need a square matrix with n >= 2"):
+            upper_triangle_weights(m)
+
     def test_range_enforced(self):
         m = np.array([[0.0, 1.5], [1.5, 0.0]])
         with pytest.raises(InvalidData, match=r"weights span \[1.5, 1.5\], outside \[0, 1\]"):
@@ -64,7 +69,7 @@ class TestSkewness:
         assert skewness(w) > 0
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateDistribution):
+        with pytest.raises(InvalidData, match="zero-variance"):
             skewness([0.5, 0.5, 0.5])
 
     def test_affine_invariance_and_flip(self, rng):
@@ -88,7 +93,7 @@ class TestKurtosis:
         assert kurtosis(x) == pytest.approx(1.8, abs=0.02)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateDistribution):
+        with pytest.raises(InvalidData, match="zero-variance"):
             kurtosis([0.1, 0.1])
 
     @given(weight_lists)
@@ -120,6 +125,10 @@ class TestShannonEntropy:
         for n_bins in (1, MAX_BINS + 1, 10**15):
             with pytest.raises(ValueError, match="n_bins must be >= 2 and <= 1048576"):
                 shannon_entropy(w, n_bins)
+
+    def test_empty_vector(self):
+        with pytest.raises(InvalidData, match="need at least one value"):
+            shannon_entropy([])
 
     def test_range_violation(self):
         with pytest.raises(InvalidData, match="outside"):
@@ -171,6 +180,11 @@ class TestSummarize:
         assert s.skewness is None
         assert s.kurtosis is None
         assert s.degenerate
+
+    def test_one_value_is_invalid_data(self):
+        # Zero spread gives None moments, but one value is too few for any summary.
+        with pytest.raises(InvalidData, match="need at least two values"):
+            summarize([0.5])
 
     def test_mcw_matches_naive(self, rng):
         w = rng.random(171)
