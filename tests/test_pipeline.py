@@ -149,7 +149,7 @@ class TestSimulation:
         (-3, "jobs must be >= 1, got -3"),
         (2.0, "jobs must be an int, got 2.0"),
         (True, "jobs must be an int, got True"),
-    ])
+    ], ids=["zero", "negative", "float", "bool"])
     def test_jobs_below_one_rejected_before_any_cell(self, monkeypatch, jobs, match):
         def no_cell(*args):
             raise AssertionError("a cell ran")
