@@ -43,7 +43,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", type=Path, help="JSON config file (ExperimentConfig fields)")
     p.add_argument("--out", type=Path, default=Path("results"), help="output directory")
     p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--jobs", type=int, default=1, help="worker processes")
+    p.add_argument("--jobs", type=int, default=1, help="units run at once (threads)")
     p.add_argument("--trials", type=int, help="override trial count")
     p.add_argument("--montages", type=_channel_counts, help="comma list, e.g. 19,64")
     p.add_argument("--metrics", type=_tokens, help="comma list, e.g. COH,PLV")

@@ -61,12 +61,12 @@ _FIELD_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number"),
                 "str": (str, "a string")}
 
 
-def check_number(name: str, value, kind: str):
-    """``value`` if it is of ``kind``, else ValueError naming ``name``: "int" takes
+def check_number(name: str, value, kind: str, error: type[ValueError] = ValueError):
+    """``value`` if it is of ``kind``, else ``error`` naming ``name``: "int" takes
     an int, "float" an int or a float, "str" a str, and a bool counts as no number."""
     types, what = _FIELD_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{name} must be {what}, got {value!r}")
+        raise error(f"{name} must be {what}, got {value!r}")
     return value
 
 

@@ -29,6 +29,7 @@ from .errors import (
     InsufficientSamples,
     InvalidData,
     ShapeMismatch,
+    check_number,
     check_rate,
     frozen_field,
 )
@@ -83,18 +84,22 @@ def _blas_threads() -> list[int]:
 # them: on a 2-vCPU x86 VM it nearly doubled a 128-channel cell's CPU time without
 # shortening it, and in a pool, whose workers already use the cores, it cost a
 # 2-worker grid about half its throughput. So each function that does BLAS work is
-# run inside this block, in any process and pool, and gives the caller its count back.
+# run inside this block, and gives the caller its count back. The count is one per
+# process, so threads that all set and restore it would race; a library already at
+# one thread is left alone, and a block inside another block then changes nothing.
+# Setting a count, even to one, restarts OpenBLAS's thread pool in a forked child.
 @contextmanager
 def _one_blas_thread() -> Iterator[None]:
-    """Every OpenBLAS in this process at one thread in the block; restored on any exit."""
-    calls = _openblas_thread_calls()
-    before = _blas_threads()
-    for _, set_threads in calls:
+    """Every OpenBLAS in this process at one thread in the block; each library this
+    block changed gets its count back on any exit."""
+    changed = [(set_threads, n) for get, set_threads in _openblas_thread_calls()
+               if (n := get()) != 1]
+    for set_threads, _ in changed:
         set_threads(1)
     try:
         yield
     finally:
-        for (_, set_threads), n in zip(calls, before):
+        for set_threads, n in changed:
             set_threads(n)
 
 
@@ -148,6 +153,9 @@ class SourceActivity:
         columns = frozen_field(self, "columns", dtype=np.intp, ndim=1)
         if self.n_sources is None:
             object.__setattr__(self, "n_sources", n_rows)
+        check_number("n_sources", self.n_sources, "int", InvalidData)
+        check_number("noise_sigma", self.noise_sigma, "float", InvalidData)
+        check_number("noise_seed", self.noise_seed, "int", InvalidData)
         if self.n_sources < 1 or data.shape[1] < 1:
             raise InvalidData("need at least one source and one sample")
         check_rate(self.fs)

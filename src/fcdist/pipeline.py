@@ -4,7 +4,8 @@ A simulation experiment runs a (montage x metric x band x trial) grid.
 Every (montage, trial) cell derives its own seed from a stable 64-bit mix
 of (master seed, trial, montage), so results are independent of worker
 count, scheduling, and of which other montages are in the grid. Outputs
-are byte-deterministic for a fixed config.
+are byte-deterministic for a fixed config. Units that run at once run on
+threads of the calling process.
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ from __future__ import annotations
 import csv
 import os
 import statistics
-from concurrent.futures import ProcessPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
-import warnings
 
 from . import forward, matrix_io, spectral, weight_stats
 from .connectivity import METRICS, WindowConfig, window_samples, window_starts
@@ -180,9 +181,13 @@ class ExperimentResult:
     failures: list[CellFailure]
 
 
+# Held around ``_read_file``: cells that run at once and miss it would each read the file.
+_READ_LOCK = threading.Lock()
+
+
 @lru_cache(maxsize=16)
 def _read_file(reader, path: str):
-    """``reader(path)``, read once per process and path; a simulation run starts and ends empty."""
+    """``reader(path)``, read once per run and path; a simulation run starts and ends empty."""
     return reader(path)
 
 
@@ -200,7 +205,8 @@ def _cell_leadfield(cfg: ExperimentConfig, montage: int) -> forward.LeadField:
         return forward.generate_synthetic_leadfield(
             montage, cfg.n_sources, seed=mix64(cfg.master_seed, montage, 3)
         )
-    lf = _read_file(matrix_io.read_leadfield, path)
+    with _READ_LOCK:
+        lf = _read_file(matrix_io.read_leadfield, path)
     if lf.n_channels != montage:
         raise ShapeMismatch(f"lead field {path} has {lf.n_channels} channels, "
                             f"not the montage's {montage}")
@@ -208,7 +214,8 @@ def _cell_leadfield(cfg: ExperimentConfig, montage: int) -> forward.LeadField:
 
 
 def _cell_library(cfg: ExperimentConfig, path: str) -> forward.SourceLibrary:
-    lib = _read_file(matrix_io.read_source_library, path)
+    with _READ_LOCK:
+        lib = _read_file(matrix_io.read_source_library, path)
     if lib.fs != cfg.fs:
         raise InvalidData(f"source library {path} is sampled at {lib.fs} Hz, "
                           f"not the config's fs {cfg.fs} Hz")
@@ -237,11 +244,9 @@ def cell_record(cfg: ExperimentConfig, montage: int, trial: int
 
 def _bartlett_coherency(rec: forward.MultichannelRecord, segment_samples: int,
                         band: Band) -> spectral.CoherencyMatrix:
-    """The record's coherency on the band's bins, the only ones COH and iCOH read."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", spectral.FewSegmentsWarning)
-        cs = spectral.bartlett_cross_spectrum(rec, segment_samples, band)
-    return spectral.coherency(cs)
+    """The record's coherency on the band's bins, the only ones COH and iCOH read; the
+    config sets the segment count, so a few-segment estimate gives no warning."""
+    return spectral.coherency(spectral._bartlett_spectrum(rec, segment_samples, band))
 
 
 def _attempt(call, x, *args):
@@ -323,14 +328,27 @@ def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
 
 def _run_units(unit: Callable, keys: list[tuple], jobs: int = 1
                ) -> tuple[list[TrialRow], list[CellFailure]]:
-    """``unit(*key)`` for each key: in this process when ``min(jobs, len(keys)) <= 1``, else
-    in a pool of that many workers; returns the rows and failures, concatenated in key order."""
+    """``unit(*key)`` for each key: in this thread when ``min(jobs, len(keys)) <= 1``, else
+    on a pool of that many threads; returns the rows and failures, concatenated in key order.
+
+    A unit's heavy steps are NumPy calls that release the GIL. The pool runs with
+    every OpenBLAS at one thread, which makes the units' own pins no-ops, so no
+    thread changes the count that all of them share. A unit that raises, or an
+    interrupt, cancels the units not yet started; the running ones finish first.
+    """
     workers = min(jobs, len(keys))
     if workers <= 1:
         outcomes = [unit(*key) for key in keys]
     else:
-        with ProcessPoolExecutor(workers) as pool:
-            outcomes = list(pool.map(unit, *zip(*keys), chunksize=1))
+        with forward._one_blas_thread():
+            pool = ThreadPoolExecutor(workers)
+            try:
+                futures = [pool.submit(unit, *key) for key in keys]
+                for future in as_completed(futures):
+                    future.result()  # the first unit to raise raises here
+                outcomes = [future.result() for future in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
     return ([row for rows, _ in outcomes for row in rows],
             [fail for _, fails in outcomes for fail in fails])
 

@@ -20,6 +20,7 @@ from .errors import (
     TooFewSegments,
     ZeroPowerChannel,
     check_field_types,
+    check_number,
     check_rate,
     frozen_field,
 )
@@ -94,7 +95,7 @@ class CrossSpectrum:
         diag = np.einsum("fii->fi", mats)
         if np.any(diag.real < 0) or np.max(np.abs(diag.imag), initial=0.0) > 1e-10:
             raise InvalidData("diagonal must be real and non-negative")
-        if self.n_segments < 1:
+        if check_number("n_segments", self.n_segments, "int", InvalidData) < 1:
             raise InvalidData("n_segments must be >= 1")
 
     @property
@@ -163,13 +164,22 @@ def bartlett_cross_spectrum(rec: MultichannelRecord, segment_samples: int = 512,
     that selects none raises ``EmptyBand``. ``coherency`` of such a
     spectrum then checks channel power on the band's bins only, so its
     ``ZeroPowerChannel`` names the band's first bin.
+
+    Fewer than ``RECOMMENDED_MIN_SEGMENTS`` segments give a ``FewSegmentsWarning``.
     """
+    cs = _bartlett_spectrum(rec, segment_samples, band)
+    if cs.n_segments < RECOMMENDED_MIN_SEGMENTS:
+        warnings.warn(f"averaging only {cs.n_segments} segments "
+                      f"(< {RECOMMENDED_MIN_SEGMENTS})", FewSegmentsWarning, stacklevel=2)
+    return cs
+
+
+def _bartlett_spectrum(rec: MultichannelRecord, segment_samples: int, band: Band | None
+                       ) -> CrossSpectrum:
+    """``bartlett_cross_spectrum`` without its warning, for callers in threads: silencing
+    a warning for one call takes ``warnings.catch_warnings``, which is not thread-safe."""
     n_ch, n_samples = rec.data.shape
     k_segments, freqs, first = _bartlett_bins(segment_samples, n_samples, rec.fs, band)
-    if k_segments < RECOMMENDED_MIN_SEGMENTS:
-        warnings.warn(f"averaging only {k_segments} segments (< {RECOMMENDED_MIN_SEGMENTS})",
-                      FewSegmentsWarning, stacklevel=2)
-
     n = segment_samples
     segs = rec.data[:, : k_segments * n].reshape(n_ch, k_segments, n)
     segs = segs - segs.mean(axis=2, keepdims=True)

@@ -91,12 +91,6 @@ def blas_recorders(log):
     return [(np.linalg, "eigh", recording_eigh), (np, "exp", recording_exp)]
 
 
-def install_blas_recorders(log):
-    """Pool initializer: ``blas_recorders(log)`` in place in the worker."""
-    for owner, name, wrapper in blas_recorders(log):
-        setattr(owner, name, wrapper)
-
-
 def recorded_blas_threads(log):
     """The thread counts that ``blas_recorders(log)`` wrote, in order."""
     path = Path(log)

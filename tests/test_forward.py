@@ -514,6 +514,7 @@ _BAD_VALUES = [pytest.param(cls, changes, message, id=name) for name, cls, chang
     ("negative-power", CrossSpectrum, dict(mats=-_STACK),
      "diagonal must be real and non-negative"),
     ("no-segments", CrossSpectrum, dict(n_segments=0), "n_segments must be >= 1"),
+    ("bool-segments", CrossSpectrum, dict(n_segments=True), "n_segments must be an int, got True"),
     ("coherency-above-one", CoherencyMatrix, dict(mats=2 * _STACK),
      "coherency magnitudes exceed 1"),
     ("phase-envelope-shapes", AnalyticRecord, dict(phase=np.zeros((2, 3))),
@@ -526,6 +527,10 @@ _BAD_VALUES = [pytest.param(cls, changes, message, id=name) for name, cls, chang
      "library must hold at least one row and one sample"),
     ("activity-no-samples", SourceActivity, dict(data=np.zeros((2, 0))),
      "need at least one source and one sample"),
+    ("str-n-sources", SourceActivity, dict(n_sources="3"), "n_sources must be an int, got '3'"),
+    ("str-noise-sigma", SourceActivity, dict(noise_sigma="0.1"),
+     "noise_sigma must be a number, got '0.1'"),
+    ("float-noise-seed", SourceActivity, dict(noise_seed=1.5), "noise_seed must be an int, got 1.5"),
     ("gain-name-count", LeadField, dict(channel_names=("a",)),
      "one channel name per gain row required"),
     ("positions-shape", Montage, dict(positions=np.eye(2)),

@@ -2,9 +2,13 @@ import dataclasses
 import json
 import math
 import multiprocessing
+import sys
 import tempfile
+import threading
+import time
 import tracemalloc
-from concurrent.futures import ProcessPoolExecutor
+import warnings
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
@@ -16,7 +20,6 @@ from hypothesis import strategies as st
 from conftest import (
     blas_recorders,
     caller_blas_threads,
-    install_blas_recorders,
     make_record,
     poison_alpha_entry,
     quiet_cross_spectrum,
@@ -101,41 +104,39 @@ class TestSimulation:
             (tmp_path / "b" / "trials.csv").read_bytes()
 
     @staticmethod
-    def _check_pool_cells_use_one_blas_thread(monkeypatch, tmp_path, method):
-        """A 3-cell grid in a 2-worker pool of start ``method``, the caller at two OpenBLAS
-        threads: a worker starts with two, the cells' BLAS work (the projection's eigh,
-        PLV's phasors) runs with one, and the rows are an in-process run's."""
-        # the caller's count, which spawned workers read from the environment
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    def _check_cells_use_one_blas_thread(monkeypatch, tmp_path, jobs):
+        """A 3-cell grid run with ``jobs``, the caller at two OpenBLAS threads: the cells'
+        BLAS work (the projection's eigh, PLV's phasors) runs with one, the caller gets
+        two back, also when a cell raises, and the rows are those of one unit at a time."""
         log = str(tmp_path / "blas.log")
-        started = []
-
-        def pool(workers):
-            """The grid's pool, started by ``method``, recording its cells' BLAS threads."""
-            executor = ProcessPoolExecutor(
-                workers, mp_context=multiprocessing.get_context(method),
-                initializer=install_blas_recorders, initargs=(log,))
-            started.append(executor.submit(forward._blas_threads).result())
-            return executor
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", pool)
+        for owner, name, wrapper in blas_recorders(log):
+            monkeypatch.setattr(owner, name, wrapper)
         cfg = tiny_config()
         with caller_blas_threads(2) as n:
-            rows = run_simulation_experiment(cfg, jobs=2).trial_rows
+            rows = run_simulation_experiment(cfg, jobs=jobs).trial_rows
+            # 3 cells, each one eigh and three 6-s PLV windows of a 20-s record
+            assert recorded_blas_threads(log) == [[1] * n] * 12
             assert forward._blas_threads() == [2] * n
-        assert started == [[2] * n]
-        # 3 cells, each one eigh and three 6-s PLV windows of a 20-s record
-        assert recorded_blas_threads(log) == [[1] * n] * 12
-        assert rows == run_simulation_experiment(cfg, jobs=1).trial_rows
+            assert rows == run_simulation_experiment(cfg, jobs=1).trial_rows
 
-    def test_pool_workers_use_one_blas_thread(self, monkeypatch, tmp_path):
-        # forked after fcdist was imported, as the grid's workers are on Linux up to 3.13
-        self._check_pool_cells_use_one_blas_thread(monkeypatch, tmp_path, "fork")
+            def crashing_eigh(a, *args, **kwargs):
+                raise RuntimeError("cell crashed")
 
-    @pytest.mark.parametrize("method", ["forkserver", "spawn"])
-    def test_pool_workers_of_any_start_method_use_one_blas_thread(self, monkeypatch, tmp_path,
-                                                                   method):
-        self._check_pool_cells_use_one_blas_thread(monkeypatch, tmp_path, method)
+            monkeypatch.setattr(np.linalg, "eigh", crashing_eigh)
+            with pytest.raises(RuntimeError, match="cell crashed"):
+                run_simulation_experiment(cfg, jobs=jobs)
+            assert forward._blas_threads() == [2] * n
+
+    def test_in_process_cells_use_one_blas_thread(self, monkeypatch, tmp_path):
+        self._check_cells_use_one_blas_thread(monkeypatch, tmp_path, 1)
+
+    def test_pool_threads_use_one_blas_thread(self, monkeypatch, tmp_path):
+        self._check_cells_use_one_blas_thread(monkeypatch, tmp_path, 2)
+        # one thread for the whole unit, not only inside each BLAS call
+        with caller_blas_threads(2) as n:
+            rows, _ = pipeline._run_units(lambda key: ([forward._blas_threads()], []),
+                                          [(0,), (1,)], jobs=2)
+        assert rows == [[1] * n] * 2
 
     def test_fork_child_keeps_the_callers_blas_threads(self):
         # importing fcdist changes no thread count, in this process or in its children
@@ -162,42 +163,43 @@ class TestSimulation:
     def test_pool_never_outnumbers_units(self, monkeypatch, jobs, units, workers):
         seen = []
 
-        class RecordingPool:
-            """Records its worker count and runs the units in this process."""
-
-            def __init__(self, max_workers, **kwargs):
+        class RecordingPool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
                 seen.append(max_workers)
+                super().__init__(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return [fn(*args) for args in zip(*iterables)]
-
-        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(pipeline, "ThreadPoolExecutor", RecordingPool)
         rows, _ = pipeline._run_units(lambda unit: ([unit], []), [(u,) for u in range(units)], jobs)
         assert seen == workers
         assert rows == list(range(units))
 
-    def test_in_process_cells_use_one_blas_thread(self, monkeypatch, tmp_path):
-        log = str(tmp_path / "blas.log")
-        for owner, name, wrapper in blas_recorders(log):
-            monkeypatch.setattr(owner, name, wrapper)
-        with caller_blas_threads(2) as n:
-            run_simulation_experiment(tiny_config(), jobs=1)
-            assert recorded_blas_threads(log) == [[1] * n] * 12
-            assert forward._blas_threads() == [2] * n
+    def test_a_raising_unit_cancels_the_units_not_started(self):
+        calls, lock = [], threading.Lock()
 
-            def crashing_eigh(a, *args, **kwargs):
-                raise RuntimeError("cell crashed")
+        def unit(key):
+            with lock:
+                calls.append(key)
+                first = len(calls) == 1
+            if first:
+                raise RuntimeError("unit failed")
+            time.sleep(0.05)
+            return [key], []
 
-            monkeypatch.setattr(np.linalg, "eigh", crashing_eigh)
-            with pytest.raises(RuntimeError, match="cell crashed"):
-                run_simulation_experiment(tiny_config(), jobs=1)
-            assert forward._blas_threads() == [2] * n
+        with pytest.raises(RuntimeError, match="unit failed"):
+            pipeline._run_units(unit, [(k,) for k in range(8)], jobs=2)
+        # the other thread's unit, and one the failing thread took before the error was seen
+        assert len(calls) <= 3
+
+    def test_pool_leaves_the_warning_filters_alone(self):
+        # 10000 samples hold 19 segments of 512, fewer than the recommended 20, so each
+        # cell's estimate would warn, and the suite turns warnings into errors
+        cfg = pipeline.desk_scale_config((19,), trials=3)
+        filters = list(warnings.filters)
+        assert not run_simulation_experiment(cfg, jobs=2).failures
+        assert warnings.filters == filters
+        with pytest.warns(spectral.FewSegmentsWarning, match="averaging only 19 segments"):
+            spectral.bartlett_cross_spectrum(pipeline.cell_record(cfg, 19, 0),
+                                             cfg.segment_samples, ALPHA)
 
     def test_cell_rows_do_not_depend_on_the_callers_blas_threads(self):
         cfg = tiny_config(montages=(64,), metrics=tuple(METRICS), n_sources=3002, n_active=200)
@@ -388,6 +390,26 @@ class TestSimulation:
         assert reads == [str(path)] * 2  # once per run, not once per cell
         pipeline._read_file.cache_clear()
         assert run_simulation_experiment(cfg).trial_rows == runs[1]
+
+    def test_pool_reads_a_file_input_once(self, tmp_path, monkeypatch):
+        from fcdist.forward import generate_synthetic_sources
+        path = tmp_path / "lib.csv"
+        matrix_io.write_source_library(path, generate_synthetic_sources(40, 4000, 200.0, seed=5))
+        cfg = tiny_config(metrics=("COH",), trials=8, source_mode=f"file:{path}")
+        read, reads = matrix_io.read_source_library, []
+        monkeypatch.setattr(matrix_io, "read_source_library",
+                            lambda p: reads.append(p) or read(p))
+        filters = list(warnings.filters)
+        # more threads than cores, switching often, so that cells miss the cache at once
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            rows = run_simulation_experiment(cfg, jobs=4).trial_rows
+        finally:
+            sys.setswitchinterval(interval)
+        assert reads == [str(path)]
+        assert warnings.filters == filters  # the reader silences a warning while it reads
+        assert rows == run_simulation_experiment(cfg, jobs=1).trial_rows
 
     def test_file_inputs_do_not_outlive_the_run(self, tmp_path):
         from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
