@@ -182,7 +182,7 @@ class TestSimulation:
                 first = len(calls) == 1
             if first:
                 raise RuntimeError("unit failed")
-            time.sleep(0.05)
+            time.sleep(0.2)
             return [key], []
 
         with pytest.raises(RuntimeError, match="unit failed"):
