@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,12 +75,14 @@ def read_matrix(path: Path | str) -> tuple[np.ndarray, dict]:
     """
     path = Path(path)
     try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", ".*input contained no data", UserWarning)
-            data = np.loadtxt(path, delimiter=",", ndmin=2)
+        with open(path) as f:
+            # np.loadtxt skips empty and "#" lines, and warns if that leaves none.
+            has_data = any(line[:1] not in ("\n", "#") for line in f)
+            f.seek(0)
+            data = np.loadtxt(f, delimiter=",", ndmin=2) if has_data else None
     except (OSError, ValueError) as e:
         raise InvalidData(f"{path}: {e}") from e
-    if data.size == 0:
+    if data is None:
         raise InvalidData(f"{path}: no data rows")
     return data, _read_sidecar(path, InvalidData, required=False)
 

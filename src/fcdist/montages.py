@@ -9,6 +9,8 @@ z >= 0; cortical sources generated elsewhere live inside the sphere.
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,8 +96,10 @@ def get_montage(montage: str | int | Montage) -> Montage:
     """Resolve a montage label, channel count, or Montage instance."""
     if isinstance(montage, Montage):
         return montage
-    if isinstance(montage, int):
-        label = MONTAGE_BY_SIZE.get(montage)
+    if isinstance(montage, bool):
+        raise ValueError(f"montage must be a label or a channel count, got {montage} of type bool")
+    if isinstance(montage, numbers.Integral):  # an int or a NumPy integer
+        label = MONTAGE_BY_SIZE.get(operator.index(montage))
         if label is None:
             raise ValueError(f"no built-in montage with {montage} channels")
         return BUILTIN_MONTAGES[label]

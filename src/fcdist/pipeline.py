@@ -13,10 +13,8 @@ from __future__ import annotations
 import csv
 import os
 import statistics
-import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import lru_cache
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -181,16 +179,6 @@ class ExperimentResult:
     failures: list[CellFailure]
 
 
-# Held around ``_read_file``: cells that run at once and miss it would each read the file.
-_READ_LOCK = threading.Lock()
-
-
-@lru_cache(maxsize=16)
-def _read_file(reader, path: str):
-    """``reader(path)``, read once per run and path; a simulation run starts and ends empty."""
-    return reader(path)
-
-
 def _mode_path(mode: str) -> str | None:
     if mode == "synthetic":
         return None
@@ -199,47 +187,45 @@ def _mode_path(mode: str) -> str | None:
     raise ValueError(f"mode must be 'synthetic' or 'file:<path>', got {mode!r}")
 
 
-def _cell_leadfield(cfg: ExperimentConfig, montage: int) -> forward.LeadField:
-    path = _mode_path(cfg.leadfield_mode)
-    if path is None:
-        return forward.generate_synthetic_leadfield(
-            montage, cfg.n_sources, seed=mix64(cfg.master_seed, montage, 3)
-        )
-    with _READ_LOCK:
-        lf = _read_file(matrix_io.read_leadfield, path)
-    if lf.n_channels != montage:
-        raise ShapeMismatch(f"lead field {path} has {lf.n_channels} channels, "
-                            f"not the montage's {montage}")
-    return lf
+def _read_inputs(cfg: ExperimentConfig) -> tuple:
+    """The config's lead field and source library, in this order, each None when synthetic
+    and the FcdistError its read raised when that failed."""
+    lf_path, lib_path = _mode_path(cfg.leadfield_mode), _mode_path(cfg.source_mode)
+    return (None if lf_path is None else _attempt(matrix_io.read_leadfield, lf_path),
+            None if lib_path is None else _attempt(matrix_io.read_source_library, lib_path))
 
 
-def _cell_library(cfg: ExperimentConfig, path: str) -> forward.SourceLibrary:
-    with _READ_LOCK:
-        lib = _read_file(matrix_io.read_source_library, path)
-    if lib.fs != cfg.fs:
-        raise InvalidData(f"source library {path} is sampled at {lib.fs} Hz, "
-                          f"not the config's fs {cfg.fs} Hz")
-    return lib
-
-
-def cell_record(cfg: ExperimentConfig, montage: int, trial: int
-                ) -> forward.MultichannelRecord:
-    """The scalp record of one (montage, trial) cell."""
-    lf = _cell_leadfield(cfg, montage)
+def _cell_record(lf, lib, cfg: ExperimentConfig, montage: int, trial: int):
+    """The scalp record of one cell from ``_read_inputs(cfg)``, checked in read order."""
+    if lf is None:
+        lf = forward.generate_synthetic_leadfield(montage, cfg.n_sources,
+                                                  seed=mix64(cfg.master_seed, montage, 3))
+    elif lf.n_channels != montage:
+        raise ShapeMismatch(f"lead field {_mode_path(cfg.leadfield_mode)} has "
+                            f"{lf.n_channels} channels, not the montage's {montage}")
+    if isinstance(lib, FcdistError):  # returned, not raised: the run's cells share it
+        return lib
     seed = mix64(cfg.master_seed, trial, montage, 2)
-    path = _mode_path(cfg.source_mode)
-    if path is None:
+    if lib is None:
         # The synthetic library's rows are written straight into the activity.
         src = forward.synthetic_source_activity(
             cfg.n_sources, cfg.n_active, cfg.noise_sigma, cfg.n_samples, cfg.fs,
-            cfg.alpha_hz, library_seed=mix64(cfg.master_seed, trial, montage, 1), seed=seed,
-        )
+            cfg.alpha_hz, library_seed=mix64(cfg.master_seed, trial, montage, 1), seed=seed)
+    elif lib.fs != cfg.fs:
+        raise InvalidData(f"source library {_mode_path(cfg.source_mode)} is sampled at "
+                          f"{lib.fs} Hz, not the config's fs {cfg.fs} Hz")
     else:
-        src = forward.assemble_source_activity(
-            _cell_library(cfg, path), cfg.n_sources, cfg.n_active, cfg.noise_sigma,
-            cfg.n_samples, seed=seed,
-        )
+        src = forward.assemble_source_activity(lib, cfg.n_sources, cfg.n_active,
+                                               cfg.noise_sigma, cfg.n_samples, seed=seed)
     return forward.project_to_scalp(lf, src)
+
+
+def cell_record(cfg: ExperimentConfig, montage: int, trial: int) -> forward.MultichannelRecord:
+    """The scalp record of one (montage, trial) cell; reads the config's files on each call."""
+    rec = _attempt(_cell_record, *_read_inputs(cfg), cfg, montage, trial)
+    if isinstance(rec, FcdistError):
+        raise rec
+    return rec
 
 
 def _bartlett_coherency(rec: forward.MultichannelRecord, segment_samples: int,
@@ -250,13 +236,14 @@ def _bartlett_coherency(rec: forward.MultichannelRecord, segment_samples: int,
 
 
 def _attempt(call, x, *args):
-    """``call(x, *args)``, or the FcdistError it raised; an error ``x`` is passed on."""
+    """``call(x, *args)``, or the FcdistError it raised, without the traceback whose frames
+    would hold the unit's arrays in a cycle with it; an error ``x`` is passed on."""
     if isinstance(x, FcdistError):
         return x
     try:
         return call(x, *args)
     except FcdistError as err:
-        return err
+        return err.with_traceback(None)
 
 
 def _failure_text(err: FcdistError) -> str:
@@ -268,9 +255,9 @@ def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
                   ) -> tuple[list[TrialRow], list[CellFailure]]:
     """One TrialRow or CellFailure for each (band, metric) of ``cfg`` on one unit.
 
-    ``band_inputs(band)`` maps each input kind of the metric table to its
-    value on the band, or to the FcdistError raised while computing it;
-    that error fails every metric that needs the input.
+    ``band_inputs(band)`` maps each input kind of the metric table to its value on
+    the band, or to the FcdistError raised while computing it; that error, which the
+    cells of a run may share and so is never raised again, fails each metric that needs it.
     """
     rows: list[TrialRow] = []
     fails: list[CellFailure] = []
@@ -278,26 +265,21 @@ def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
         inputs = band_inputs(band)
         for metric in cfg.metrics:
             kind, call = METRICS[metric]
-            try:
-                x = inputs[kind]
-                if isinstance(x, FcdistError):
-                    raise x
-                s = weight_stats.summarize(
-                    weight_stats.upper_triangle_weights(call(x, band, cfg.window).weights),
-                    cfg.n_bins,
-                )
+            s = _attempt(lambda x: weight_stats.summarize(weight_stats.upper_triangle_weights(
+                call(x, band, cfg.window).weights), cfg.n_bins), inputs[kind])
+            if isinstance(s, FcdistError):
+                fails.append(CellFailure(montage, metric, band.name, trial, _failure_text(s)))
+            else:
                 rows.append(TrialRow(montage, metric, band.name, trial,
                                      s.mcw, s.skewness, s.kurtosis, s.entropy))
-            except FcdistError as err:
-                fails.append(CellFailure(montage, metric, band.name, trial, _failure_text(err)))
     return rows, fails
 
 
-def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
-                  ) -> tuple[list[TrialRow], list[CellFailure]]:
-    """Run one (montage, trial) cell: all configured metrics and bands."""
+def _simulate(cfg: ExperimentConfig, inputs: tuple, montage: int, trial: int
+              ) -> tuple[list[TrialRow], list[CellFailure]]:
+    """``simulate_cell`` on the inputs ``_read_inputs(cfg)`` returned."""
     kinds = {METRICS[m][0] for m in cfg.metrics}
-    rec = _attempt(cell_record, cfg, montage, trial)
+    rec = _attempt(_cell_record, *inputs, cfg, montage, trial)
 
     def band_inputs(band: Band) -> dict:
         inputs = {}
@@ -308,6 +290,12 @@ def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
         return inputs
 
     return _unit_results(cfg, montage, trial, band_inputs)
+
+
+def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
+                  ) -> tuple[list[TrialRow], list[CellFailure]]:
+    """Run one (montage, trial) cell, all metrics and bands; reads the config's files."""
+    return _simulate(cfg, _read_inputs(cfg), montage, trial)
 
 
 def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
@@ -381,14 +369,13 @@ def correlate_rows(trial_rows: list[TrialRow], cfg: ExperimentConfig
     for (montage, metric, band), rows in groups.items():
         for pair, attr in zip(CORRELATION_PAIRS, _SHAPES):
             points = _points(rows, attr)
-            try:
-                res = pearson_correlation([p[0] for p in points], [p[1] for p in points])
-            except FcdistError as err:
+            res = _attempt(pearson_correlation, [p[0] for p in points], [p[1] for p in points])
+            if isinstance(res, FcdistError):
                 failures.append(CellFailure(montage, metric, band, -1,
-                                            f"{pair}: {_failure_text(err)}"))
-                continue
-            corr_rows.append(CorrelationRow(montage, metric, band, pair,
-                                            res.r, res.p, res.n, res.stars))
+                                            f"{pair}: {_failure_text(res)}"))
+            else:
+                corr_rows.append(CorrelationRow(montage, metric, band, pair,
+                                                res.r, res.p, res.n, res.stars))
     return corr_rows, failures
 
 
@@ -397,12 +384,9 @@ def run_simulation_experiment(cfg: ExperimentConfig, jobs: int = 1) -> Experimen
     if check_number("jobs", jobs, "int") < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfg.validate()
-    _read_file.cache_clear()
-    cells = [(cfg, montage, trial) for montage in cfg.montages for trial in range(cfg.trials)]
-    try:
-        trial_rows, failures = _run_units(simulate_cell, cells, jobs)
-    finally:
-        _read_file.cache_clear()  # the run's file inputs do not outlive it
+    inputs = _read_inputs(cfg)  # once, before any cell: a run's inputs are its own
+    cells = [(cfg, inputs, m, trial) for m in cfg.montages for trial in range(cfg.trials)]
+    trial_rows, failures = _run_units(_simulate, cells, jobs)
     trial_rows.sort(key=_sort_key(cfg))
 
     total_cells = len(cfg.montages) * len(cfg.metrics) * len(cfg.bands) * cfg.trials

@@ -255,13 +255,22 @@ class TestSyntheticLeadfield:
         assert not isinstance(err.value, FcdistError)
 
     def test_no_montage_of_that_size(self):
-        with pytest.raises(ValueError, match="no built-in montage with 21 channels") as err:
-            get_montage(21)
-        assert not isinstance(err.value, FcdistError)
+        for count in (21, np.int64(21), np.uint8(21)):
+            with pytest.raises(ValueError, match="no built-in montage with 21 channels") as err:
+                get_montage(count)
+            assert not isinstance(err.value, FcdistError)
 
     def test_montage_by_count(self):
-        lf = generate_synthetic_leadfield(64, 80, seed=0)
-        assert lf.montage == "egi64"
+        for count in (64, np.int64(64), np.int16(64)):
+            lf = generate_synthetic_leadfield(count, 80, seed=0)
+            assert lf.montage == "egi64"
+        assert get_montage(np.int32(19)) is BUILTIN_MONTAGES["std19"]
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_is_no_montage_count(self, flag):
+        with pytest.raises(ValueError, match=f"got {flag} of type bool") as err:
+            get_montage(flag)
+        assert not isinstance(err.value, FcdistError)
 
     def test_custom_montage_object(self):
         lf = generate_synthetic_leadfield(BUILTIN_MONTAGES["egi32"], 60, seed=0)

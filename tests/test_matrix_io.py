@@ -1,5 +1,7 @@
 import json
 import tempfile
+import threading
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -108,6 +110,53 @@ class TestMatrixRoundTrip:
             side.write_text(json.dumps([1, 2] if case == "sidecar-list" else {"labels": labels}))
         with pytest.raises(InvalidData):
             matrix_io.read_leadfield(path)
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "# a comment\n\n#another\n"],
+                             ids=["empty", "blank", "comments"])
+    def test_no_data_rows(self, tmp_path, text):
+        # np.loadtxt would warn here, and the suite turns warnings into errors
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(InvalidData, match="no data rows"):
+            matrix_io.read_matrix(path)
+
+    def test_comment_and_blank_lines_beside_data(self, tmp_path, rng):
+        data = rng.standard_normal((3, 4)) * np.exp(rng.uniform(-20, 20, (3, 4)))
+        path = matrix_io.write_matrix(tmp_path / "m.csv", data, {"kind": "record"})
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(["# written by hand\n", lines[0], "\n", lines[1],
+                                 "#\n", lines[2].replace("\n", " # last row\n")]))
+        back, _ = matrix_io.read_matrix(path)
+        assert np.array_equal(back, data)
+
+    def test_threads_leave_the_warning_filters_alone(self, tmp_path, monkeypatch):
+        # Reader A enters, then B; A leaves first, then B: a reader that swapped the
+        # process-wide filters on entry would leave A's filters behind.
+        path = matrix_io.write_matrix(tmp_path / "m.csv", np.eye(3), {})
+        loadtxt = np.loadtxt
+        entered = {name: threading.Event() for name in "AB"}
+        leave = {name: threading.Event() for name in "AB"}
+
+        def gated_loadtxt(*args, **kwargs):
+            name = threading.current_thread().name
+            entered[name].set()
+            leave[name].wait(10)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", gated_loadtxt)
+        filters = list(warnings.filters)
+        results = []
+        readers = {name: threading.Thread(target=lambda: results.append(
+            matrix_io.read_matrix(path)[0]), name=name) for name in "AB"}
+        for name in "AB":
+            readers[name].start()
+            assert entered[name].wait(10)
+        for name in "AB":
+            leave[name].set()
+            readers[name].join(10)
+            assert not readers[name].is_alive()
+        assert warnings.filters == filters
+        assert len(results) == 2 and all(np.array_equal(r, np.eye(3)) for r in results)
 
 class TestCrossSpectrumFile:
     def make_cs(self, rng, n_ch=3):

@@ -8,6 +8,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from functools import lru_cache
 from pathlib import Path
@@ -155,7 +156,7 @@ class TestSimulation:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(pipeline, "simulate_cell", no_cell)
+        monkeypatch.setattr(pipeline, "_simulate", no_cell)
         with pytest.raises(ValueError, match=match):
             run_simulation_experiment(tiny_config(), jobs=jobs)
 
@@ -307,7 +308,7 @@ class TestSimulation:
         def no_cell(*args):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(pipeline, "cell_record", no_cell)
+        monkeypatch.setattr(pipeline, "_cell_record", no_cell)
         with pytest.raises(ValueError, match=match):
             run_simulation_experiment(cfg, jobs=2)
 
@@ -388,7 +389,6 @@ class TestSimulation:
             runs.append(run_simulation_experiment(cfg).trial_rows)
         assert runs[0] != runs[1]
         assert reads == [str(path)] * 2  # once per run, not once per cell
-        pipeline._read_file.cache_clear()
         assert run_simulation_experiment(cfg).trial_rows == runs[1]
 
     def test_pool_reads_a_file_input_once(self, tmp_path, monkeypatch):
@@ -400,7 +400,7 @@ class TestSimulation:
         monkeypatch.setattr(matrix_io, "read_source_library",
                             lambda p: reads.append(p) or read(p))
         filters = list(warnings.filters)
-        # more threads than cores, switching often, so that cells miss the cache at once
+        # more threads than cores, switching often, all sharing the run's one library
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -408,10 +408,59 @@ class TestSimulation:
         finally:
             sys.setswitchinterval(interval)
         assert reads == [str(path)]
-        assert warnings.filters == filters  # the reader silences a warning while it reads
+        assert warnings.filters == filters
         assert rows == run_simulation_experiment(cfg, jobs=1).trial_rows
 
-    def test_file_inputs_do_not_outlive_the_run(self, tmp_path):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unreadable_file_input_is_read_once(self, tmp_path, monkeypatch, jobs):
+        path = tmp_path / "lib.csv"
+        path.write_text("1.0,oops\n")
+        cfg = tiny_config(metrics=("COH",), source_mode=f"file:{path}")
+        read, reads = matrix_io.read_source_library, []
+        monkeypatch.setattr(matrix_io, "read_source_library",
+                            lambda p: reads.append(p) or read(p))
+        with pytest.raises(ExperimentFailed, match="3 of 3 grid cells failed; first: InvalidData"):
+            run_simulation_experiment(cfg, jobs=jobs)
+        assert reads == [str(path)]
+
+    def test_a_run_keeps_its_inputs_when_another_run_rewrites_them(self, tmp_path, monkeypatch):
+        # Run A's first cell rewrites the library and runs B; A's later cells keep A's file.
+        from fcdist.forward import generate_synthetic_sources
+        path = tmp_path / "lib.csv"
+        matrix_io.write_source_library(path, generate_synthetic_sources(40, 4000, 200.0, seed=5))
+        cfg = tiny_config(metrics=("COH",), trials=4, source_mode=f"file:{path}")
+        clean = run_simulation_experiment(cfg).trial_rows
+        project, calls, rows_b = forward.project_to_scalp, [], []
+
+        def project_then_run_b(lf, src):
+            calls.append(lf.n_channels)
+            if len(calls) == 1:  # A's first cell; B's cells come here too
+                matrix_io.write_source_library(
+                    path, generate_synthetic_sources(40, 4000, 200.0, seed=6))
+                rows_b.extend(run_simulation_experiment(dataclasses.replace(cfg, trials=3))
+                              .trial_rows)
+            return project(lf, src)
+
+        monkeypatch.setattr(forward, "project_to_scalp", project_then_run_b)
+        rows = run_simulation_experiment(cfg).trial_rows
+        assert len(calls) == 4 + 3
+        assert len(rows_b) == 3 and rows_b != clean[:3]  # B read the new file
+        assert rows == clean
+
+    def test_cell_record_reads_the_file_on_each_call(self, tmp_path):
+        from fcdist.forward import generate_synthetic_sources
+        path = tmp_path / "lib.csv"
+        cfg = tiny_config(source_mode=f"file:{path}")
+        records = []
+        for seed in (5, 6):
+            matrix_io.write_source_library(
+                path, generate_synthetic_sources(40, 4000, 200.0, seed=seed))
+            records.append(pipeline.cell_record(cfg, 19, 0).data)
+        assert not np.array_equal(*records)
+        matrix_io.write_source_library(path, generate_synthetic_sources(40, 4000, 200.0, seed=5))
+        assert np.array_equal(pipeline.cell_record(cfg, 19, 0).data, records[0])
+
+    def test_file_inputs_do_not_outlive_the_run(self, tmp_path, monkeypatch):
         from fcdist.forward import generate_synthetic_leadfield, generate_synthetic_sources
         matrix_io.write_source_library(tmp_path / "lib.csv",
                                        generate_synthetic_sources(40, 4000, 200.0, seed=5))
@@ -419,11 +468,14 @@ class TestSimulation:
                                   generate_synthetic_leadfield("std19", 300, seed=6))
         cfg = tiny_config(metrics=("COH",), source_mode=f"file:{tmp_path / 'lib.csv'}",
                           leadfield_mode=f"file:{tmp_path / 'lf.csv'}")
+        read, libs = matrix_io.read_source_library, []
+        monkeypatch.setattr(matrix_io, "read_source_library",
+                            lambda p: libs.append(weakref.ref(lib := read(p))) or lib)
         assert len(run_simulation_experiment(cfg).trial_rows) == 3
-        assert pipeline._read_file.cache_info().currsize == 0
+        assert len(libs) == 1 and libs[0]() is None
         with pytest.raises(ExperimentFailed, match="ShapeMismatch"):  # 19-ch lead field
             run_simulation_experiment(dataclasses.replace(cfg, montages=(64,)))
-        assert pipeline._read_file.cache_info().currsize == 0
+        assert len(libs) == 2 and libs[1]() is None
 
     def test_file_leadfield_channel_count(self, tmp_path):
         from fcdist.forward import generate_synthetic_leadfield
@@ -555,7 +607,7 @@ class TestBandBins:
         data = rec.data.copy()
         data[4] = 0.0
         dead = make_record(data, fs=rec.fs)
-        monkeypatch.setattr(pipeline, "cell_record", lambda *args: dead)
+        monkeypatch.setattr(pipeline, "_cell_record", lambda *args: dead)
         rows, fails = simulate_cell(cfg, 19, 0)
         assert rows == []
         assert [(f.band, f.error) for f in fails] == [
