@@ -11,7 +11,10 @@ functions of their arguments: same arguments, bit-identical output.
 A synthetic cell's sources come from ``synthetic_source_activity``, which
 equals ``assemble_source_activity(generate_synthetic_sources(...))`` bit for
 bit without holding the library: the two paths share one row synthesis, one
-set of assembly draws and one normalisation.
+set of assembly draws and one normalisation. A grid cell hands the projection
+a maker of its activity instead of the activity, so the projection's frame is
+the only one that holds the active rows, and it frees them once they are
+projected, before the fill is drawn.
 """
 
 from __future__ import annotations
@@ -510,7 +513,6 @@ def generate_synthetic_leadfield(
     return LeadField(gain=gain, montage=m.label, channel_names=m.names)
 
 
-@_one_blas_thread()
 def project_to_scalp(lf: LeadField, src: SourceActivity) -> MultichannelRecord:
     """Forward solution: scalp record = gain @ source activity.
 
@@ -519,27 +521,38 @@ def project_to_scalp(lf: LeadField, src: SourceActivity) -> MultichannelRecord:
     symmetric square root of G_n G_n^T (from ``eigh``, eigenvalues clipped
     at 0, so a rank-deficient gain is fine) and z an (n_channels, n_samples)
     standard-normal draw seeded from ``noise_seed``: the same distribution
-    as projecting the fill sources one by one.
+    as projecting the fill sources one by one. The explicit rows' product is
+    formed first and the fill added to it. The caller holds ``src`` through
+    the call; a grid cell instead hands ``_project`` a maker of its activity,
+    whose rows are then freed before the fill is drawn.
     """
+    return _project(lf, lambda: src)
+
+
+@_one_blas_thread()
+def _project(lf: LeadField, make_src: Callable[[], SourceActivity]) -> MultichannelRecord:
+    """``project_to_scalp(lf, make_src())``, in which the activity lives only until its
+    rows are projected.
+
+    This frame makes the activity, so where no caller keeps it, its rows are freed
+    before the fill's Gram matrix and draw exist. The fill is added after the
+    explicit rows' product; IEEE addition commutes, so the sum has the bits of
+    adding them in either order.
+    """
+    src = make_src()
     if lf.n_sources != src.n_sources:
         raise ShapeMismatch(
             f"lead field has {lf.n_sources} sources, activity has {src.n_sources}"
         )
-    explicit = lf.gain[:, src.columns]
-    if src.noise_sigma > 0 and src.columns.size < src.n_sources:
-        fill = np.delete(lf.gain, src.columns, axis=1)
+    data = lf.gain[:, src.columns] @ src.data
+    fs, columns, n_samples = src.fs, src.columns, src.n_samples
+    noise_sigma, noise_seed = src.noise_sigma, src.noise_seed
+    del src
+    if noise_sigma > 0 and columns.size < lf.n_sources:
+        fill = np.delete(lf.gain, columns, axis=1)
         w, v = np.linalg.eigh(fill @ fill.T)
-        root = (v * (src.noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
-        z = np.random.default_rng(src.noise_seed).standard_normal((lf.n_channels, src.n_samples))
-        # The fill first, so that z is freed before the explicit rows' product
-        # exists; addition commutes, so the sum has the same bits either way.
-        data = root @ z
-        del z
-        data += explicit @ src.data
-    else:
-        data = explicit @ src.data
-    return MultichannelRecord(
-        data=data,
-        fs=src.fs,
-        channel_names=lf.channel_names,
-    )
+        del fill
+        root = (v * (noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
+        z = np.random.default_rng(noise_seed).standard_normal((lf.n_channels, n_samples))
+        data += root @ z
+    return MultichannelRecord(data=data, fs=fs, channel_names=lf.channel_names)

@@ -15,8 +15,9 @@ import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, astuple, dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from . import forward, matrix_io, spectral, weight_stats
 from .connectivity import METRICS, WindowConfig, window_samples, window_starts
@@ -206,18 +207,22 @@ def _cell_record(lf, lib, cfg: ExperimentConfig, montage: int, trial: int):
     if isinstance(lib, FcdistError):  # returned, not raised: the run's cells share it
         return lib
     seed = mix64(cfg.master_seed, trial, montage, 2)
+    # The projection makes the activity, so the active rows are freed once projected.
     if lib is None:
         # The synthetic library's rows are written straight into the activity.
-        src = forward.synthetic_source_activity(
-            cfg.n_sources, cfg.n_active, cfg.noise_sigma, cfg.n_samples, cfg.fs,
-            cfg.alpha_hz, library_seed=mix64(cfg.master_seed, trial, montage, 1), seed=seed)
+        def make_src():
+            return forward.synthetic_source_activity(
+                cfg.n_sources, cfg.n_active, cfg.noise_sigma, cfg.n_samples, cfg.fs,
+                cfg.alpha_hz, library_seed=mix64(cfg.master_seed, trial, montage, 1),
+                seed=seed)
     elif lib.fs != cfg.fs:
         raise InvalidData(f"source library {_mode_path(cfg.source_mode)} is sampled at "
                           f"{lib.fs} Hz, not the config's fs {cfg.fs} Hz")
     else:
-        src = forward.assemble_source_activity(lib, cfg.n_sources, cfg.n_active,
-                                               cfg.noise_sigma, cfg.n_samples, seed=seed)
-    return forward.project_to_scalp(lf, src)
+        def make_src():
+            return forward.assemble_source_activity(lib, cfg.n_sources, cfg.n_active,
+                                                    cfg.noise_sigma, cfg.n_samples, seed=seed)
+    return forward._project(lf, make_src)
 
 
 def cell_record(cfg: ExperimentConfig, montage: int, trial: int) -> forward.MultichannelRecord:
@@ -251,18 +256,18 @@ def _failure_text(err: FcdistError) -> str:
 
 
 def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
-                  band_inputs: Callable[[Band], dict]
+                  band_inputs: Iterable[dict]
                   ) -> tuple[list[TrialRow], list[CellFailure]]:
     """One TrialRow or CellFailure for each (band, metric) of ``cfg`` on one unit.
 
-    ``band_inputs(band)`` maps each input kind of the metric table to its value on
-    the band, or to the FcdistError raised while computing it; that error, which the
-    cells of a run may share and so is never raised again, fails each metric that needs it.
+    ``band_inputs`` yields, for each band of ``cfg`` in order, a map of each input
+    kind of the metric table to its value on the band, or to the FcdistError raised
+    while computing it; that error, which the cells of a run may share and so is never
+    raised again, fails each metric that needs it.
     """
     rows: list[TrialRow] = []
     fails: list[CellFailure] = []
-    for band in cfg.bands:
-        inputs = band_inputs(band)
+    for band, inputs in zip(cfg.bands, band_inputs):
         for metric in cfg.metrics:
             kind, call = METRICS[metric]
             s = _attempt(lambda x: weight_stats.summarize(weight_stats.upper_triangle_weights(
@@ -275,21 +280,29 @@ def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
     return rows, fails
 
 
+def _record_band_inputs(cfg: ExperimentConfig, inputs: tuple, montage: int, trial: int
+                        ) -> Iterator[dict]:
+    """The metric inputs of one cell's record on each band of ``cfg``, in order, from the
+    inputs ``_read_inputs(cfg)`` returned. The record lives in this frame only, and is
+    released once the last band's inputs exist, before that band's metrics run."""
+    kinds = {METRICS[m][0] for m in cfg.metrics}
+    rec = _attempt(_cell_record, *inputs, cfg, montage, trial)
+    for i, band in enumerate(cfg.bands, 1):
+        band_inputs = {}
+        if "coherency" in kinds:
+            band_inputs["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples,
+                                                band)
+        if "analytic" in kinds:
+            band_inputs["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
+        if i == len(cfg.bands):
+            del rec
+        yield band_inputs
+
+
 def _simulate(cfg: ExperimentConfig, inputs: tuple, montage: int, trial: int
               ) -> tuple[list[TrialRow], list[CellFailure]]:
     """``simulate_cell`` on the inputs ``_read_inputs(cfg)`` returned."""
-    kinds = {METRICS[m][0] for m in cfg.metrics}
-    rec = _attempt(_cell_record, *inputs, cfg, montage, trial)
-
-    def band_inputs(band: Band) -> dict:
-        inputs = {}
-        if "coherency" in kinds:
-            inputs["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples, band)
-        if "analytic" in kinds:
-            inputs["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
-        return inputs
-
-    return _unit_results(cfg, montage, trial, band_inputs)
+    return _unit_results(cfg, montage, trial, _record_band_inputs(cfg, inputs, montage, trial))
 
 
 def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
@@ -311,7 +324,7 @@ def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
     except FcdistError as err:
         return [], [CellFailure(0, "-", "-", subject, f"{Path(path).name}: {_failure_text(err)}")]
     coh = _attempt(spectral.coherency, cs)
-    return _unit_results(cfg, cs.n_channels, subject, lambda band: {"coherency": coh})
+    return _unit_results(cfg, cs.n_channels, subject, repeat({"coherency": coh}))
 
 
 def _run_units(unit: Callable, keys: list[tuple], jobs: int = 1

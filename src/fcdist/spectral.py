@@ -181,10 +181,15 @@ def _bartlett_spectrum(rec: MultichannelRecord, segment_samples: int, band: Band
     n_ch, n_samples = rec.data.shape
     k_segments, freqs, first = _bartlett_bins(segment_samples, n_samples, rec.fs, band)
     n = segment_samples
-    segs = rec.data[:, : k_segments * n].reshape(n_ch, k_segments, n)
-    segs = segs - segs.mean(axis=2, keepdims=True)
-    # (bin, channel, segment), segments contiguous for the reduction below.
-    spec = np.fft.rfft(segs, axis=2)[:, :, first : first + freqs.size].transpose(2, 0, 1).copy()
+    # (bin, channel, segment), segments contiguous for the reduction below. Mean
+    # removal and transform work row by row, so blocks of channels give the bits
+    # of the whole record while only the kept bins of all channels are held.
+    spec = np.empty((freqs.size, n_ch, k_segments), dtype=complex)
+    kept = slice(first, first + freqs.size)
+    for rows in _row_blocks(n_ch, 16 * k_segments * (n // 2 + 1)):
+        segs = rec.data[rows, : k_segments * n].reshape(-1, k_segments, n)
+        segs = segs - segs.mean(axis=2, keepdims=True)
+        spec[:, rows] = np.fft.rfft(segs, axis=2)[:, :, kept].transpose(2, 0, 1)
     # Plain einsum (no BLAS) sums the segments in order, as a running sum
     # over segments would; a BLAS product rounds differently and is not
     # exactly Hermitian.

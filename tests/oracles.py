@@ -444,6 +444,30 @@ def oneshot_bandpass_analytic(rec, band) -> AnalyticRecord:
     return AnalyticRecord(phase=phase, envelope=np.abs(analytic), fs=rec.fs, band=band)
 
 
+def oneshot_bartlett_spectrum(rec, segment_samples: int, band) -> CrossSpectrum:
+    """Bartlett cross-spectrum with whole-record mean removal and transform.
+
+    The earlier form of ``spectral._bartlett_spectrum``: every channel's
+    segments are mean-removed and transformed at once, then the kept bins
+    are copied to a (bin, channel, segment) array for the same einsum.
+    Assumes at least two segments and, with a ``band``, a bin in it.
+    """
+    n_ch, n_samples = rec.data.shape
+    n = segment_samples
+    k_segments = n_samples // n
+    freqs = np.arange(1, n // 2) * (rec.fs / n)
+    first = 1
+    if band is not None:
+        idx = np.nonzero((freqs >= band.lo) & (freqs <= band.hi))[0]
+        freqs, first = freqs[idx[0] : idx[-1] + 1], 1 + idx[0]
+    segs = rec.data[:, : k_segments * n].reshape(n_ch, k_segments, n)
+    segs = segs - segs.mean(axis=2, keepdims=True)
+    spec = np.fft.rfft(segs, axis=2)[:, :, first : first + freqs.size].transpose(2, 0, 1).copy()
+    mats = np.einsum("fck,fdk->fcd", spec, spec.conj())
+    mats *= 2.0 / (k_segments * n * n)
+    return CrossSpectrum(freqs=freqs, mats=mats, n_segments=k_segments)
+
+
 def fullstack_coherency(mats):
     """Coherency of a cross-spectrum stack with whole-stack temporaries.
 

@@ -54,6 +54,11 @@ from fcdist.pipeline import (
 from fcdist.spectral import ALPHA, DEFAULT_BANDS, Band, coherency
 
 
+def _buffer_owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns the memory of ``a``, a view or not."""
+    return a if a.base is None else _buffer_owner(a.base)
+
+
 def tiny_config(**overrides):
     base = dict(
         montages=(19,), metrics=("COH", "PLV"), bands=(ALPHA,), trials=3,
@@ -430,18 +435,18 @@ class TestSimulation:
         matrix_io.write_source_library(path, generate_synthetic_sources(40, 4000, 200.0, seed=5))
         cfg = tiny_config(metrics=("COH",), trials=4, source_mode=f"file:{path}")
         clean = run_simulation_experiment(cfg).trial_rows
-        project, calls, rows_b = forward.project_to_scalp, [], []
+        leadfield, calls, rows_b = forward.generate_synthetic_leadfield, [], []
 
-        def project_then_run_b(lf, src):
-            calls.append(lf.n_channels)
+        def leadfield_then_run_b(montage, *args, **kwargs):
+            calls.append(montage)
             if len(calls) == 1:  # A's first cell; B's cells come here too
                 matrix_io.write_source_library(
                     path, generate_synthetic_sources(40, 4000, 200.0, seed=6))
                 rows_b.extend(run_simulation_experiment(dataclasses.replace(cfg, trials=3))
                               .trial_rows)
-            return project(lf, src)
+            return leadfield(montage, *args, **kwargs)
 
-        monkeypatch.setattr(forward, "project_to_scalp", project_then_run_b)
+        monkeypatch.setattr(forward, "generate_synthetic_leadfield", leadfield_then_run_b)
         rows = run_simulation_experiment(cfg).trial_rows
         assert len(calls) == 4 + 3
         assert len(rows_b) == 3 and rows_b != clean[:3]  # B read the new file
@@ -567,12 +572,58 @@ class TestSimulation:
                 (s.mcw, s.skewness, s.kurtosis, s.entropy), row.metric
 
 
+    def test_activity_is_freed_before_the_fill_is_drawn(self, monkeypatch):
+        make, eigh, owners, alive = forward.synthetic_source_activity, np.linalg.eigh, [], []
+
+        def made(*args, **kwargs):
+            src = make(*args, **kwargs)
+            owners.extend(map(weakref.ref, (src, _buffer_owner(src.data))))
+            return src
+
+        def eigh_after(a):
+            alive.append([ref() is not None for ref in owners])
+            return eigh(a)
+
+        monkeypatch.setattr(forward, "synthetic_source_activity", made)
+        monkeypatch.setattr(np.linalg, "eigh", eigh_after)
+        pipeline.cell_record(tiny_config(), 19, 0)
+        assert alive == [[False, False]]
+
+    @pytest.mark.parametrize("bands, alive_in_band", [
+        ((ALPHA,), [False]),
+        ((ALPHA, band_from_spec("beta")), [True, False]),
+    ], ids=["one band", "two bands"])
+    def test_record_is_freed_before_the_last_bands_metrics(self, monkeypatch, bands,
+                                                          alive_in_band):
+        # The record is kept until the last band's inputs exist, no longer.
+        cfg = tiny_config(metrics=("COH", "PLV", "AEC"), bands=bands)
+        cell_record, owners, alive = pipeline._cell_record, [], []
+
+        def made(*args):
+            rec = cell_record(*args)
+            owners.extend(map(weakref.ref, (rec, _buffer_owner(rec.data))))
+            return rec
+
+        def after(call):
+            def metric(x, band, window):
+                alive.append(all(ref() is not None for ref in owners))
+                return call(x, band, window)
+            return metric
+
+        monkeypatch.setattr(pipeline, "_cell_record", made)
+        monkeypatch.setattr(pipeline, "METRICS",
+                            {m: (kind, after(call)) for m, (kind, call) in METRICS.items()})
+        rows, fails = simulate_cell(cfg, 19, 0)
+        assert len(rows) == 3 * len(bands) and not fails and len(owners) == 2
+        assert alive == [alive for alive in alive_in_band for _ in cfg.metrics]
+
     # A 128-channel desk cell peaked at 73 MiB when the analytic signal, the
     # assembly and the projection held whole-record temporaries; now 41 MiB.
-    # A synthetic cell holds no source library beside its active rows, so
-    # its 19- and 64-channel peaks are the projection's, 20 and 28 MiB.
-    # NumPy reports its array buffers to tracemalloc.
-    @pytest.mark.parametrize("montage, limit_mib", [(19, 24), (64, 30), (128, 48)])
+    # A synthetic cell holds no source library, and the projection frees the
+    # active rows before it draws the fill, so the 19-, 32- and 64-channel
+    # peaks are 18.1, 18.5 and 23.6 MiB; the 128-channel one is the analytic
+    # signal's. NumPy reports its array buffers to tracemalloc.
+    @pytest.mark.parametrize("montage, limit_mib", [(19, 20), (32, 21), (64, 26), (128, 45)])
     def test_cell_working_set(self, montage, limit_mib):
         cfg = pipeline.desk_scale_config((montage,), trials=3)
         tracemalloc.start()
@@ -593,9 +644,10 @@ class TestBandBins:
                           bands=(*DEFAULT_BANDS, band_from_spec("x=10.0-10.1")))
         rec = pipeline.cell_record(cfg, 19, 1)
         coh = allbin_bartlett_coherency(rec, cfg.segment_samples)
-        rows, fails = pipeline._unit_results(cfg, 19, 1, lambda band: {
+        rows, fails = pipeline._unit_results(cfg, 19, 1, [{
             "coherency": coh,
-            "analytic": pipeline._attempt(spectral.bandpass_analytic, rec, band)})
+            "analytic": pipeline._attempt(spectral.bandpass_analytic, rec, band)}
+            for band in cfg.bands])
         assert simulate_cell(cfg, 19, 1) == (rows, fails)
         assert len(rows) == 4 * 5 + 3
         empty = "EmptyBand: band x (10.0, 10.1) Hz selects no bins on [0.3906, 99.61] Hz"

@@ -6,10 +6,11 @@ from oracles import (
     fullstack_coherency,
     naive_cross_spectrum,
     oneshot_bandpass_analytic,
+    oneshot_bartlett_spectrum,
     segment_loop_cross_spectrum,
 )
 
-from fcdist import forward
+from fcdist import forward, spectral
 
 from fcdist.errors import (
     EmptyBand,
@@ -148,6 +149,24 @@ def test_cross_spectrum_freqs_strictly_increasing(freqs, increasing):
     else:
         with pytest.raises(InvalidData, match="strictly increasing"):
             CrossSpectrum(freqs=np.array(freqs), mats=mats, n_segments=3)
+
+
+class TestBartlettBlocks:
+    @pytest.mark.parametrize("band", [ALPHA, None], ids=["band", "all-bin"])
+    @pytest.mark.parametrize("n_ch", [lambda block: 1, lambda block: block - 1,
+                                      lambda block: block, lambda block: block + 1,
+                                      lambda block: 128],
+                             ids=["1", "block-1", "block", "block+1", "128"])
+    def test_blocks_equal_oneshot_exactly(self, rng, n_ch, band):
+        # 4000 samples hold 7 segments of 512 and 416 samples that are dropped.
+        n_samples, n = 4000, 512
+        block = forward._BLOCK_BYTES // (16 * (n_samples // n) * (n // 2 + 1))
+        rec = make_record(rng.standard_normal((n_ch(block), n_samples)))
+        cs = spectral._bartlett_spectrum(rec, n, band)
+        ref = oneshot_bartlett_spectrum(rec, n, band)
+        assert np.array_equal(cs.freqs, ref.freqs)
+        assert np.array_equal(cs.mats, ref.mats)
+        assert cs.n_segments == ref.n_segments == 7
 
 
 class TestCoherency:
