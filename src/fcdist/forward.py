@@ -12,9 +12,8 @@ A synthetic cell's sources come from ``synthetic_source_activity``, which
 equals ``assemble_source_activity(generate_synthetic_sources(...))`` bit for
 bit without holding the library: the two paths share one row synthesis, one
 set of assembly draws and one normalisation. A grid cell hands the projection
-a maker of its activity instead of the activity, so the projection's frame is
-the only one that holds the active rows, and it frees them once they are
-projected, before the fill is drawn.
+a maker of its activity, so the active rows are freed once projected, before
+the fill is drawn.
 """
 
 from __future__ import annotations
@@ -522,9 +521,7 @@ def project_to_scalp(lf: LeadField, src: SourceActivity) -> MultichannelRecord:
     at 0, so a rank-deficient gain is fine) and z an (n_channels, n_samples)
     standard-normal draw seeded from ``noise_seed``: the same distribution
     as projecting the fill sources one by one. The explicit rows' product is
-    formed first and the fill added to it. The caller holds ``src`` through
-    the call; a grid cell instead hands ``_project`` a maker of its activity,
-    whose rows are then freed before the fill is drawn.
+    formed first; the caller's ``src`` lives through the fill's draw.
     """
     return _project(lf, lambda: src)
 

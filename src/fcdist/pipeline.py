@@ -267,7 +267,9 @@ def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
     """
     rows: list[TrialRow] = []
     fails: list[CellFailure] = []
-    for band, inputs in zip(cfg.bands, band_inputs):
+    band_inputs = iter(band_inputs)
+    for band in cfg.bands:
+        inputs = next(band_inputs)
         for metric in cfg.metrics:
             kind, call = METRICS[metric]
             s = _attempt(lambda x: weight_stats.summarize(weight_stats.upper_triangle_weights(
@@ -277,6 +279,7 @@ def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
             else:
                 rows.append(TrialRow(montage, metric, band.name, trial,
                                      s.mcw, s.skewness, s.kurtosis, s.entropy))
+        del inputs  # so the next band's inputs are made without this band's
     return rows, fails
 
 

@@ -617,6 +617,21 @@ class TestSimulation:
         assert len(rows) == 3 * len(bands) and not fails and len(owners) == 2
         assert alive == [alive for alive in alive_in_band for _ in cfg.metrics]
 
+    def test_a_bands_inputs_are_freed_before_the_next_bands_are_made(self, monkeypatch):
+        cfg = tiny_config(metrics=("PLV",), bands=(ALPHA, band_from_spec("beta")))
+        analytic, made, alive = spectral.bandpass_analytic, [], []
+
+        def kept(rec, band):
+            alive.append([ref() is not None for ref in made])
+            a = analytic(rec, band)
+            made.append(weakref.ref(a))
+            return a
+
+        monkeypatch.setattr(spectral, "bandpass_analytic", kept)
+        rows, fails = simulate_cell(cfg, 19, 0)
+        assert len(rows) == 2 and not fails
+        assert alive == [[], [False]]
+
     # A 128-channel desk cell peaked at 73 MiB when the analytic signal, the
     # assembly and the projection held whole-record temporaries; now 41 MiB.
     # A synthetic cell holds no source library, and the projection frees the
