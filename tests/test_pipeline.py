@@ -615,7 +615,7 @@ class TestSimulation:
                             {m: (kind, after(call)) for m, (kind, call) in METRICS.items()})
         rows, fails = simulate_cell(cfg, 19, 0)
         assert len(rows) == 3 * len(bands) and not fails and len(owners) == 2
-        assert alive == [alive for alive in alive_in_band for _ in cfg.metrics]
+        assert alive == [a for a in alive_in_band for _ in cfg.metrics]
 
     def test_a_bands_inputs_are_freed_before_the_next_bands_are_made(self, monkeypatch):
         cfg = tiny_config(metrics=("PLV",), bands=(ALPHA, band_from_spec("beta")))
