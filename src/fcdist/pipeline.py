@@ -15,6 +15,7 @@ import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, astuple, dataclass, field, fields
+from functools import partial
 from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -210,18 +211,15 @@ def _cell_record(lf, lib, cfg: ExperimentConfig, montage: int, trial: int):
     # The projection makes the activity, so the active rows are freed once projected.
     if lib is None:
         # The synthetic library's rows are written straight into the activity.
-        def make_src():
-            return forward.synthetic_source_activity(
-                cfg.n_sources, cfg.n_active, cfg.noise_sigma, cfg.n_samples, cfg.fs,
-                cfg.alpha_hz, library_seed=mix64(cfg.master_seed, trial, montage, 1),
-                seed=seed)
+        make_src = partial(forward.synthetic_source_activity, cfg.n_sources, cfg.n_active,
+                           cfg.noise_sigma, cfg.n_samples, cfg.fs, cfg.alpha_hz,
+                           library_seed=mix64(cfg.master_seed, trial, montage, 1), seed=seed)
     elif lib.fs != cfg.fs:
         raise InvalidData(f"source library {_mode_path(cfg.source_mode)} is sampled at "
                           f"{lib.fs} Hz, not the config's fs {cfg.fs} Hz")
     else:
-        def make_src():
-            return forward.assemble_source_activity(lib, cfg.n_sources, cfg.n_active,
-                                                    cfg.noise_sigma, cfg.n_samples, seed=seed)
+        make_src = partial(forward.assemble_source_activity, lib, cfg.n_sources, cfg.n_active,
+                           cfg.noise_sigma, cfg.n_samples, seed=seed)
     return forward._project(lf, make_src)
 
 
@@ -291,15 +289,14 @@ def _record_band_inputs(cfg: ExperimentConfig, inputs: tuple, montage: int, tria
     kinds = {METRICS[m][0] for m in cfg.metrics}
     rec = _attempt(_cell_record, *inputs, cfg, montage, trial)
     for i, band in enumerate(cfg.bands, 1):
-        band_inputs = {}
+        made = {}
         if "coherency" in kinds:
-            band_inputs["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples,
-                                                band)
+            made["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples, band)
         if "analytic" in kinds:
-            band_inputs["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
+            made["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
         if i == len(cfg.bands):
             del rec
-        yield band_inputs
+        yield made
 
 
 def _simulate(cfg: ExperimentConfig, inputs: tuple, montage: int, trial: int

@@ -571,7 +571,6 @@ class TestSimulation:
             assert (row.mcw, row.skewness, row.kurtosis, row.entropy) == \
                 (s.mcw, s.skewness, s.kurtosis, s.entropy), row.metric
 
-
     def test_activity_is_freed_before_the_fill_is_drawn(self, monkeypatch):
         make, eigh, owners, alive = forward.synthetic_source_activity, np.linalg.eigh, [], []
 
