@@ -254,7 +254,7 @@ def _failure_text(err: FcdistError) -> str:
 
 
 def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
-                  band_inputs: Iterable[dict]
+                  band_inputs: Iterator[dict]
                   ) -> tuple[list[TrialRow], list[CellFailure]]:
     """One TrialRow or CellFailure for each (band, metric) of ``cfg`` on one unit.
 
@@ -265,7 +265,6 @@ def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
     """
     rows: list[TrialRow] = []
     fails: list[CellFailure] = []
-    band_inputs = iter(band_inputs)
     for band in cfg.bands:
         inputs = next(band_inputs)
         for metric in cfg.metrics:

@@ -658,10 +658,10 @@ class TestBandBins:
                           bands=(*DEFAULT_BANDS, band_from_spec("x=10.0-10.1")))
         rec = pipeline.cell_record(cfg, 19, 1)
         coh = allbin_bartlett_coherency(rec, cfg.segment_samples)
-        rows, fails = pipeline._unit_results(cfg, 19, 1, [{
+        rows, fails = pipeline._unit_results(cfg, 19, 1, ({
             "coherency": coh,
             "analytic": pipeline._attempt(spectral.bandpass_analytic, rec, band)}
-            for band in cfg.bands])
+            for band in cfg.bands))
         assert simulate_cell(cfg, 19, 1) == (rows, fails)
         assert len(rows) == 4 * 5 + 3
         empty = "EmptyBand: band x (10.0, 10.1) Hz selects no bins on [0.3906, 99.61] Hz"
