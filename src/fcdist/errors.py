@@ -8,7 +8,7 @@ own types below; those and InvalidData derive from :class:`FcdistError`.
 """
 
 from dataclasses import fields
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,14 +56,18 @@ def check_rate(fs, error: type[ValueError] = InvalidData) -> None:
         raise error("fs must be positive and finite")
 
 
-# Annotation of a scalar field -> (accepted types, their name in messages).
+# Kind of a scalar -> (accepted types, their name in messages): config fields are
+# "int", "float" or "str"; counts and scales passed as arguments, NumPy's too, are
+# "integral" or "real".
 _FIELD_TYPES = {"int": (int, "an int"), "float": ((int, float), "a number"),
-                "str": (str, "a string")}
+                "str": (str, "a string"), "integral": (Integral, "an int"),
+                "real": (Real, "a number")}
 
 
 def check_number(name: str, value, kind: str, error: type[ValueError] = ValueError):
     """``value`` if it is of ``kind``, else ``error`` naming ``name``: "int" takes
-    an int, "float" an int or a float, "str" a str, and a bool counts as no number."""
+    an int, "float" an int or a float, "str" a str, "integral" any integer, "real"
+    any real number, and a bool counts as no number."""
     types, what = _FIELD_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, types):
         raise error(f"{name} must be {what}, got {value!r}")

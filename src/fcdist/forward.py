@@ -155,9 +155,8 @@ class SourceActivity:
         columns = frozen_field(self, "columns", dtype=np.intp, ndim=1)
         if self.n_sources is None:
             object.__setattr__(self, "n_sources", n_rows)
-        check_number("n_sources", self.n_sources, "int", InvalidData)
-        check_number("noise_sigma", self.noise_sigma, "float", InvalidData)
-        check_number("noise_seed", self.noise_seed, "int", InvalidData)
+        check_number("n_sources", self.n_sources, "integral", InvalidData)
+        check_number("noise_seed", self.noise_seed, "integral", InvalidData)
         if self.n_sources < 1 or data.shape[1] < 1:
             raise InvalidData("need at least one source and one sample")
         check_rate(self.fs)
@@ -250,17 +249,17 @@ def _resonator_denominator(freqs: np.ndarray, f0: float, q: float) -> np.ndarray
 def _check_synthetic(n_sources: int, n_samples: int, fs: float, alpha_hz: float | None) -> None:
     """The arguments of ``generate_synthetic_sources``, in order; None skips ``alpha_hz``."""
     check_rate(fs, ValueError)
-    if n_sources < 1:
+    if check_number("n_sources", n_sources, "integral") < 1:
         raise ValueError("n_sources must be >= 1")
-    if n_samples < 4:
+    if check_number("n_samples", n_samples, "integral") < 4:
         raise ValueError("n_samples must be >= 4")
-    if alpha_hz is not None and not 0.0 < alpha_hz < fs / 2.0:
+    if alpha_hz is not None and not 0.0 < check_number("alpha_hz", alpha_hz, "real") < fs / 2.0:
         raise ValueError(f"alpha_hz={alpha_hz} outside (0, {fs / 2.0})")
 
 
 def _check_noise_sigma(noise_sigma: float, error: type[ValueError] = ValueError) -> None:
-    """Raise ``error`` unless the fill's ``noise_sigma`` is non-negative and finite."""
-    if not 0 <= noise_sigma < np.inf:
+    """Raise ``error`` unless the fill's ``noise_sigma`` is a non-negative, finite number."""
+    if not 0 <= check_number("noise_sigma", noise_sigma, "real", error) < np.inf:
         raise error("noise_sigma must be non-negative and finite")
 
 
@@ -384,9 +383,9 @@ def generate_synthetic_sources(
 def _assembly_draws(n_library: int, n_total: int, n_active: int, noise_sigma: float,
                     seed: int) -> tuple[np.ndarray, np.ndarray, int]:
     """Check the assembly's counts; draw its chosen rows, source order and fill seed."""
-    if n_total < 1:
+    if check_number("n_total", n_total, "integral") < 1:
         raise ValueError("n_total must be >= 1")
-    if not 0 <= n_active <= n_total:
+    if not 0 <= check_number("n_active", n_active, "integral") <= n_total:
         raise ValueError("need 0 <= n_active <= n_total")
     _check_noise_sigma(noise_sigma)
     if n_active > n_library:
@@ -432,7 +431,7 @@ def assemble_source_activity(
     """
     chosen, order, noise_seed = _assembly_draws(library.n_library, n_total, n_active,
                                                 noise_sigma, seed)
-    if n_samples > library.n_samples:
+    if check_number("n_samples", n_samples, "integral") > library.n_samples:
         raise InsufficientSamples(
             f"requested {n_samples} samples; library rows hold {library.n_samples}"
         )
@@ -487,7 +486,7 @@ def generate_synthetic_leadfield(
     smooth: nearby electrodes get correlated gain rows, the
     volume-conduction surrogate.
     """
-    if n_sources < 1:
+    if check_number("n_sources", n_sources, "integral") < 1:
         raise ValueError("n_sources must be >= 1")
     m = get_montage(montage)
     rng = np.random.default_rng(seed)

@@ -16,9 +16,8 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import partial
-from itertools import repeat
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from . import forward, matrix_io, spectral, weight_stats
 from .connectivity import METRICS, WindowConfig, window_samples, window_starts
@@ -231,13 +230,6 @@ def cell_record(cfg: ExperimentConfig, montage: int, trial: int) -> forward.Mult
     return rec
 
 
-def _bartlett_coherency(rec: forward.MultichannelRecord, segment_samples: int,
-                        band: Band) -> spectral.CoherencyMatrix:
-    """The record's coherency on the band's bins, the only ones COH and iCOH read; the
-    config sets the segment count, so a few-segment estimate gives no warning."""
-    return spectral.coherency(spectral._bartlett_spectrum(rec, segment_samples, band))
-
-
 def _attempt(call, x, *args):
     """``call(x, *args)``, or the FcdistError it raised, without the traceback whose frames
     would hold the unit's arrays in a cycle with it; an error ``x`` is passed on."""
@@ -253,55 +245,49 @@ def _failure_text(err: FcdistError) -> str:
     return f"{type(err).__name__}: {err}"
 
 
-def _unit_results(cfg: ExperimentConfig, montage: int, trial: int,
-                  band_inputs: Iterator[dict]
-                  ) -> tuple[list[TrialRow], list[CellFailure]]:
-    """One TrialRow or CellFailure for each (band, metric) of ``cfg`` on one unit.
+def _band_results(cfg: ExperimentConfig, montage: int, trial: int, band: Band, inputs: dict,
+                  rows: list[TrialRow], fails: list[CellFailure]) -> None:
+    """Append one TrialRow or CellFailure for each metric of ``cfg`` on one band of a unit.
 
-    ``band_inputs`` yields, for each band of ``cfg`` in order, a map of each input
-    kind of the metric table to its value on the band, or to the FcdistError raised
-    while computing it; that error, which the cells of a run may share and so is never
-    raised again, fails each metric that needs it.
+    ``inputs`` maps each input kind of the metric table to its value on the band, or
+    to the FcdistError raised while computing it; that error, which the cells of a run
+    may share and so is never raised again, fails each metric that needs it.
     """
-    rows: list[TrialRow] = []
-    fails: list[CellFailure] = []
-    for band in cfg.bands:
-        inputs = next(band_inputs)
-        for metric in cfg.metrics:
-            kind, call = METRICS[metric]
-            s = _attempt(lambda x: weight_stats.summarize(weight_stats.upper_triangle_weights(
-                call(x, band, cfg.window).weights), cfg.n_bins), inputs[kind])
-            if isinstance(s, FcdistError):
-                fails.append(CellFailure(montage, metric, band.name, trial, _failure_text(s)))
-            else:
-                rows.append(TrialRow(montage, metric, band.name, trial,
-                                     s.mcw, s.skewness, s.kurtosis, s.entropy))
-        del inputs  # so the next band's inputs are made without this band's
-    return rows, fails
-
-
-def _record_band_inputs(cfg: ExperimentConfig, inputs: tuple, montage: int, trial: int
-                        ) -> Iterator[dict]:
-    """The metric inputs of one cell's record on each band of ``cfg``, in order, from the
-    inputs ``_read_inputs(cfg)`` returned. The record lives in this frame only, and is
-    released once the last band's inputs exist, before that band's metrics run."""
-    kinds = {METRICS[m][0] for m in cfg.metrics}
-    rec = _attempt(_cell_record, *inputs, cfg, montage, trial)
-    for i, band in enumerate(cfg.bands, 1):
-        made = {}
-        if "coherency" in kinds:
-            made["coherency"] = _attempt(_bartlett_coherency, rec, cfg.segment_samples, band)
-        if "analytic" in kinds:
-            made["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
-        if i == len(cfg.bands):
-            del rec
-        yield made
+    for metric in cfg.metrics:
+        kind, call = METRICS[metric]
+        s = _attempt(lambda x: weight_stats.summarize(weight_stats.upper_triangle_weights(
+            call(x, band, cfg.window).weights), cfg.n_bins), inputs[kind])
+        if isinstance(s, FcdistError):
+            fails.append(CellFailure(montage, metric, band.name, trial, _failure_text(s)))
+        else:
+            rows.append(TrialRow(montage, metric, band.name, trial,
+                                 s.mcw, s.skewness, s.kurtosis, s.entropy))
 
 
 def _simulate(cfg: ExperimentConfig, inputs: tuple, montage: int, trial: int
               ) -> tuple[list[TrialRow], list[CellFailure]]:
-    """``simulate_cell`` on the inputs ``_read_inputs(cfg)`` returned."""
-    return _unit_results(cfg, montage, trial, _record_band_inputs(cfg, inputs, montage, trial))
+    """``simulate_cell`` on the inputs ``_read_inputs(cfg)`` returned.
+
+    The record lives in this frame only, and is released once the last band's inputs
+    exist, before that band's metrics run; rebinding ``made`` releases a band's inputs
+    before the next band's are made.
+    """
+    kinds = {METRICS[m][0] for m in cfg.metrics}
+    rows, fails = [], []
+    rec = _attempt(_cell_record, *inputs, cfg, montage, trial)
+    for i, band in enumerate(cfg.bands, 1):
+        made = {}
+        if "coherency" in kinds:
+            # COH and iCOH read the band's bins only; the config sets the segment
+            # count, so a few-segment estimate gives no warning.
+            made["coherency"] = _attempt(spectral.coherency, _attempt(
+                spectral._bartlett_spectrum, rec, cfg.segment_samples, band))
+        if "analytic" in kinds:
+            made["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
+        if i == len(cfg.bands):
+            del rec
+        _band_results(cfg, montage, trial, band, made, rows, fails)
+    return rows, fails
 
 
 def simulate_cell(cfg: ExperimentConfig, montage: int, trial: int
@@ -322,8 +308,11 @@ def normative_subject(cfg: ExperimentConfig, path: Path | str, subject: int
         cs, _ = matrix_io.read_cross_spectrum(path)
     except FcdistError as err:
         return [], [CellFailure(0, "-", "-", subject, f"{Path(path).name}: {_failure_text(err)}")]
-    coh = _attempt(spectral.coherency, cs)
-    return _unit_results(cfg, cs.n_channels, subject, repeat({"coherency": coh}))
+    inputs = {"coherency": _attempt(spectral.coherency, cs)}
+    rows, fails = [], []
+    for band in cfg.bands:
+        _band_results(cfg, cs.n_channels, subject, band, inputs, rows, fails)
+    return rows, fails
 
 
 def _run_units(unit: Callable, keys: list[tuple], jobs: int = 1
@@ -420,7 +409,7 @@ def run_normative_analysis(
 
     Each input file is one subject and yields one scatter point per
     (metric, band); only the spectral metrics apply since no raw record
-    is available. Malformed files are skipped with a logged failure (NoData
+    is available. A malformed file is skipped and its failure recorded (NoData
     when no file could be read), and a subject whose spectra are unusable
     (e.g. a zero-power channel) records one failure per (metric, band) and
     is not used; correlations need three used subjects. A file listed twice,

@@ -199,8 +199,8 @@ def _bartlett_spectrum(rec: MultichannelRecord, segment_samples: int, band: Band
 
 
 def _check_segment(segment_samples: int) -> None:
-    """ValueError unless ``segment_samples`` is even and at least 4."""
-    if segment_samples < 4 or segment_samples % 2:
+    """ValueError unless ``segment_samples`` is an even integer of at least 4."""
+    if check_number("segment_samples", segment_samples, "integral") < 4 or segment_samples % 2:
         raise ValueError("segment_samples must be even and >= 4")
 
 
@@ -210,7 +210,7 @@ def _bartlett_bins(segment_samples: int, n_samples: int, fs: float, band: Band |
     (TooFewSegments) and a bin in ``band`` (EmptyBand). Returns the segment count,
     the frequencies kept (all but DC and Nyquist, or the band's) and the first's index."""
     _check_segment(segment_samples)
-    k_segments = n_samples // segment_samples
+    k_segments = n_samples // int(segment_samples)  # an int, as CrossSpectrum takes
     if k_segments < 2:
         raise TooFewSegments(f"{n_samples} samples hold {k_segments} segment(s) of "
                              f"{segment_samples}; need >= 2")

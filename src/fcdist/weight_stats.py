@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidData, checked_array
+from .errors import InvalidData, check_number, checked_array
 
 DEFAULT_BINS = 100
 MAX_BINS = 2**20
@@ -90,7 +90,7 @@ def kurtosis(w) -> float:
 
 def check_bins(n_bins: int) -> None:
     """ValueError unless 2 <= ``n_bins`` <= ``MAX_BINS``; a histogram is allocated whole."""
-    if not 2 <= n_bins <= MAX_BINS:
+    if not 2 <= check_number("n_bins", n_bins, "integral") <= MAX_BINS:
         raise ValueError(f"n_bins must be >= 2 and <= {MAX_BINS}, got {n_bins}")
 
 

@@ -1,5 +1,5 @@
-import json
 import sys
+import threading
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
@@ -69,15 +69,15 @@ def caller_blas_threads(n):
             set_threads(k)
 
 
-def blas_recorders(log):
+def blas_recorders(log: list):
     """(owner, name, wrapper) for ``np.linalg.eigh``, which the projection calls, and
     ``np.exp``, which PLV calls on complex phasors: the wrappers append this process's
-    OpenBLAS thread counts to the file ``log`` (exp only for complex input)."""
-    eigh, exp = np.linalg.eigh, np.exp
+    OpenBLAS thread counts to ``log`` under a lock (exp only for complex input)."""
+    eigh, exp, lock = np.linalg.eigh, np.exp, threading.Lock()
 
     def record():
-        with open(log, "a") as f:
-            f.write(json.dumps(forward._blas_threads()) + "\n")
+        with lock:
+            log.append(forward._blas_threads())
 
     def recording_eigh(a, *args, **kwargs):
         record()
@@ -89,9 +89,3 @@ def blas_recorders(log):
         return exp(x, *args, **kwargs)
 
     return [(np.linalg, "eigh", recording_eigh), (np, "exp", recording_exp)]
-
-
-def recorded_blas_threads(log):
-    """The thread counts that ``blas_recorders(log)`` wrote, in order."""
-    path = Path(log)
-    return [json.loads(line) for line in path.read_text().splitlines()] if path.exists() else []

@@ -540,6 +540,9 @@ _BAD_VALUES = [pytest.param(cls, changes, message, id=name) for name, cls, chang
     ("str-noise-sigma", SourceActivity, dict(noise_sigma="0.1"),
      "noise_sigma must be a number, got '0.1'"),
     ("float-noise-seed", SourceActivity, dict(noise_seed=1.5), "noise_seed must be an int, got 1.5"),
+    ("bool-n-sources", SourceActivity, dict(n_sources=True), "n_sources must be an int, got True"),
+    ("bool-noise-sigma", SourceActivity, dict(noise_sigma=True),
+     "noise_sigma must be a number, got True"),
     ("gain-name-count", LeadField, dict(channel_names=("a",)),
      "one channel name per gain row required"),
     ("positions-shape", Montage, dict(positions=np.eye(2)),
@@ -548,6 +551,60 @@ _BAD_VALUES = [pytest.param(cls, changes, message, id=name) for name, cls, chang
     ("record-1d", MultichannelRecord, dict(data=np.arange(4.0)),
      r"data must be 2-D, got shape \(4,\)"),
 ]]
+
+
+# (call, message) for each count or scale argument of the forward layer that is no
+# number of its kind: a plain ValueError that names the argument.
+_BAD_ARGUMENTS = [pytest.param(call, message, id=name) for name, call, message in [
+    ("leadfield-float-sources", lambda: generate_synthetic_leadfield("std19", 2.5),
+     "n_sources must be an int, got 2.5"),
+    ("sources-float-count", lambda: generate_synthetic_sources(2.5, 100, 200.0),
+     "n_sources must be an int, got 2.5"),
+    ("sources-float-samples", lambda: generate_synthetic_sources(3, 100.0, 200.0),
+     "n_samples must be an int, got 100.0"),
+    ("sources-str-alpha", lambda: generate_synthetic_sources(3, 100, 200.0, "10"),
+     "alpha_hz must be a number, got '10'"),
+    ("assemble-float-active", lambda: assemble_source_activity(small_library(), 4, 2.0, 0.0, 100),
+     "n_active must be an int, got 2.0"),
+    ("assemble-float-total", lambda: assemble_source_activity(small_library(), 3.5, 2, 0.0, 100),
+     "n_total must be an int, got 3.5"),
+    ("assemble-bool-total", lambda: assemble_source_activity(small_library(), True, 1, 0.0, 50),
+     "n_total must be an int, got True"),
+    ("assemble-float-samples", lambda: assemble_source_activity(small_library(), 4, 2, 0.0, 50.0),
+     "n_samples must be an int, got 50.0"),
+    ("assemble-str-sigma", lambda: assemble_source_activity(small_library(), 4, 2, "0.1", 50),
+     "noise_sigma must be a number, got '0.1'"),
+]]
+
+
+class TestArguments:
+    @pytest.mark.parametrize("call, message", _BAD_ARGUMENTS)
+    def test_bad_argument_is_value_error(self, call, message):
+        with pytest.raises(ValueError, match=message) as err:
+            call()
+        assert not isinstance(err.value, FcdistError)
+
+    def test_numpy_counts_and_scales(self):
+        # NumPy integers and floats build the activity of the equal Python values.
+        lib = small_library()
+        lf = generate_synthetic_leadfield(np.int64(19), np.int32(30), seed=2)
+        assert np.array_equal(lf.gain, generate_synthetic_leadfield(19, 30, seed=2).gain)
+        made = [assemble_source_activity(lib, np.int64(30), np.int64(4), np.float32(0.25),
+                                         np.int64(50), seed=3),
+                assemble_source_activity(lib, 30, 4, 0.25, 50, seed=3)]
+        for numpy_src, python_src in [made, [
+                forward.synthetic_source_activity(np.int64(30), np.int16(4), np.float32(0.25),
+                                                  np.int64(50), np.float32(200.0),
+                                                  np.float64(10.0), seed=3),
+                forward.synthetic_source_activity(30, 4, 0.25, 50, 200.0, 10.0, seed=3)]]:
+            assert np.array_equal(numpy_src.data, python_src.data)
+            assert np.array_equal(numpy_src.columns, python_src.columns)
+            assert (numpy_src.n_sources, numpy_src.noise_sigma, numpy_src.noise_seed) == \
+                (python_src.n_sources, python_src.noise_sigma, python_src.noise_seed)
+            assert np.array_equal(project_to_scalp(lf, numpy_src).data,
+                                  project_to_scalp(lf, python_src).data)
+        sources = generate_synthetic_sources(np.int64(3), np.int64(100), 200.0)
+        assert np.array_equal(sources.data, generate_synthetic_sources(3, 100, 200.0).data)
 
 
 class TestCheckedArrays:

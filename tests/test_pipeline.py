@@ -24,7 +24,6 @@ from conftest import (
     make_record,
     poison_alpha_entry,
     quiet_cross_spectrum,
-    recorded_blas_threads,
 )
 from oracles import allbin_bartlett_coherency
 
@@ -100,28 +99,29 @@ class TestSimulation:
         for name in ("trials.csv", "correlations.csv", "summary.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_jobs_do_not_change_results(self, tmp_path):
-        cfg = tiny_config(trials=4)
+    @pytest.mark.parametrize("bands", [(ALPHA,), DEFAULT_BANDS], ids=["alpha", "four-bands"])
+    def test_jobs_do_not_change_results(self, tmp_path, bands):
+        cfg = tiny_config(trials=4, metrics=tuple(METRICS), bands=bands)
         res1 = run_simulation_experiment(cfg, jobs=1)
         res2 = run_simulation_experiment(cfg, jobs=2)
         write_results(res1, tmp_path / "a")
         write_results(res2, tmp_path / "b")
-        assert (tmp_path / "a" / "trials.csv").read_bytes() == \
-            (tmp_path / "b" / "trials.csv").read_bytes()
+        for name in ("trials.csv", "correlations.csv", "summary.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
     @staticmethod
-    def _check_cells_use_one_blas_thread(monkeypatch, tmp_path, jobs):
+    def _check_cells_use_one_blas_thread(monkeypatch, jobs):
         """A 3-cell grid run with ``jobs``, the caller at two OpenBLAS threads: the cells'
         BLAS work (the projection's eigh, PLV's phasors) runs with one, the caller gets
         two back, also when a cell raises, and the rows are those of one unit at a time."""
-        log = str(tmp_path / "blas.log")
+        log = []
         for owner, name, wrapper in blas_recorders(log):
             monkeypatch.setattr(owner, name, wrapper)
         cfg = tiny_config()
         with caller_blas_threads(2) as n:
             rows = run_simulation_experiment(cfg, jobs=jobs).trial_rows
             # 3 cells, each one eigh and three 6-s PLV windows of a 20-s record
-            assert recorded_blas_threads(log) == [[1] * n] * 12
+            assert log == [[1] * n] * 12
             assert forward._blas_threads() == [2] * n
             assert rows == run_simulation_experiment(cfg, jobs=1).trial_rows
 
@@ -133,11 +133,11 @@ class TestSimulation:
                 run_simulation_experiment(cfg, jobs=jobs)
             assert forward._blas_threads() == [2] * n
 
-    def test_in_process_cells_use_one_blas_thread(self, monkeypatch, tmp_path):
-        self._check_cells_use_one_blas_thread(monkeypatch, tmp_path, 1)
+    def test_in_process_cells_use_one_blas_thread(self, monkeypatch):
+        self._check_cells_use_one_blas_thread(monkeypatch, 1)
 
-    def test_pool_threads_use_one_blas_thread(self, monkeypatch, tmp_path):
-        self._check_cells_use_one_blas_thread(monkeypatch, tmp_path, 2)
+    def test_pool_threads_use_one_blas_thread(self, monkeypatch):
+        self._check_cells_use_one_blas_thread(monkeypatch, 2)
         # one thread for the whole unit, not only inside each BLAS call
         with caller_blas_threads(2) as n:
             rows, _ = pipeline._run_units(lambda key: ([forward._blas_threads()], []),
@@ -242,7 +242,7 @@ class TestSimulation:
         def too_few(rec, segment_samples, band):
             raise TooFewSegments(f"{rec.n_samples} samples hold 1 segment(s)")
 
-        monkeypatch.setattr(pipeline, "_bartlett_coherency", too_few)
+        monkeypatch.setattr(spectral, "_bartlett_spectrum", too_few)
 
     def test_partial_failure_recorded(self, monkeypatch):
         # the two spectral metrics fail (2 of 5 cells per trial), the windowed
@@ -658,10 +658,12 @@ class TestBandBins:
                           bands=(*DEFAULT_BANDS, band_from_spec("x=10.0-10.1")))
         rec = pipeline.cell_record(cfg, 19, 1)
         coh = allbin_bartlett_coherency(rec, cfg.segment_samples)
-        rows, fails = pipeline._unit_results(cfg, 19, 1, ({
-            "coherency": coh,
-            "analytic": pipeline._attempt(spectral.bandpass_analytic, rec, band)}
-            for band in cfg.bands))
+        rows, fails = [], []
+        for band in cfg.bands:
+            pipeline._band_results(cfg, 19, 1, band, {
+                "coherency": coh,
+                "analytic": pipeline._attempt(spectral.bandpass_analytic, rec, band)},
+                rows, fails)
         assert simulate_cell(cfg, 19, 1) == (rows, fails)
         assert len(rows) == 4 * 5 + 3
         empty = "EmptyBand: band x (10.0, 10.1) Hz selects no bins on [0.3906, 99.61] Hz"

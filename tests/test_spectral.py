@@ -111,6 +111,15 @@ class TestBartlett:
         with pytest.raises(ValueError):
             bartlett_cross_spectrum(rec, 63)
 
+    def test_segment_must_be_an_integer(self, rng):
+        rec = make_record(rng.standard_normal((2, 640)), fs=64.0)
+        for bad in (8.0, True):
+            with pytest.raises(ValueError, match=f"segment_samples must be an int, got {bad}"):
+                bartlett_cross_spectrum(rec, bad)
+        a, b = quiet_cross_spectrum(rec, np.int64(64)), quiet_cross_spectrum(rec, 64)
+        assert np.array_equal(a.freqs, b.freqs) and np.array_equal(a.mats, b.mats)
+        assert a.n_segments == b.n_segments == 10
+
     @pytest.mark.parametrize("band, first, last", [
         (DEFAULT_BANDS[0], 3, 10),    # delta: the first bin any default band reads
         (DEFAULT_BANDS[3], 34, 49),   # beta: ends at 19.140625 Hz

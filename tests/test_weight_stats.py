@@ -126,6 +126,14 @@ class TestShannonEntropy:
             with pytest.raises(ValueError, match="n_bins must be >= 2 and <= 1048576"):
                 shannon_entropy(w, n_bins)
 
+    def test_bin_count_must_be_an_integer(self):
+        w = np.linspace(0.05, 0.95, 10)
+        for bad in (10.0, True):
+            with pytest.raises(ValueError, match=f"n_bins must be an int, got {bad}") as err:
+                summarize(w, bad)
+            assert not isinstance(err.value, FcdistError)
+        assert summarize(w, np.int64(10)) == summarize(w, 10)
+
     def test_empty_vector(self):
         with pytest.raises(InvalidData, match="need at least one value"):
             shannon_entropy([])
