@@ -8,12 +8,14 @@ covariance sigma^2 G_n G_n^T and white in time, so it is drawn in channel
 space at projection instead of source by source. Generators here are pure
 functions of their arguments: same arguments, bit-identical output.
 
-A synthetic cell's sources come from ``synthetic_source_activity``, which
-equals ``assemble_source_activity(generate_synthetic_sources(...))`` bit for
-bit without holding the library: the two paths share one row synthesis, one
-set of assembly draws and one normalisation. A grid cell hands the projection
-a maker of its activity, so the active rows are freed once projected, before
-the fill is drawn.
+The projection takes the active rows a block of about ``_BLOCK_BYTES`` at a
+time, in library order, and adds each block's product into the record, so a
+grid cell never holds its whole activity: a synthetic cell synthesizes each
+block of library rows into one reused buffer, a ``file:`` cell gathers each
+block of chosen library rows into it. ``project_to_scalp`` runs the same
+blocks over a held activity, so ``project_to_scalp(lf,
+assemble_source_activity(generate_synthetic_sources(...)))`` equals a grid
+cell's record bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import ctypes
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -47,9 +49,14 @@ _GAIN_POWER = 3
 _BLOCK_BYTES = 2 << 20
 
 
+def _block_rows(row_bytes: int) -> int:
+    """The rows of one row block: as many as fit in ``_BLOCK_BYTES``, at least one."""
+    return max(1, _BLOCK_BYTES // row_bytes)
+
+
 def _row_blocks(n_rows: int, row_bytes: int) -> list[slice]:
     """Consecutive row slices covering ``n_rows`` rows, each about ``_BLOCK_BYTES``."""
-    step = max(1, _BLOCK_BYTES // row_bytes)
+    step = _block_rows(row_bytes)
     return [slice(lo, lo + step) for lo in range(0, n_rows, step)]
 
 
@@ -246,11 +253,13 @@ def _resonator_denominator(freqs: np.ndarray, f0: float, q: float) -> np.ndarray
     return (1.0 - ratio**2) ** 2 + (ratio / q) ** 2
 
 
-def _check_synthetic(n_sources: int, n_samples: int, fs: float, alpha_hz: float | None) -> None:
-    """The arguments of ``generate_synthetic_sources``, in order; None skips ``alpha_hz``."""
+def _check_synthetic(n_sources: int, n_samples: int, fs: float, alpha_hz: float | None,
+                     name: str = "n_sources") -> None:
+    """The arguments of ``generate_synthetic_sources``, in order, its row count called
+    ``name``; None skips ``alpha_hz``."""
     check_rate(fs, ValueError)
-    if check_number("n_sources", n_sources, "integral") < 1:
-        raise ValueError("n_sources must be >= 1")
+    if check_number(name, n_sources, "integral") < 1:
+        raise ValueError(f"{name} must be >= 1")
     if check_number("n_samples", n_samples, "integral") < 4:
         raise ValueError("n_samples must be >= 4")
     if alpha_hz is not None and not 0.0 < check_number("alpha_hz", alpha_hz, "real") < fs / 2.0:
@@ -263,17 +272,18 @@ def _check_noise_sigma(noise_sigma: float, error: type[ValueError] = ValueError)
         raise error("noise_sigma must be non-negative and finite")
 
 
-def _synthesize_rows(out: np.ndarray, slots: np.ndarray, fs: float, alpha_hz: float,
-                     seed: int) -> None:
-    """Write row k of the synthetic library into ``out[slots[k]]``.
+def _synthesize_rows(out: np.ndarray, n_sources: int, fs: float, alpha_hz: float,
+                     seed: int) -> Iterator[np.ndarray]:
+    """Write the synthetic library's rows into ``out``, ``len(out)`` rows at a time, and
+    yield each part of ``out`` so written before the next part overwrites it.
 
-    The library, and its model, is ``generate_synthetic_sources(slots.size,
+    The library, and its model, is ``generate_synthetic_sources(n_sources,
     out.shape[1], fs, alpha_hz, seed)``, whose arguments the caller has
     checked with ``_check_synthetic``. Rows are synthesized a block at a
     time, each temporary about a quarter of ``_BLOCK_BYTES``; the random
     stream, and so every bit, is that of one row at a time.
     """
-    n_sources, n_samples = slots.size, out.shape[1]
+    n_samples = out.shape[1]
     rng = np.random.default_rng(seed)
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs)
 
@@ -334,17 +344,21 @@ def _synthesize_rows(out: np.ndarray, slots: np.ndarray, fs: float, alpha_hz: fl
         return np.sqrt(background_scale[rows, None] * background_power
                        + private_scale[:, None] * private_power)
 
-    # The largest per-row temporary is the complex spectrum, 16 bytes a bin.
-    for rows in _row_blocks(n_sources, 4 * 16 * n_bins):
-        block = _spectral_rows(rng, amplitude(rows), n_samples)
-        # The network part, circularly delayed: np.roll as two slice adds.
-        for row, k in zip(block, range(*rows.indices(n_sources))):
-            shift = int(lags[k]) % n_samples
-            part = np.sqrt(v[k])
-            network = networks[member[k]]
-            row[shift:] += part * network[:n_samples - shift]
-            row[:shift] += part * network[n_samples - shift:]
-        out[slots[rows]] = block
+    for lo in range(0, n_sources, len(out)):
+        part = out[:n_sources - lo]
+        # The largest per-row temporary is the complex spectrum, 16 bytes a bin.
+        for sub in _row_blocks(len(part), 4 * 16 * n_bins):
+            block = part[sub]
+            rows = slice(lo + sub.start, lo + sub.start + len(block))
+            block[...] = _spectral_rows(rng, amplitude(rows), n_samples)
+            # The network part, circularly delayed: np.roll as two slice adds.
+            for row, k in zip(block, range(rows.start, rows.stop)):
+                shift = int(lags[k]) % n_samples
+                weight = np.sqrt(v[k])
+                network = networks[member[k]]
+                row[shift:] += weight * network[:n_samples - shift]
+                row[:shift] += weight * network[n_samples - shift:]
+        yield part
 
 
 def generate_synthetic_sources(
@@ -376,13 +390,15 @@ def generate_synthetic_sources(
     """
     _check_synthetic(n_sources, n_samples, fs, alpha_hz)
     data = np.empty((n_sources, n_samples))
-    _synthesize_rows(data, np.arange(n_sources), fs, alpha_hz, seed)
+    for _ in _synthesize_rows(data, n_sources, fs, alpha_hz, seed):
+        pass  # one part: every row
     return SourceLibrary(data=data, fs=fs, origin=f"synthetic(seed={seed})")
 
 
 def _assembly_draws(n_library: int, n_total: int, n_active: int, noise_sigma: float,
                     seed: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """Check the assembly's counts; draw its chosen rows, source order and fill seed."""
+    """Check the assembly's counts; draw its chosen rows, in library order, the column
+    of each and the fill seed."""
     if check_number("n_total", n_total, "integral") < 1:
         raise ValueError("n_total must be >= 1")
     if not 0 <= check_number("n_active", n_active, "integral") <= n_total:
@@ -396,19 +412,51 @@ def _assembly_draws(n_library: int, n_total: int, n_active: int, noise_sigma: fl
     chosen = rng.choice(n_library, size=n_active, replace=False)
     order = rng.permutation(n_total)
     noise_seed = int(rng.integers(2**63))
-    return chosen, order, noise_seed
+    # Library row chosen[i] goes to column order[i]; list the pairs by library row.
+    by_row = np.argsort(chosen)
+    return chosen[by_row], order[:n_active][by_row], noise_seed
 
 
-def _normalised_activity(active: np.ndarray, fs: float, order: np.ndarray, n_total: int,
-                         noise_sigma: float, noise_seed: int) -> SourceActivity:
-    """Scale the active rows to unit sample variance in place, a row block at a time."""
-    for rows in _row_blocks(active.shape[0], 8 * active.shape[1]):
-        sd = active[rows].std(axis=1, keepdims=True)
-        if np.any(sd == 0):
-            raise InvalidData("selected library rows include a constant row")
-        active[rows] /= sd
-    return SourceActivity(data=active, fs=fs, columns=order[:active.shape[0]],
-                          n_sources=n_total, noise_sigma=noise_sigma, noise_seed=noise_seed)
+class _ActiveRows(NamedTuple):
+    """An activity whose explicit rows come a block at a time: ``blocks`` yields them in
+    the order of ``columns``, and a block may be overwritten once the next is asked
+    for. The other fields are ``SourceActivity``'s."""
+
+    blocks: Iterator[np.ndarray]
+    columns: np.ndarray
+    n_sources: int
+    noise_sigma: float
+    noise_seed: int
+    fs: float
+    n_samples: int
+
+
+def _unit_variance(rows: np.ndarray) -> np.ndarray:
+    """``rows``, each scaled in place to unit sample variance."""
+    sd = rows.std(axis=1, keepdims=True)
+    if np.any(sd == 0):
+        raise InvalidData("selected library rows include a constant row")
+    rows /= sd
+    return rows
+
+
+def _library_activity(library: SourceLibrary, n_total: int, n_active: int,
+                      noise_sigma: float, n_samples: int, seed: int) -> _ActiveRows:
+    """``assemble_source_activity``'s activity with its rows streamed: no copy of the
+    chosen rows is made but one row block at a time."""
+    rows, columns, noise_seed = _assembly_draws(library.n_library, n_total, n_active,
+                                                noise_sigma, seed)
+    if check_number("n_samples", n_samples, "integral") > library.n_samples:
+        raise InsufficientSamples(
+            f"requested {n_samples} samples; library rows hold {library.n_samples}"
+        )
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    # Indexing copies: one row block of the chosen rows at a time.
+    blocks = (_unit_variance(library.data[rows[block], :n_samples])
+              for block in _row_blocks(rows.size, 8 * n_samples))
+    return _ActiveRows(blocks, columns, n_total, noise_sigma, noise_seed, library.fs,
+                       n_samples)
 
 
 def assemble_source_activity(
@@ -424,47 +472,37 @@ def assemble_source_activity(
     Exactly ``n_active`` distinct library rows are selected, truncated to
     ``n_samples`` and normalized to unit sample variance, and placed at
     seed-determined source positions (the head of a permutation of
-    ``n_total``). The remaining ``n_total - n_active`` sources are i.i.d.
-    zero-mean Gaussian with standard deviation ``noise_sigma``; they are
-    not drawn here but at projection, in channel space, with covariance
+    ``n_total``). The rows are listed in library order, each with its
+    position in ``columns``. The remaining ``n_total - n_active`` sources are
+    i.i.d. zero-mean Gaussian with standard deviation ``noise_sigma``; they
+    are not drawn here but at projection, in channel space, with covariance
     noise_sigma^2 G_n G_n^T and a seed taken from the same stream.
     """
-    chosen, order, noise_seed = _assembly_draws(library.n_library, n_total, n_active,
-                                                noise_sigma, seed)
-    if check_number("n_samples", n_samples, "integral") > library.n_samples:
-        raise InsufficientSamples(
-            f"requested {n_samples} samples; library rows hold {library.n_samples}"
-        )
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    active = library.data[chosen, :n_samples]  # indexing copies
-    return _normalised_activity(active, library.fs, order, n_total, noise_sigma, noise_seed)
+    src = _library_activity(library, n_total, n_active, noise_sigma, n_samples, seed)
+    data = np.empty((len(src.columns), src.n_samples))
+    lo = 0
+    for block in src.blocks:
+        data[lo : lo + len(block)] = block
+        lo += len(block)
+    return SourceActivity(data=data, fs=src.fs, columns=src.columns, n_sources=n_total,
+                          noise_sigma=noise_sigma, noise_seed=src.noise_seed)
 
 
-def synthetic_source_activity(
-    n_total: int,
-    n_active: int,
-    noise_sigma: float,
-    n_samples: int,
-    fs: float,
-    alpha_hz: float = 10.0,
-    library_seed: int = 0,
-    seed: int = 0,
-) -> SourceActivity:
-    """``assemble_source_activity`` of an ``n_active``-row synthetic library, bit for bit.
-
-    Equal to ``assemble_source_activity(generate_synthetic_sources(n_active,
-    n_samples, fs, alpha_hz, library_seed), n_total, n_active, noise_sigma,
-    n_samples, seed)``, but no library is held: the assembly's draws come
-    first, and each library row is written straight to the row the assembly
-    would copy it to.
-    """
-    _check_synthetic(n_active, n_samples, fs, alpha_hz)
-    chosen, order, noise_seed = _assembly_draws(n_active, n_total, n_active, noise_sigma, seed)
-    # Every library row is chosen; library row chosen[i] becomes row i.
-    active = np.empty((n_active, n_samples))
-    _synthesize_rows(active, np.argsort(chosen), fs, alpha_hz, library_seed)
-    return _normalised_activity(active, fs, order, n_total, noise_sigma, noise_seed)
+def _synthetic_activity(n_total: int, n_active: int, noise_sigma: float, n_samples: int,
+                        fs: float, alpha_hz: float, library_seed: int, seed: int
+                        ) -> _ActiveRows:
+    """The activity of ``assemble_source_activity(generate_synthetic_sources(n_active,
+    n_samples, fs, alpha_hz, library_seed), n_total, n_active, noise_sigma, n_samples,
+    seed)`` with its rows streamed: each block of library rows is synthesized into one
+    buffer and normalised there, so no library is held."""
+    _check_synthetic(n_active, n_samples, fs, alpha_hz, "n_active")
+    _, columns, noise_seed = _assembly_draws(n_active, n_total, n_active, noise_sigma, seed)
+    # Every library row is chosen, so library order is the synthesis order; the
+    # buffer holds one block of _row_blocks(n_active, 8 * n_samples).
+    buffer = np.empty((min(n_active, _block_rows(8 * n_samples)), n_samples))
+    parts = _synthesize_rows(buffer, n_active, fs, alpha_hz, library_seed)
+    return _ActiveRows(map(_unit_variance, parts), columns, n_total, noise_sigma,
+                       noise_seed, fs, n_samples)
 
 
 @_one_blas_thread()
@@ -514,41 +552,49 @@ def generate_synthetic_leadfield(
 def project_to_scalp(lf: LeadField, src: SourceActivity) -> MultichannelRecord:
     """Forward solution: scalp record = gain @ source activity.
 
-    The explicit rows project through their gain columns. The fill of the
-    other columns G_n is added as noise_sigma * S @ z, where S is the
-    symmetric square root of G_n G_n^T (from ``eigh``, eigenvalues clipped
-    at 0, so a rank-deficient gain is fine) and z an (n_channels, n_samples)
+    The explicit rows project through their gain columns, in row blocks of
+    about 2 MB whose products are summed in order. The fill of the other
+    columns G_n is added as noise_sigma * S @ z, where S is the symmetric
+    square root of G_n G_n^T (from ``eigh``, eigenvalues clipped at 0, so a
+    rank-deficient gain is fine) and z an (n_channels, n_samples)
     standard-normal draw seeded from ``noise_seed``: the same distribution
-    as projecting the fill sources one by one. The explicit rows' product is
-    formed first; the caller's ``src`` lives through the fill's draw.
+    as projecting the fill sources one by one.
     """
-    return _project(lf, lambda: src)
+    n_rows, n_samples = src.data.shape
+    blocks = (src.data[rows] for rows in _row_blocks(n_rows, 8 * n_samples))
+    return _project(lf, _ActiveRows(blocks, src.columns, src.n_sources, src.noise_sigma,
+                                    src.noise_seed, src.fs, n_samples))
 
 
 @_one_blas_thread()
-def _project(lf: LeadField, make_src: Callable[[], SourceActivity]) -> MultichannelRecord:
-    """``project_to_scalp(lf, make_src())``, in which the activity lives only until its
-    rows are projected.
+def _project(lf: LeadField, src: _ActiveRows) -> MultichannelRecord:
+    """``project_to_scalp`` of an activity whose explicit rows come a block at a time.
 
-    This frame makes the activity, so where no caller keeps it, its rows are freed
-    before the fill's Gram matrix and draw exist. The fill is added after the
-    explicit rows' product; IEEE addition commutes, so the sum has the bits of
-    adding them in either order.
+    Each block's product with its gain columns goes into one record-sized temporary
+    and is added to the record; the fill's product reuses that temporary. So the
+    record, the temporary and one block are held, never the whole activity, and the
+    sum runs over the blocks in order, then the fill: the same blocks give the same
+    bits, whoever makes them.
     """
-    src = make_src()
     if lf.n_sources != src.n_sources:
         raise ShapeMismatch(
             f"lead field has {lf.n_sources} sources, activity has {src.n_sources}"
         )
-    data = lf.gain[:, src.columns] @ src.data
-    fs, columns, n_samples = src.fs, src.columns, src.n_samples
-    noise_sigma, noise_seed = src.noise_sigma, src.noise_seed
-    del src
-    if noise_sigma > 0 and columns.size < lf.n_sources:
-        fill = np.delete(lf.gain, columns, axis=1)
+    data = np.zeros((lf.n_channels, src.n_samples))
+    product = np.empty_like(data)
+    lo = 0
+    for block in src.blocks:
+        hi = lo + len(block)
+        data += np.matmul(lf.gain[:, src.columns[lo:hi]], block, out=product)
+        lo = hi
+    block = None  # the last block's buffer goes before the fill is drawn
+    if src.noise_sigma > 0 and src.columns.size < lf.n_sources:
+        fill = np.delete(lf.gain, src.columns, axis=1)
         w, v = np.linalg.eigh(fill @ fill.T)
         del fill
-        root = (v * (noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
-        z = np.random.default_rng(noise_seed).standard_normal((lf.n_channels, n_samples))
-        data += root @ z
-    return MultichannelRecord(data=data, fs=fs, channel_names=lf.channel_names)
+        root = (v * (src.noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
+        z = np.random.default_rng(src.noise_seed).standard_normal(data.shape)
+        data += np.matmul(root, z, out=product)
+        del z
+    del product  # before the record's finiteness check allocates
+    return MultichannelRecord(data=data, fs=src.fs, channel_names=lf.channel_names)

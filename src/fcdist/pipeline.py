@@ -15,7 +15,6 @@ import os
 import statistics
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, astuple, dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -118,7 +117,8 @@ class ExperimentConfig:
         if self.n_active > self.n_sources:
             raise ValueError("n_active cannot exceed n_sources")
         forward._check_synthetic(self.n_active, self.n_samples, self.fs,
-                                 self.alpha_hz if self.source_mode == "synthetic" else None)
+                                 self.alpha_hz if self.source_mode == "synthetic" else None,
+                                 "n_active")
         forward._check_noise_sigma(self.noise_sigma)
         for b in self.bands:
             spectral._check_below_nyquist(b, self.fs)
@@ -207,19 +207,19 @@ def _cell_record(lf, lib, cfg: ExperimentConfig, montage: int, trial: int):
     if isinstance(lib, FcdistError):  # returned, not raised: the run's cells share it
         return lib
     seed = mix64(cfg.master_seed, trial, montage, 2)
-    # The projection makes the activity, so the active rows are freed once projected.
+    # The projection takes the active rows a block at a time, so no cell holds them all.
     if lib is None:
-        # The synthetic library's rows are written straight into the activity.
-        make_src = partial(forward.synthetic_source_activity, cfg.n_sources, cfg.n_active,
-                           cfg.noise_sigma, cfg.n_samples, cfg.fs, cfg.alpha_hz,
-                           library_seed=mix64(cfg.master_seed, trial, montage, 1), seed=seed)
+        # Each block of the synthetic library's rows is synthesized into one buffer.
+        src = forward._synthetic_activity(cfg.n_sources, cfg.n_active, cfg.noise_sigma,
+                                          cfg.n_samples, cfg.fs, cfg.alpha_hz,
+                                          mix64(cfg.master_seed, trial, montage, 1), seed)
     elif lib.fs != cfg.fs:
         raise InvalidData(f"source library {_mode_path(cfg.source_mode)} is sampled at "
                           f"{lib.fs} Hz, not the config's fs {cfg.fs} Hz")
     else:
-        make_src = partial(forward.assemble_source_activity, lib, cfg.n_sources, cfg.n_active,
-                           cfg.noise_sigma, cfg.n_samples, seed=seed)
-    return forward._project(lf, make_src)
+        src = forward._library_activity(lib, cfg.n_sources, cfg.n_active, cfg.noise_sigma,
+                                        cfg.n_samples, seed)
+    return forward._project(lf, src)
 
 
 def cell_record(cfg: ExperimentConfig, montage: int, trial: int) -> forward.MultichannelRecord:

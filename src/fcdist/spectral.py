@@ -288,15 +288,20 @@ def bandpass_analytic(rec: MultichannelRecord, band: Band) -> AnalyticRecord:
 
     # Each row's transforms are independent of the others', so blocks of rows
     # give the whole record's bits while no whole-record complex array exists.
+    # Two complex arrays of a block live at once (the transform's input cast and
+    # its output, then the spectrum and the analytic signal), so together they
+    # come to about one block's bytes.
     phase = np.empty((n_ch, n))
     envelope = np.empty((n_ch, n))
-    for rows in _row_blocks(n_ch, 16 * n):
+    for rows in _row_blocks(n_ch, 2 * 16 * n):
         spec = np.fft.fft(rec.data[rows], axis=1)
         spec *= gain
         analytic = np.fft.ifft(spec, axis=1)
+        del spec
         # np.angle's definition, written into the block of ``phase``.
         np.arctan2(analytic.imag, analytic.real, out=phase[rows])
         np.abs(analytic, out=envelope[rows])
+        del analytic  # before the next block's transform
     np.copyto(phase, np.pi, where=phase == -np.pi)
     return AnalyticRecord(phase=phase, envelope=envelope, fs=rec.fs, band=band)
 

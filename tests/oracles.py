@@ -404,10 +404,15 @@ def reference_source_activity(
 def explicit_first_projection(lf, src: SourceActivity) -> MultichannelRecord:
     """Forward projection that forms the explicit rows' product before the fill.
 
-    The earlier operation order: gain[:, columns] @ data, then the fill
-    root @ z added to it, with the fill drawn as ``project_to_scalp`` draws it.
+    The explicit rows' product is summed from zero over blocks of as many rows
+    as fit in 2 MiB (at least one), gain[:, columns[block]] @ data[block] in
+    row order; then the fill root @ z is added, drawn as ``project_to_scalp``
+    draws it.
     """
-    data = lf.gain[:, src.columns] @ src.data
+    step = max(1, (2 << 20) // (8 * src.n_samples))
+    data = np.zeros((lf.n_channels, src.n_samples))
+    for lo in range(0, src.data.shape[0], step):
+        data += lf.gain[:, src.columns[lo : lo + step]] @ src.data[lo : lo + step]
     if src.noise_sigma > 0 and src.columns.size < src.n_sources:
         fill = np.delete(lf.gain, src.columns, axis=1)
         w, v = np.linalg.eigh(fill @ fill.T)

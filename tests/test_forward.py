@@ -12,6 +12,7 @@ from oracles import (
 from fcdist import (
     assemble_source_activity,
     forward,
+    pipeline,
     generate_synthetic_leadfield,
     generate_synthetic_sources,
     project_to_scalp,
@@ -90,6 +91,18 @@ class TestAssemble:
         lib = small_library()
         src = assemble_source_activity(lib, 30, 10, 0.05, 500, seed=42)
         ref = reference_source_activity(lib, 30, 10, 0.05, 500, seed=42)
+        assert np.array_equal(src.data, ref.data[src.columns])
+
+    def test_rows_in_library_order(self):
+        # The chosen rows are listed by library row, each with the column the
+        # seed drew for it, so the record is summed in library order.
+        lib = small_library(30, 500)
+        src = assemble_source_activity(lib, 40, 20, 0.05, 500, seed=42)
+        normed = lib.data / lib.data.std(axis=1, keepdims=True)
+        where = {row.tobytes(): i for i, row in enumerate(normed)}
+        picked = [where[row.tobytes()] for row in src.data]
+        assert picked == sorted(picked) and len(set(picked)) == 20
+        ref = reference_source_activity(lib, 40, 20, 0.05, 500, seed=42)
         assert np.array_equal(src.data, ref.data[src.columns])
 
     def test_active_rows_match_reference_across_blocks(self):
@@ -194,14 +207,18 @@ class TestBlockedSynthesis:
         (40, 12, 4, 200.0, 10.0),
     ])
     def test_fused_equals_generate_then_assemble(self, n_total, n_active, samples, fs, alpha):
-        fused = forward.synthetic_source_activity(n_total, n_active, 0.05, samples, fs, alpha,
-                                                  library_seed=4, seed=9)
-        lib = generate_synthetic_sources(n_active, samples, fs, alpha, seed=4)
-        two_step = assemble_source_activity(lib, n_total, n_active, 0.05, samples, seed=9)
-        assert np.array_equal(fused.data, two_step.data)
-        assert np.array_equal(fused.columns, two_step.columns)
-        assert fused.noise_seed == two_step.noise_seed
-        assert fused.n_sources == two_step.n_sources == n_total
+        # A grid cell synthesizes and assembles its rows a block at a time, and
+        # its record equals projecting the library's assembled activity.
+        cfg = pipeline.ExperimentConfig(montages=(19,), trials=3, fs=fs, n_samples=samples,
+                                        n_sources=n_total, n_active=n_active,
+                                        noise_sigma=0.05, alpha_hz=alpha, master_seed=4)
+        lf = generate_synthetic_leadfield(19, n_total, seed=pipeline.mix64(4, 19, 3))
+        lib = generate_synthetic_sources(n_active, samples, fs, alpha,
+                                         seed=pipeline.mix64(4, 2, 19, 1))
+        two_step = assemble_source_activity(lib, n_total, n_active, 0.05, samples,
+                                            seed=pipeline.mix64(4, 2, 19, 2))
+        assert np.array_equal(pipeline.cell_record(cfg, 19, 2).data,
+                              project_to_scalp(lf, two_step).data)
 
     @pytest.mark.parametrize("args, error", [
         ((30, 0, 0.05, 500, 200.0, 10.0), ValueError),
@@ -212,15 +229,26 @@ class TestBlockedSynthesis:
         ((30, 10, np.inf, 500, 200.0, 10.0), ValueError),
     ])
     def test_fused_rejects_as_two_step(self, args, error):
+        # The streamed activity calls the library's row count n_active.
         n_total, n_active, sigma, samples, fs, alpha = args
         with pytest.raises(error) as two_step:
             lib = generate_synthetic_sources(n_active, samples, fs, alpha)
             assemble_source_activity(lib, n_total, n_active, sigma, samples)
         with pytest.raises(error) as fused:
-            forward.synthetic_source_activity(*args)
-        assert str(fused.value) == str(two_step.value)
+            forward._synthetic_activity(*args, library_seed=0, seed=0)
+        assert str(fused.value) == str(two_step.value).replace("n_sources", "n_active")
         # A bad argument is a plain ValueError, bad data an InvalidData.
         assert isinstance(fused.value, FcdistError) == issubclass(error, FcdistError)
+
+    @pytest.mark.parametrize("n_active, message", [
+        (0, "n_active must be >= 1"),
+        (2.0, "n_active must be an int, got 2.0"),
+        (True, "n_active must be an int, got True"),
+    ], ids=["none", "float", "bool"])
+    def test_fused_names_n_active(self, n_active, message):
+        with pytest.raises(ValueError, match=message) as err:
+            forward._synthetic_activity(4, n_active, 0.0, 100, 200.0, 10.0, 0, 0)
+        assert not isinstance(err.value, FcdistError)
 
 
 class TestSyntheticLeadfield:
@@ -589,20 +617,20 @@ class TestArguments:
         lib = small_library()
         lf = generate_synthetic_leadfield(np.int64(19), np.int32(30), seed=2)
         assert np.array_equal(lf.gain, generate_synthetic_leadfield(19, 30, seed=2).gain)
-        made = [assemble_source_activity(lib, np.int64(30), np.int64(4), np.float32(0.25),
-                                         np.int64(50), seed=3),
-                assemble_source_activity(lib, 30, 4, 0.25, 50, seed=3)]
-        for numpy_src, python_src in [made, [
-                forward.synthetic_source_activity(np.int64(30), np.int16(4), np.float32(0.25),
-                                                  np.int64(50), np.float32(200.0),
-                                                  np.float64(10.0), seed=3),
-                forward.synthetic_source_activity(30, 4, 0.25, 50, 200.0, 10.0, seed=3)]]:
-            assert np.array_equal(numpy_src.data, python_src.data)
-            assert np.array_equal(numpy_src.columns, python_src.columns)
-            assert (numpy_src.n_sources, numpy_src.noise_sigma, numpy_src.noise_seed) == \
-                (python_src.n_sources, python_src.noise_sigma, python_src.noise_seed)
-            assert np.array_equal(project_to_scalp(lf, numpy_src).data,
-                                  project_to_scalp(lf, python_src).data)
+        numpy_src, python_src = [assemble_source_activity(lib, np.int64(30), np.int64(4),
+                                                          np.float32(0.25), np.int64(50), seed=3),
+                                 assemble_source_activity(lib, 30, 4, 0.25, 50, seed=3)]
+        assert np.array_equal(numpy_src.data, python_src.data)
+        assert np.array_equal(numpy_src.columns, python_src.columns)
+        assert (numpy_src.n_sources, numpy_src.noise_sigma, numpy_src.noise_seed) == \
+            (python_src.n_sources, python_src.noise_sigma, python_src.noise_seed)
+        assert np.array_equal(project_to_scalp(lf, numpy_src).data,
+                              project_to_scalp(lf, python_src).data)
+        streamed = [forward._project(lf, forward._synthetic_activity(*args, seed=3))
+                    for args in [(np.int64(30), np.int16(4), np.float32(0.25), np.int64(50),
+                                  np.float32(200.0), np.float64(10.0), np.int64(0)),
+                                 (30, 4, 0.25, 50, 200.0, 10.0, 0)]]
+        assert np.array_equal(streamed[0].data, streamed[1].data)
         sources = generate_synthetic_sources(np.int64(3), np.int64(100), 200.0)
         assert np.array_equal(sources.data, generate_synthetic_sources(3, 100, 200.0).data)
 

@@ -571,22 +571,22 @@ class TestSimulation:
             assert (row.mcw, row.skewness, row.kurtosis, row.entropy) == \
                 (s.mcw, s.skewness, s.kurtosis, s.entropy), row.metric
 
-    def test_activity_is_freed_before_the_fill_is_drawn(self, monkeypatch):
-        make, eigh, owners, alive = forward.synthetic_source_activity, np.linalg.eigh, [], []
-
-        def made(*args, **kwargs):
-            src = make(*args, **kwargs)
-            owners.extend(map(weakref.ref, (src, _buffer_owner(src.data))))
-            return src
-
-        def eigh_after(a):
-            alive.append([ref() is not None for ref in owners])
-            return eigh(a)
-
-        monkeypatch.setattr(forward, "synthetic_source_activity", made)
-        monkeypatch.setattr(np.linalg, "eigh", eigh_after)
-        pipeline.cell_record(tiny_config(), 19, 0)
-        assert alive == [[False, False]]
+    @pytest.mark.parametrize("library", [None, "held"], ids=["synthetic", "library"])
+    def test_no_array_holds_the_activity(self, library):
+        # The projection takes the active rows a block at a time: a cell's record
+        # peaks well below the bytes of its 200 x 10,000 activity, which any
+        # array holding the whole activity would reach on its own.
+        cfg = pipeline.desk_scale_config((19,), trials=3)
+        if library is not None:
+            library = forward.generate_synthetic_sources(400, cfg.n_samples + 7, cfg.fs, seed=3)
+        tracemalloc.start()
+        try:
+            pipeline._cell_record(None, library, cfg, 19, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        activity = 8 * cfg.n_active * cfg.n_samples
+        assert peak < 0.75 * activity, f"peak {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("bands, alive_in_band", [
         ((ALPHA,), [False]),
@@ -632,12 +632,14 @@ class TestSimulation:
         assert alive == [[], [False]]
 
     # A 128-channel desk cell peaked at 73 MiB when the analytic signal, the
-    # assembly and the projection held whole-record temporaries; now 41 MiB.
-    # A synthetic cell holds no source library, and the projection frees the
-    # active rows before it draws the fill, so the 19-, 32- and 64-channel
-    # peaks are 18.1, 18.5 and 23.6 MiB; the 128-channel one is the analytic
-    # signal's. NumPy reports its array buffers to tracemalloc.
-    @pytest.mark.parametrize("montage, limit_mib", [(19, 20), (32, 21), (64, 26), (128, 45)])
+    # assembly and the projection held whole-record temporaries. A cell holds
+    # neither a source library nor its whole activity, since the projection
+    # takes the active rows a block at a time, and the analytic signal's
+    # temporaries come to one row block: the peaks are 9.0, 10.3, 17.5 and
+    # 34.6 MiB at 19, 32, 64 and 128 channels. NumPy reports its array buffers
+    # to tracemalloc.
+    @pytest.mark.parametrize("montage, limit_mib",
+                             [(19, 10), (32, 11.5), (64, 19.5), (128, 37)])
     def test_cell_working_set(self, montage, limit_mib):
         cfg = pipeline.desk_scale_config((montage,), trials=3)
         tracemalloc.start()
@@ -648,6 +650,42 @@ class TestSimulation:
             tracemalloc.stop()
         assert len(rows) == len(cfg.metrics) and not fails
         assert peak <= limit_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+# Rows in one block of active rows at 10,000 samples, as the projection takes them.
+_BLOCK_ROWS = forward._block_rows(8 * 10000)
+
+
+class TestStreamedProjection:
+    """A cell's streamed record equals the tracer's generate, assemble, project, at the
+    row-block edges and from a file library; ``tests/test_forward.py`` has more shapes."""
+
+    @pytest.mark.parametrize("n_active", [_BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1],
+                             ids=["block-1", "two-blocks", "two-blocks+1"])
+    def test_synthetic_record_equals_two_step(self, n_active):
+        cfg = tiny_config(n_sources=3002, n_active=n_active, n_samples=10000, noise_sigma=0.05)
+        lf = forward.generate_synthetic_leadfield(19, 3002, seed=mix64(7, 19, 3))
+        lib = forward.generate_synthetic_sources(n_active, 10000, 200.0, 10.0,
+                                                 seed=mix64(7, 2, 19, 1))
+        src = forward.assemble_source_activity(lib, 3002, n_active, 0.05, 10000,
+                                               seed=mix64(7, 2, 19, 2))
+        assert np.array_equal(pipeline.cell_record(cfg, 19, 2).data,
+                              forward.project_to_scalp(lf, src).data)
+
+    def test_file_library_record_equals_two_step(self, tmp_path):
+        # 45 of 60 library rows, cut from 9,010 to 9,000 samples: one whole row
+        # block and a part of another, gathered from rows longer than used.
+        lib = forward.generate_synthetic_sources(60, 9010, 200.0, 10.0, seed=5)
+        matrix_io.write_source_library(tmp_path / "lib.csv", lib)
+        lib = matrix_io.read_source_library(tmp_path / "lib.csv")
+        cfg = tiny_config(n_samples=9000, n_active=45,
+                          source_mode=f"file:{tmp_path / 'lib.csv'}")
+        assert _BLOCK_ROWS < forward._block_rows(8 * 9000) < 45
+        lf = forward.generate_synthetic_leadfield(19, 300, seed=mix64(7, 19, 3))
+        src = forward.assemble_source_activity(lib, 300, 45, cfg.noise_sigma, 9000,
+                                               seed=mix64(7, 1, 19, 2))
+        assert np.array_equal(pipeline.cell_record(cfg, 19, 1).data,
+                              forward.project_to_scalp(lf, src).data)
 
 
 class TestBandBins:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -248,12 +250,25 @@ class TestBandpassAnalytic:
                                       lambda block: 128],
                              ids=["1", "block-1", "block", "block+1", "128"])
     def test_blocks_equal_oneshot_exactly(self, rng, n_ch, n_samples):
-        block = forward._BLOCK_BYTES // (16 * n_samples)
+        block = forward._BLOCK_BYTES // (2 * 16 * n_samples)  # two complex rows a row
         rec = make_record(rng.standard_normal((n_ch(block), n_samples)))
         a = bandpass_analytic(rec, ALPHA)
         ref = oneshot_bandpass_analytic(rec, ALPHA)
         assert np.array_equal(a.phase, ref.phase)
         assert np.array_equal(a.envelope, ref.envelope)
+
+    def test_temporaries_stay_within_one_block(self, rng):
+        # Beside its phase and envelope, the analytic signal holds about one row
+        # block of complex temporaries, not one block per array.
+        rec = make_record(rng.standard_normal((64, 10000)))
+        tracemalloc.start()
+        try:
+            bandpass_analytic(rec, ALPHA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - 2 * rec.data.nbytes
+        assert extra <= 1.25 * forward._BLOCK_BYTES, f"{extra / 2**20:.2f} MiB"
 
     def test_sinusoid_envelope_flat(self):
         fs, n = 200.0, 2000
