@@ -308,7 +308,7 @@ def _synthesize_rows(out: np.ndarray, n_sources: int, fs: float, alpha_hz: float
     # Per-row mixture: rhythmic rows get most of their variance from the
     # rhythm, background rows almost none. The rhythmic rows form a leading
     # block (at least one, so a 1-row library still peaks at alpha_hz);
-    # downstream assembly shuffles row order anyway.
+    # downstream assembly puts the rows at random source positions anyway.
     n_rhythmic = max(1, int(round(rhythm_fraction * n_sources)))
     rhythmic = np.arange(n_sources) < n_rhythmic
     t = np.where(
@@ -595,6 +595,5 @@ def _project(lf: LeadField, src: _ActiveRows) -> MultichannelRecord:
         root = (v * (src.noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
         z = np.random.default_rng(src.noise_seed).standard_normal(data.shape)
         data += np.matmul(root, z, out=product)
-        del z
     del product  # before the record's finiteness check allocates
     return MultichannelRecord(data=data, fs=src.fs, channel_names=lf.channel_names)

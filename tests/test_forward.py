@@ -12,9 +12,10 @@ from oracles import (
 from fcdist import (
     assemble_source_activity,
     forward,
-    pipeline,
     generate_synthetic_leadfield,
     generate_synthetic_sources,
+    matrix_io,
+    pipeline,
     project_to_scalp,
 )
 from fcdist.errors import (
@@ -41,7 +42,7 @@ class TestAssemble:
         lib = small_library()
         src = assemble_source_activity(lib, 5, 5, 0.3, 600, seed=1)
         assert src.data.shape == (5, 600)
-        # every output row is a normalized library row, in permuted order
+        # every output row is a normalized library row
         normed = lib.data[:, :600] / lib.data[:, :600].std(axis=1, keepdims=True)
         lib_rows = {row.tobytes() for row in normed}
         for row in src.data:
@@ -181,8 +182,10 @@ class TestSyntheticSources:
         assert abs(lib.data.var(axis=1).mean() - 1.0) < 0.05
 
 
-# Rows of 10,000 samples per block of the generator's row synthesis.
+# Rows of 10,000 samples per block of the generator's row synthesis, and per
+# block of active rows that the projection takes.
 _BLOCK_ROWS = forward._BLOCK_BYTES // (4 * 16 * 5001)
+_ACTIVE_BLOCK_ROWS = forward._BLOCK_BYTES // (8 * 10000)
 
 
 class TestBlockedSynthesis:
@@ -205,6 +208,9 @@ class TestBlockedSynthesis:
         (30, 1, 500, 200.0, 10.0),
         (7, 7, 333, 250.0, 40.0),
         (40, 12, 4, 200.0, 10.0),
+        (3002, _ACTIVE_BLOCK_ROWS - 1, 10000, 200.0, 10.0),
+        (3002, 2 * _ACTIVE_BLOCK_ROWS, 10000, 200.0, 10.0),
+        (3002, 2 * _ACTIVE_BLOCK_ROWS + 1, 10000, 200.0, 10.0),
     ])
     def test_fused_equals_generate_then_assemble(self, n_total, n_active, samples, fs, alpha):
         # A grid cell synthesizes and assembles its rows a block at a time, and
@@ -218,6 +224,22 @@ class TestBlockedSynthesis:
         two_step = assemble_source_activity(lib, n_total, n_active, 0.05, samples,
                                             seed=pipeline.mix64(4, 2, 19, 2))
         assert np.array_equal(pipeline.cell_record(cfg, 19, 2).data,
+                              project_to_scalp(lf, two_step).data)
+
+    def test_library_record_equals_two_step(self, tmp_path):
+        # 45 of 60 library rows, cut from 9,010 to 9,000 samples: one whole row
+        # block and part of another, copied from rows longer than those used.
+        lib = generate_synthetic_sources(60, 9010, 200.0, 10.0, seed=5)
+        matrix_io.write_source_library(tmp_path / "lib.csv", lib)
+        lib = matrix_io.read_source_library(tmp_path / "lib.csv")
+        cfg = pipeline.ExperimentConfig(montages=(19,), trials=3, n_samples=9000,
+                                        n_sources=300, n_active=45, master_seed=4,
+                                        source_mode=f"file:{tmp_path / 'lib.csv'}")
+        assert forward._BLOCK_BYTES // (8 * 9000) < 45
+        lf = generate_synthetic_leadfield(19, 300, seed=pipeline.mix64(4, 19, 3))
+        two_step = assemble_source_activity(lib, 300, 45, cfg.noise_sigma, 9000,
+                                            seed=pipeline.mix64(4, 1, 19, 2))
+        assert np.array_equal(pipeline.cell_record(cfg, 19, 1).data,
                               project_to_scalp(lf, two_step).data)
 
     @pytest.mark.parametrize("args, error", [
@@ -239,16 +261,6 @@ class TestBlockedSynthesis:
         assert str(fused.value) == str(two_step.value).replace("n_sources", "n_active")
         # A bad argument is a plain ValueError, bad data an InvalidData.
         assert isinstance(fused.value, FcdistError) == issubclass(error, FcdistError)
-
-    @pytest.mark.parametrize("n_active, message", [
-        (0, "n_active must be >= 1"),
-        (2.0, "n_active must be an int, got 2.0"),
-        (True, "n_active must be an int, got True"),
-    ], ids=["none", "float", "bool"])
-    def test_fused_names_n_active(self, n_active, message):
-        with pytest.raises(ValueError, match=message) as err:
-            forward._synthetic_activity(4, n_active, 0.0, 100, 200.0, 10.0, 0, 0)
-        assert not isinstance(err.value, FcdistError)
 
 
 class TestSyntheticLeadfield:
@@ -602,6 +614,13 @@ _BAD_ARGUMENTS = [pytest.param(call, message, id=name) for name, call, message i
      "n_samples must be an int, got 50.0"),
     ("assemble-str-sigma", lambda: assemble_source_activity(small_library(), 4, 2, "0.1", 50),
      "noise_sigma must be a number, got '0.1'"),
+    # A grid cell's streamed synthetic activity names its row count n_active.
+    ("streamed-float-active",
+     lambda: forward._synthetic_activity(4, 2.0, 0.0, 100, 200.0, 10.0, 0, 0),
+     "n_active must be an int, got 2.0"),
+    ("streamed-bool-active",
+     lambda: forward._synthetic_activity(4, True, 0.0, 100, 200.0, 10.0, 0, 0),
+     "n_active must be an int, got True"),
 ]]
 
 

@@ -652,42 +652,6 @@ class TestSimulation:
         assert peak <= limit_mib * 2**20, f"peak {peak / 2**20:.1f} MiB"
 
 
-# Rows in one block of active rows at 10,000 samples, as the projection takes them.
-_BLOCK_ROWS = forward._block_rows(8 * 10000)
-
-
-class TestStreamedProjection:
-    """A cell's streamed record equals the tracer's generate, assemble, project, at the
-    row-block edges and from a file library; ``tests/test_forward.py`` has more shapes."""
-
-    @pytest.mark.parametrize("n_active", [_BLOCK_ROWS - 1, 2 * _BLOCK_ROWS, 2 * _BLOCK_ROWS + 1],
-                             ids=["block-1", "two-blocks", "two-blocks+1"])
-    def test_synthetic_record_equals_two_step(self, n_active):
-        cfg = tiny_config(n_sources=3002, n_active=n_active, n_samples=10000, noise_sigma=0.05)
-        lf = forward.generate_synthetic_leadfield(19, 3002, seed=mix64(7, 19, 3))
-        lib = forward.generate_synthetic_sources(n_active, 10000, 200.0, 10.0,
-                                                 seed=mix64(7, 2, 19, 1))
-        src = forward.assemble_source_activity(lib, 3002, n_active, 0.05, 10000,
-                                               seed=mix64(7, 2, 19, 2))
-        assert np.array_equal(pipeline.cell_record(cfg, 19, 2).data,
-                              forward.project_to_scalp(lf, src).data)
-
-    def test_file_library_record_equals_two_step(self, tmp_path):
-        # 45 of 60 library rows, cut from 9,010 to 9,000 samples: one whole row
-        # block and a part of another, gathered from rows longer than used.
-        lib = forward.generate_synthetic_sources(60, 9010, 200.0, 10.0, seed=5)
-        matrix_io.write_source_library(tmp_path / "lib.csv", lib)
-        lib = matrix_io.read_source_library(tmp_path / "lib.csv")
-        cfg = tiny_config(n_samples=9000, n_active=45,
-                          source_mode=f"file:{tmp_path / 'lib.csv'}")
-        assert _BLOCK_ROWS < forward._block_rows(8 * 9000) < 45
-        lf = forward.generate_synthetic_leadfield(19, 300, seed=mix64(7, 19, 3))
-        src = forward.assemble_source_activity(lib, 300, 45, cfg.noise_sigma, 9000,
-                                               seed=mix64(7, 1, 19, 2))
-        assert np.array_equal(pipeline.cell_record(cfg, 19, 1).data,
-                              forward.project_to_scalp(lf, src).data)
-
-
 class TestBandBins:
     def test_cell_equals_allbin_coherency(self):
         # Each band's coherency is formed on its own bins; rows and failure
