@@ -571,10 +571,12 @@ def _project(lf: LeadField, src: _ActiveRows) -> MultichannelRecord:
     """``project_to_scalp`` of an activity whose explicit rows come a block at a time.
 
     Each block's product with its gain columns goes into one record-sized temporary
-    and is added to the record; the fill's product reuses that temporary. So the
-    record, the temporary and one block are held, never the whole activity, and the
-    sum runs over the blocks in order, then the fill: the same blocks give the same
-    bits, whoever makes them.
+    and is added to the record; each block is released before the next is made. The
+    fill's z is drawn into that temporary, and ``root @ z`` is added one row block of
+    ``root`` at a time. So the record, the temporary and one block are held, never the
+    whole activity nor a separate draw, and the sum runs over the blocks in order, then
+    the fill: the same blocks give the same bits, whoever makes them. The record's
+    buffer is a new writable array that only the caller holds.
     """
     if lf.n_sources != src.n_sources:
         raise ShapeMismatch(
@@ -587,13 +589,15 @@ def _project(lf: LeadField, src: _ActiveRows) -> MultichannelRecord:
         hi = lo + len(block)
         data += np.matmul(lf.gain[:, src.columns[lo:hi]], block, out=product)
         lo = hi
-    block = None  # the last block's buffer goes before the fill is drawn
+        del block  # before the generator makes the next one
     if src.noise_sigma > 0 and src.columns.size < lf.n_sources:
         fill = np.delete(lf.gain, src.columns, axis=1)
         w, v = np.linalg.eigh(fill @ fill.T)
         del fill
         root = (v * (src.noise_sigma * np.sqrt(np.clip(w, 0.0, None)))) @ v.T
-        z = np.random.default_rng(src.noise_seed).standard_normal(data.shape)
-        data += np.matmul(root, z, out=product)
+        # z, drawn into the temporary: the stream of standard_normal(data.shape).
+        np.random.default_rng(src.noise_seed).standard_normal(out=product)
+        for rows in _row_blocks(lf.n_channels, 8 * src.n_samples):
+            data[rows] += root[rows] @ product
     del product  # before the record's finiteness check allocates
     return MultichannelRecord(data=data, fs=src.fs, channel_names=lf.channel_names)

@@ -270,21 +270,24 @@ def _simulate(cfg: ExperimentConfig, inputs: tuple, montage: int, trial: int
 
     The record lives in this frame only, and is released once the last band's inputs
     exist, before that band's metrics run; rebinding ``made`` releases a band's inputs
-    before the next band's are made.
+    before the next band's are made. The last band's phase is written over the record:
+    its buffer is the writable array ``forward._project`` made, which only this cell
+    holds, so it lives on as that phase.
     """
     kinds = {METRICS[m][0] for m in cfg.metrics}
     rows, fails = [], []
     rec = _attempt(_cell_record, *inputs, cfg, montage, trial)
     for i, band in enumerate(cfg.bands, 1):
-        made = {}
+        made, last = {}, i == len(cfg.bands)
         if "coherency" in kinds:
             # COH and iCOH read the band's bins only; the config sets the segment
             # count, so a few-segment estimate gives no warning.
             made["coherency"] = _attempt(spectral.coherency, _attempt(
                 spectral._bartlett_spectrum, rec, cfg.segment_samples, band))
         if "analytic" in kinds:
-            made["analytic"] = _attempt(spectral.bandpass_analytic, rec, band)
-        if i == len(cfg.bands):
+            made["analytic"] = _attempt(lambda r: spectral._bandpass_analytic(
+                r, band, r.data.base if last else None), rec)
+        if last:
             del rec
         _band_results(cfg, montage, trial, band, made, rows, fails)
     return rows, fails

@@ -268,7 +268,19 @@ def bandpass_analytic(rec: MultichannelRecord, band: Band) -> AnalyticRecord:
     Filtering happens in the frequency domain with a Butterworth magnitude
     response applied forward-backward; the analytic signal zeroes negative
     frequencies and doubles positive ones. Phase is the angle wrapped to
-    (-pi, pi], envelope the magnitude.
+    (-pi, pi], envelope the magnitude. The record is left as it is.
+    """
+    return _bandpass_analytic(rec, band, None)
+
+
+def _bandpass_analytic(rec: MultichannelRecord, band: Band, phase: np.ndarray | None
+                       ) -> AnalyticRecord:
+    """``bandpass_analytic(rec, band)`` with the phase written into ``phase``, or into a
+    new array when it is None.
+
+    ``phase`` may be the writable array under ``rec.data``, which is then overwritten:
+    each row block is transformed before its phase is written, and no later block
+    reads those rows. The caller must own that array alone.
     """
     _check_below_nyquist(band, rec.fs)
     n_ch, n = rec.data.shape
@@ -291,7 +303,7 @@ def bandpass_analytic(rec: MultichannelRecord, band: Band) -> AnalyticRecord:
     # Two complex arrays of a block live at once (the transform's input cast and
     # its output, then the spectrum and the analytic signal), so together they
     # come to about one block's bytes.
-    phase = np.empty((n_ch, n))
+    phase = np.empty((n_ch, n)) if phase is None else phase
     envelope = np.empty((n_ch, n))
     for rows in _row_blocks(n_ch, 2 * 16 * n):
         spec = np.fft.fft(rec.data[rows], axis=1)

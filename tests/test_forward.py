@@ -387,6 +387,20 @@ class TestChannelSpaceFill:
         assert np.array_equal(project_to_scalp(lf, src).data,
                               explicit_first_projection(lf, src).data)
 
+    # The fill's product is added one row block of the root at a time; the oracle
+    # adds the single product root @ z. At 10,000 samples a block has 26 rows, so
+    # 128 channels (4 x 26 + 24) end in a partial block; one channel is one row.
+    @pytest.mark.parametrize("n_channels, n_samples", [(128, 10000), (1, 2000)],
+                             ids=["128-partial-block", "1"])
+    def test_fill_row_blocks_equal_one_product(self, n_channels, n_samples):
+        lib = generate_synthetic_sources(200, n_samples, 200.0, 10.0, seed=3)
+        lf = generate_synthetic_leadfield("egi128", 3002, seed=1)
+        lf = LeadField(gain=lf.gain[:n_channels], montage="custom",
+                       channel_names=lf.channel_names[:n_channels])
+        src = assemble_source_activity(lib, 3002, 200, 0.01, n_samples, seed=4)
+        assert np.array_equal(project_to_scalp(lf, src).data,
+                              explicit_first_projection(lf, src).data)
+
     def test_fill_covariance(self):
         # Fill only (no active rows), sigma = 1: the empirical channel
         # covariance C^ of T white samples has entry-wise standard error

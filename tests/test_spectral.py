@@ -257,6 +257,27 @@ class TestBandpassAnalytic:
         assert np.array_equal(a.phase, ref.phase)
         assert np.array_equal(a.envelope, ref.envelope)
 
+    @pytest.mark.parametrize("n_ch", [1, 129], ids=["1", "129"])
+    def test_phase_over_the_record_equals_oneshot_exactly(self, rng, n_ch):
+        # Written over the record's own buffer, the phase keeps its bits: each
+        # row block is transformed before its rows are overwritten.
+        data = rng.standard_normal((n_ch, 4000))
+        ref = oneshot_bandpass_analytic(make_record(data.copy()), ALPHA)
+        a = spectral._bandpass_analytic(make_record(data), ALPHA, data)
+        assert np.shares_memory(a.phase, data)
+        assert np.array_equal(a.phase, ref.phase)
+        assert np.array_equal(a.envelope, ref.envelope)
+
+    def test_record_is_left_as_it_is(self, rng):
+        # The public call writes its phase into a new array, even when the
+        # record's buffer is writable.
+        data = rng.standard_normal((40, 4000))
+        before, rec = data.copy(), make_record(data)
+        a = bandpass_analytic(rec, ALPHA)
+        assert np.array_equal(rec.data, before)
+        assert not np.shares_memory(a.phase, data)
+        assert not np.shares_memory(a.envelope, data)
+
     def test_temporaries_stay_within_one_block(self, rng):
         # Beside its phase and envelope, the analytic signal holds about one row
         # block of complex temporaries, not one block per array.
