@@ -378,26 +378,20 @@ class TestChannelSpaceFill:
         rec = project_to_scalp(lf, src)
         assert np.max(np.abs(rec.data - lf.gain @ ref.data)) < 1e-12
 
-    @pytest.mark.parametrize("montage, noise_sigma", [("std19", 0.01), ("egi128", 0.01),
-                                                      ("egi64", 0.0)])
-    def test_fill_first_equals_explicit_first(self, montage, noise_sigma):
-        lib = generate_synthetic_sources(200, 2000, 200.0, 10.0, seed=3)
-        lf = generate_synthetic_leadfield(montage, 3002, seed=1)
-        src = assemble_source_activity(lib, 3002, 200, noise_sigma, 2000, seed=4)
-        assert np.array_equal(project_to_scalp(lf, src).data,
-                              explicit_first_projection(lf, src).data)
-
     # The fill's product is added one row block of the root at a time; the oracle
     # adds the single product root @ z. At 10,000 samples a block has 26 rows, so
     # 128 channels (4 x 26 + 24) end in a partial block; one channel is one row.
-    @pytest.mark.parametrize("n_channels, n_samples", [(128, 10000), (1, 2000)],
-                             ids=["128-partial-block", "1"])
-    def test_fill_row_blocks_equal_one_product(self, n_channels, n_samples):
+    @pytest.mark.parametrize("montage, n_channels, noise_sigma, n_samples", [
+        ("std19", 19, 0.01, 2000), ("egi128", 128, 0.01, 2000), ("egi64", 64, 0.0, 2000),
+        ("egi128", 128, 0.01, 10000), ("egi128", 1, 0.01, 2000),
+    ], ids=["std19-0.01", "egi128-0.01", "egi64-0.0", "egi128-partial-block", "1-channel"])
+    def test_fill_first_equals_explicit_first(self, montage, n_channels, noise_sigma,
+                                              n_samples):
         lib = generate_synthetic_sources(200, n_samples, 200.0, 10.0, seed=3)
-        lf = generate_synthetic_leadfield("egi128", 3002, seed=1)
-        lf = LeadField(gain=lf.gain[:n_channels], montage="custom",
+        lf = generate_synthetic_leadfield(montage, 3002, seed=1)
+        lf = LeadField(gain=lf.gain[:n_channels], montage=lf.montage,
                        channel_names=lf.channel_names[:n_channels])
-        src = assemble_source_activity(lib, 3002, 200, 0.01, n_samples, seed=4)
+        src = assemble_source_activity(lib, 3002, 200, noise_sigma, n_samples, seed=4)
         assert np.array_equal(project_to_scalp(lf, src).data,
                               explicit_first_projection(lf, src).data)
 
